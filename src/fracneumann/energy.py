@@ -12,8 +12,9 @@ quadrature:
   h * (c * frac_laplacian_apply(u) + u - |u|^(p-1) u) and Euler-Lagrange
   residuals of ground states can be driven to round-off.
 
-Both double sums reduce through the blocked Toeplitz matvec, so results
-are bitwise independent of the worker count.
+Each double sum costs one Toeplitz product through the table's FFT
+engine; the Neumann form gets its interior and cross pairs from the
+same product W[:, I] v_I, using the symmetry of the weights.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Grid, LineGrid, Params
-from .kernel import Field, KernelTable
+from .kernel import Field, KernelTable, _exact_mean
 from .neumann import ExtendedField
 
 __all__ = [
@@ -53,13 +54,7 @@ class EnergyBreakdown:
     total: float
 
 
-def _interior_mean(v: np.ndarray) -> float:
-    if np.all(v == v[0]):
-        return float(v[0])
-    return float(np.mean(v))
-
-
-def seminorm_T(u: ExtendedField, table: KernelTable, workers: int = 1) -> float:
+def seminorm_T(u: ExtendedField, table: KernelTable) -> float:
     """Double integral of |u(x)-u(y)|^2 over the cross set, unscaled.
 
     Decomposed as (domain x domain) + 2 (domain x collar) pair sums plus
@@ -74,13 +69,17 @@ def seminorm_T(u: ExtendedField, table: KernelTable, workers: int = 1) -> float:
         raise ValueError("field and table grids do not match")
     lo, hi = grid.interior_range
     n = grid.n_nodes
-    v = u.values - _interior_mean(u.values[lo:hi])
+    v = u.values - _exact_mean(u.values[lo:hi])
     vi = v[lo:hi]
+    vi2 = vi * vi
+
+    # one product: rows I of W[:, I] v_I pair the domain with itself, and
+    # by symmetry v_E . W_EI v_I on the collar rows equals v_I . W_IE v_E
+    conv = table.matvec(vi, 0, n, lo, hi)
+    rs = table.row_sums(0, n, lo, hi)
 
     # domain x domain: sum_{i,j in I, i != j} W (v_i - v_j)^2
-    conv_ii = table.matvec(vi, lo, hi, lo, hi, workers=workers)
-    rs_ii = table.row_sums(lo, hi, lo, hi)
-    part_ii = 2.0 * (float((vi * vi) @ rs_ii) - float(vi @ conv_ii))
+    part_ii = 2.0 * (float(vi2 @ rs[lo:hi]) - float(vi @ conv[lo:hi]))
 
     # domain x collar, both orders
     part_ie = 0.0
@@ -88,24 +87,18 @@ def seminorm_T(u: ExtendedField, table: KernelTable, workers: int = 1) -> float:
         if c0 == c1:
             continue
         ve = v[c0:c1]
-        conv = table.matvec(ve, lo, hi, c0, c1, workers=workers)
-        rs_i = table.row_sums(lo, hi, c0, c1)
-        rs_e = table.row_sums(c0, c1, lo, hi)
         part_ie += (
-            float((vi * vi) @ rs_i) + float((ve * ve) @ rs_e) - 2.0 * float(vi @ conv)
+            float(vi2 @ table.row_sums(lo, hi, c0, c1))
+            + float((ve * ve) @ rs[c0:c1])
+            - 2.0 * float(ve @ conv[c0:c1])
         )
 
-    tail_part = float((vi * vi) @ table.tail[lo:hi])
+    tail_part = float(vi2 @ table.tail[lo:hi])
     total = grid.h * (part_ii + 2.0 * part_ie + 2.0 * tail_part)
     return max(total, 0.0)
 
 
-def J_d(
-    u: ExtendedField,
-    params: Params,
-    table: KernelTable,
-    workers: int = 1,
-) -> EnergyBreakdown:
+def J_d(u: ExtendedField, params: Params, table: KernelTable) -> EnergyBreakdown:
     """Neumann energy of a full-grid field.
 
     Mass and potential are midpoint cell sums over the domain; the
@@ -116,7 +109,7 @@ def J_d(
     h = grid.h
     lo, hi = grid.interior_range
     ui = u.values[lo:hi]
-    semi = params.d * table.c_ns / 2.0 * seminorm_T(u, table, workers=workers)
+    semi = params.d * table.c_ns / 2.0 * seminorm_T(u, table)
     mass = h * float(np.sum(ui * ui))
     pot = h * float(np.sum(np.abs(ui) ** (params.p + 1.0))) / (params.p + 1.0)
     return EnergyBreakdown(
@@ -128,54 +121,44 @@ def J_d(
 
 
 def _quadratic_and_potential(
-    u: ExtendedField, params: Params, table: KernelTable, workers: int
+    u: ExtendedField, params: Params, table: KernelTable
 ) -> tuple[float, float]:
     """Q(u) = d c seminorm_T + int u^2 and the raw int |u|^(p+1)."""
     lo, hi = u.grid.interior_range
     ui = u.values[lo:hi]
     h = u.grid.h
-    quad = params.d * table.c_ns / 2.0 * seminorm_T(
-        u, table, workers=workers
-    ) + h * float(np.sum(ui * ui))
+    quad = params.d * table.c_ns / 2.0 * seminorm_T(u, table) + h * float(
+        np.sum(ui * ui)
+    )
     pot = h * float(np.sum(np.abs(ui) ** (params.p + 1.0)))
     return quad, pot
 
 
-def nehari_scale(
-    u: ExtendedField,
-    params: Params,
-    table: KernelTable,
-    workers: int = 1,
-) -> float:
+def nehari_scale(u: ExtendedField, params: Params, table: KernelTable) -> float:
     """Unique maximizer t0 of t -> J_d(t u) along the ray through u.
 
     Closed form t0 = (Q / int |u|^(p+1))^(1/(p-1)) with Q the quadratic
     part; no line search is involved.
     """
-    quad, pot = _quadratic_and_potential(u, params, table, workers)
+    quad, pot = _quadratic_and_potential(u, params, table)
     if pot <= 0.0:
         raise ValueError("degenerate direction: field vanishes on the domain")
     return float((quad / pot) ** (1.0 / (params.p - 1.0)))
 
 
-def peak_energy(
-    u: ExtendedField,
-    params: Params,
-    table: KernelTable,
-    workers: int = 1,
-) -> float:
+def peak_energy(u: ExtendedField, params: Params, table: KernelTable) -> float:
     """sup over t >= 0 of J_d(t u), evaluated at the closed-form t0.
 
     Checks the Nehari algebra (1/2 - 1/(p+1)) t0^(p+1) int |u|^(p+1)
     against the direct evaluation and refuses to return silently
     inconsistent numbers.
     """
-    quad, pot = _quadratic_and_potential(u, params, table, workers)
+    quad, pot = _quadratic_and_potential(u, params, table)
     if pot <= 0.0:
         raise ValueError("degenerate direction: field vanishes on the domain")
     t0 = (quad / pot) ** (1.0 / (params.p - 1.0))
     scaled = ExtendedField(t0 * u.values, u.grid, from_extension=u.from_extension)
-    direct = J_d(scaled, params, table, workers=workers).total
+    direct = J_d(scaled, params, table).total
     algebra = (0.5 - 1.0 / (params.p + 1.0)) * t0 ** (params.p + 1.0) * pot
     if abs(direct - algebra) > 1e-12 * max(1.0, abs(direct)):
         raise ValueError(
@@ -185,9 +168,7 @@ def peak_energy(
     return direct
 
 
-def _line_pieces(
-    v: np.ndarray, table: KernelTable, workers: int
-) -> tuple[float, float, float]:
+def _line_pieces(v: np.ndarray, table: KernelTable) -> tuple[float, float, float]:
     """(pair sum, second-difference sum, tail sum) of the line form.
 
     pair = sum_{i != j} W (v_i - v_j)^2, diag = sum over edges of
@@ -195,7 +176,7 @@ def _line_pieces(
     second difference), tail = sum_i tail_i v_i^2.
     """
     n = v.shape[0]
-    conv = table.matvec(v, 0, n, 0, n, workers=workers)
+    conv = table.matvec(v, 0, n, 0, n)
     rs = table.row_sums(0, n, 0, n)
     pair = 2.0 * (float((v * v) @ rs) - float(v @ conv))
     dv = np.diff(v)
@@ -204,14 +185,14 @@ def _line_pieces(
     return pair, diag, tail
 
 
-def _gagliardo_line(v: np.ndarray, table: KernelTable, workers: int) -> float:
+def _gagliardo_line(v: np.ndarray, table: KernelTable) -> float:
     """Whole-space double integral of |v(x)-v(y)|^2 |x-y|^(-1-2s).
 
     Quadrature-consistent with ``frac_laplacian_apply``: the same
     second-difference diagonal rule and analytic tails, so
     h * v . (operator v) = c/2 * (this value).
     """
-    pair, diag, tail = _line_pieces(v, table, workers)
+    pair, diag, tail = _line_pieces(v, table)
     return table.h * (pair + 2.0 * table.pv_coeff * diag + 2.0 * tail)
 
 
@@ -234,14 +215,13 @@ def F_energy(
     p: float,
     s: float,
     table: KernelTable,
-    workers: int = 1,
 ) -> float:
     """Whole-space energy 1/2 [c [u]^2 + int u^2] - int |u|^(p+1) / (p+1)."""
     v = _line_field(u, table)
     if s != table.s:
         raise ValueError(f"table was built for s = {table.s}, not {s}")
     h = table.h
-    quad = table.c_ns / 2.0 * _gagliardo_line(v, table, workers) + h * float(
+    quad = table.c_ns / 2.0 * _gagliardo_line(v, table) + h * float(
         np.sum(v * v)
     )
     pot = h * float(np.sum(np.abs(v) ** (p + 1.0)))
@@ -253,7 +233,6 @@ def pohozaev(
     p: float,
     s: float,
     table: KernelTable,
-    workers: int = 1,
 ) -> float:
     """Pohozaev functional of a whole-space field (n = 1).
 
@@ -265,7 +244,7 @@ def pohozaev(
     if s != table.s:
         raise ValueError(f"table was built for s = {table.s}, not {s}")
     h = table.h
-    semi = _gagliardo_line(v, table, workers)
+    semi = _gagliardo_line(v, table)
     mass = h * float(np.sum(v * v))
     pot = h * float(np.sum(np.abs(v) ** (p + 1.0)))
     return (1.0 - 2.0 * s) * table.c_ns / 4.0 * semi + 0.5 * mass - pot / (p + 1.0)

@@ -291,7 +291,6 @@ def verify_suite(
     params: Params,
     config: VerifyConfig = VerifyConfig(),
     table_factory=kernel_weights,
-    workers: int = 1,
 ) -> list[VerifyItem]:
     """Run the eight wiring checks and report pass/fail per item.
 
@@ -315,8 +314,7 @@ def verify_suite(
 
     solved: LeastEnergyResult | None = None
     try:
-        solved = solve_least_energy(domain_params, domain, domain_table,
-                                    workers=workers)
+        solved = solve_least_energy(domain_params, domain, domain_table)
         neh, flux = solved.nehari_residual, solved.flux_residual
         items.append(
             VerifyItem(
@@ -332,7 +330,7 @@ def verify_suite(
 
     ground: GroundStateResult | None = None
     try:
-        ground = solve_ground_state(line_params, line, workers=workers)
+        ground = solve_ground_state(line_params, line)
         items.append(
             VerifyItem(
                 name="pohozaev-identity",
@@ -402,8 +400,8 @@ def verify_suite(
             prof = transplant_ground_state(
                 ground, domain.interior_nodes, domain_params
             )
-            ext = extend(prof, domain_table, workers=workers)
-            peak = peak_energy(ext, domain_params, domain_table, workers=workers)
+            ext = extend(prof, domain_table)
+            peak = peak_energy(ext, domain_params, domain_table)
             bound = (
                 domain_params.d ** (domain_params.n / (2.0 * domain_params.s))
                 / 2.0

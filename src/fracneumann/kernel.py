@@ -18,19 +18,20 @@ Row sums of the table plus the tail reproduce the full one-dimensional
 kernel mass 2*(h/2)^(-2s)/(2s) up to rounding, which is the invariant
 the tests pin down.
 
-All heavy reductions run over fixed-size row blocks in a fixed order,
-so results are bitwise reproducible for any worker count.
+Every Toeplitz product is one forward and one inverse real FFT against
+the stored spectrum of ``omega`` embedded as an even circulant; tables
+of equal (n, h, s) share one read-only copy of their arrays.  Results
+are bitwise reproducible from run to run.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
-from scipy.linalg import matmul_toeplitz
+from scipy import fft, integrate, special
 
 from .grids import Grid, LineGrid, Params
 
@@ -41,14 +42,6 @@ __all__ = [
     "kernel_weights",
     "frac_laplacian_apply",
 ]
-
-# Row-block size for all banded reductions.  Fixed (never derived from
-# the worker count) so partitioning cannot influence results.
-_BLOCK = 512
-
-# Products larger than this many scalar multiplies route through the
-# FFT-based Toeplitz multiply instead of explicit rows.
-_DIRECT_LIMIT = 4_194_304
 
 _QUAD_RTOL = 1e-8
 
@@ -170,6 +163,33 @@ def _curvature_defect(s: float) -> float:
     return total
 
 
+def _fft_length(n: int) -> int:
+    """Circulant length for an n-node table: no wrap-around at offsets < n."""
+    return fft.next_fast_len(2 * n - 1, real=True)
+
+
+def _spectrum(omega: np.ndarray) -> np.ndarray:
+    """Real spectrum of the even circulant holding omega[m] at m and L - m."""
+    n = omega.size
+    gen = np.zeros(_fft_length(n), dtype=np.float64)
+    gen[:n] = omega
+    gen[gen.size - n + 1 :] = omega[:0:-1]
+    return np.ascontiguousarray(fft.rfft(gen).real)
+
+
+def _prefix(omega: np.ndarray) -> np.ndarray:
+    """prefix[m] = sum of omega[1..m]."""
+    return np.concatenate(([0.0], np.cumsum(omega[1:])))
+
+
+def _exact_mean(v: np.ndarray) -> float:
+    """Mean of ``v``; exactly v[0] when every entry equals it."""
+    if np.all(v == v[0]):
+        # keep constants exact instead of picking up mean round-off
+        return float(v[0])
+    return float(np.mean(v))
+
+
 @dataclass(frozen=True)
 class KernelTable:
     """Cell-integrated kernel weights for one uniform grid.
@@ -188,17 +208,16 @@ class KernelTable:
     tail: np.ndarray = field(repr=False)
     pv_coeff: float
 
-    # Derived, cached at construction: reversed generator and prefix
-    # sums (prefix[m] = sum of omega[1..m]).
-    omega_rev: np.ndarray = field(repr=False, default=None)
+    # Derived from ``omega`` unless supplied: prefix sums for
+    # ``row_sums`` and the circulant spectrum for ``matvec``.
     prefix: np.ndarray = field(repr=False, default=None)
+    spec: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self) -> None:
-        if self.omega_rev is None:
-            object.__setattr__(self, "omega_rev", self.omega[::-1].copy())
         if self.prefix is None:
-            pref = np.concatenate(([0.0], np.cumsum(self.omega[1:])))
-            object.__setattr__(self, "prefix", pref)
+            object.__setattr__(self, "prefix", _prefix(self.omega))
+        if self.spec is None:
+            object.__setattr__(self, "spec", _spectrum(self.omega))
 
     # -- element access -------------------------------------------------
 
@@ -221,27 +240,12 @@ class KernelTable:
             col_hi = n
         if not 0 <= i < n:
             raise ValueError(f"requested node index {i} outside the grid")
-        out = np.empty(col_hi - col_lo, dtype=np.float64)
-        self._fill_row(out, i, col_lo, col_hi)
-        return out
+        return self.omega[np.abs(np.arange(col_lo, col_hi) - i)]
 
     def dense(self) -> np.ndarray:
         """Full weight matrix; intended for small grids and tests."""
         idx = np.arange(self.n_nodes)
         return self.omega[np.abs(idx[:, None] - idx[None, :])]
-
-    def _fill_row(self, buf: np.ndarray, i: int, c0: int, c1: int) -> None:
-        m = self.omega.size
-        if i >= c1:
-            # All columns left of the row: offsets i-c0 ... i-c1+1.
-            buf[:] = self.omega_rev[m - 1 - (i - c0) : m - (i - c1 + 1)]
-        elif i < c0:
-            buf[:] = self.omega[c0 - i : c1 - i]
-        else:
-            nl = i - c0
-            buf[:nl] = self.omega_rev[m - 1 - nl : m - 1]
-            buf[nl] = 0.0
-            buf[nl + 1 :] = self.omega[1 : c1 - i]
 
     # -- banded reductions ------------------------------------------------
 
@@ -252,45 +256,24 @@ class KernelTable:
         row_hi: int,
         col_lo: int,
         col_hi: int,
-        workers: int = 1,
     ) -> np.ndarray:
         """y[i] = sum_j W[i][j] * x[j - col_lo] for the given index ranges.
 
-        ``x`` has length col_hi - col_lo.  Small products build explicit
-        rows, processed in fixed blocks; workers only parallelise the
-        block loop, so the output is bitwise independent of the worker
-        count.  Large products use the FFT Toeplitz multiply, which has
-        no worker dependence at all.  The path switch depends only on
-        the product size, never on the worker count, so results stay
-        reproducible.
+        ``x`` has length col_hi - col_lo.  It is placed at col_lo in a
+        zero vector of the circulant length and convolved through the
+        stored spectrum; rows [row_lo, row_hi) are read off.  Round-off
+        is of order eps * ||W||_inf * ||x||_inf, not relative per entry.
         """
         if x.shape != (col_hi - col_lo,):
             raise ValueError("operand length must match the column range")
         if row_hi <= row_lo:
             return np.empty(0, dtype=np.float64)
-        if (row_hi - row_lo) * (col_hi - col_lo) > _DIRECT_LIMIT:
-            c = self.omega[np.abs(np.arange(row_lo, row_hi) - col_lo)]
-            r = self.omega[np.abs(np.arange(col_lo, col_hi) - row_lo)]
-            return matmul_toeplitz((c, r), x)
-        out = np.empty(row_hi - row_lo, dtype=np.float64)
-        blocks = [
-            (b, min(b + _BLOCK, row_hi)) for b in range(row_lo, row_hi, _BLOCK)
-        ]
-
-        def run(span: tuple[int, int]) -> None:
-            b0, b1 = span
-            buf = np.empty((b1 - b0, col_hi - col_lo), dtype=np.float64)
-            for k in range(b1 - b0):
-                self._fill_row(buf[k], b0 + k, col_lo, col_hi)
-            out[b0 - row_lo : b1 - row_lo] = buf @ x
-
-        if workers > 1 and len(blocks) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run, blocks))
-        else:
-            for span in blocks:
-                run(span)
-        return out
+        size = _fft_length(self.n_nodes)
+        buf = np.zeros(size, dtype=np.float64)
+        buf[col_lo:col_hi] = x
+        coeffs = fft.rfft(buf)
+        coeffs *= self.spec
+        return fft.irfft(coeffs, size, overwrite_x=True)[row_lo:row_hi]
 
     def row_sums(
         self, row_lo: int, row_hi: int, col_lo: int, col_hi: int
@@ -300,17 +283,41 @@ class KernelTable:
         Evaluated through prefix sums of the offset generator; the
         diagonal (offset zero) never contributes.
         """
-        i = np.arange(row_lo, row_hi)
         p = self.prefix
-        # Left part: columns in [col_lo, min(i, col_hi)), offsets up to i-col_lo.
-        hi_l = np.clip(i - col_lo, 0, None)
-        lo_l = np.clip(i - col_hi + 1, 1, None)
-        left = np.where(hi_l >= lo_l, p[hi_l] - p[lo_l - 1], 0.0)
-        # Right part: columns in (i, col_hi), offsets up to col_hi-1-i.
-        hi_r = np.clip(col_hi - 1 - i, 0, None)
-        lo_r = np.clip(col_lo - i, 1, None)
-        right = np.where(hi_r >= lo_r, p[hi_r] - p[lo_r - 1], 0.0)
-        return left + right
+        a = max(row_lo, min(row_hi, col_lo))  # first row not left of the columns
+        b = max(a, min(row_hi, col_hi))  # first row right of the columns
+        left = p[col_hi - a : col_hi - row_lo] - p[col_lo - a : col_lo - row_lo]
+        inside = p[a - col_lo : b - col_lo] + p[col_hi - b : col_hi - a][::-1]
+        right = p[b - col_lo : row_hi - col_lo] - p[b - col_hi : row_hi - col_hi]
+        return np.concatenate((left[::-1], inside, right))
+
+
+@lru_cache(maxsize=16)
+def _shared_arrays(n: int, h: float, s: float) -> tuple[np.ndarray, ...]:
+    """Read-only (omega, prefix, spec, tail) for n nodes of spacing h.
+
+    Shared by every table of equal (n, h, s), translated domains included;
+    the cache holds every grid of the default sweep.
+    """
+    # omega[m] = ((m-1/2)^(-2s) - (m+1/2)^(-2s)) * h^(-2s) / (2s); the
+    # diagonal entry is zero (its cell is handled by the PV rule).
+    m = np.arange(1, n, dtype=np.float64)
+    body = ((m - 0.5) ** (-2.0 * s) - (m + 0.5) ** (-2.0 * s)) * (
+        h ** (-2.0 * s) / (2.0 * s)
+    )
+    omega = np.concatenate(([0.0], body))
+
+    # node i sits (i + 1/2) h and (n - i - 1/2) h from the window edges;
+    # index arithmetic avoids coordinate cancellation on translated windows
+    k = np.arange(n, dtype=np.float64)
+    tail = (((k + 0.5) * h) ** (-2.0 * s) + ((n - k - 0.5) * h) ** (-2.0 * s)) / (
+        2.0 * s
+    )
+
+    arrays = (omega, _prefix(omega), _spectrum(omega), tail)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def kernel_weights(grid: Grid | LineGrid, params: Params) -> KernelTable:
@@ -324,20 +331,7 @@ def kernel_weights(grid: Grid | LineGrid, params: Params) -> KernelTable:
         raise ValueError("weight tables are one-dimensional; need params.n == 1")
     s = params.s
     h = grid.h
-    n = grid.n_nodes
-
-    # omega[m] = ((m-1/2)^(-2s) - (m+1/2)^(-2s)) * h^(-2s) / (2s); the
-    # diagonal entry is zero (its cell is handled by the PV rule).
-    m = np.arange(1, n, dtype=np.float64)
-    body = ((m - 0.5) ** (-2.0 * s) - (m + 0.5) ** (-2.0 * s)) * (
-        h ** (-2.0 * s) / (2.0 * s)
-    )
-    omega = np.concatenate(([0.0], body))
-
-    w_lo, w_hi = grid.window
-    tail = ((grid.nodes - w_lo) ** (-2.0 * s) + (w_hi - grid.nodes) ** (-2.0 * s)) / (
-        2.0 * s
-    )
+    omega, prefix, spec, tail = _shared_arrays(grid.n_nodes, h, s)
 
     pv = (0.5 ** (2.0 - 2.0 * s) / (2.0 * (1.0 - s)) + _curvature_defect(s)) * h ** (
         -2.0 * s
@@ -350,6 +344,8 @@ def kernel_weights(grid: Grid | LineGrid, params: Params) -> KernelTable:
         omega=omega,
         tail=tail,
         pv_coeff=pv,
+        prefix=prefix,
+        spec=spec,
     )
 
 
@@ -358,18 +354,13 @@ def _far_value(u: Field, grid: Grid | LineGrid) -> float:
         return 0.0
     if not isinstance(grid, Grid):
         raise ValueError("mean far-field model needs a bounded-domain grid")
-    inner = u.values[grid.interior]
-    if np.all(inner == inner[0]):
-        # keep constants exact instead of picking up mean round-off
-        return float(inner[0])
-    return float(np.mean(inner))
+    return _exact_mean(u.values[grid.interior])
 
 
 def frac_laplacian_apply(
     u: Field | np.ndarray,
     table: KernelTable,
     at: np.ndarray | None = None,
-    workers: int = 1,
 ) -> np.ndarray:
     """Discrete fractional Laplacian of ``u`` at the requested nodes.
 
@@ -403,7 +394,7 @@ def frac_laplacian_apply(
     # constant field yields exact zeros instead of rounding residue.
     far = _far_value(u, table.grid)
     w = v - far if far != 0.0 else v
-    conv = table.matvec(w, 0, n, 0, n, workers=workers)
+    conv = table.matvec(w, 0, n, 0, n)
     sums = table.row_sums(0, n, 0, n)
     full = w * sums - conv + table.tail * w
 

@@ -7,10 +7,10 @@ values.  Solvers therefore treat interior values as the only unknowns
 and rebuild the collar through ``extend`` whenever they need a full
 field.
 
-Numerator and denominator of the average are evaluated by the same
-blocked row reduction, so a constant interior field extends to exactly
-the same constant (bitwise) and re-extending an extended field is a
-no-op.
+The average is taken of the data minus its interior mean m, then m is
+added back, so a constant interior field extends to exactly the same
+constant (bitwise) at every grid size, and re-extending an extended
+field is a no-op.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Grid
-from .kernel import KernelTable
+from .kernel import KernelTable, _exact_mean
 
 __all__ = ["ExtendedField", "neumann_derivative", "extend"]
 
@@ -76,7 +76,7 @@ def neumann_derivative(u: ExtendedField | np.ndarray, table: KernelTable, x: int
     return float(table.c_ns * (row @ (v[x] - v[lo:hi])))
 
 
-def extend(u_int: np.ndarray, table: KernelTable, workers: int = 1) -> ExtendedField:
+def extend(u_int: np.ndarray, table: KernelTable) -> ExtendedField:
     """Extend interior data to the collar so that N_s u = 0 exactly.
 
     Each exterior value is the kernel-weighted average of the interior
@@ -96,13 +96,11 @@ def extend(u_int: np.ndarray, table: KernelTable, workers: int = 1) -> ExtendedF
         raise ValueError("interior values must be finite")
 
     n = grid.n_nodes
-    ones = np.ones(hi - lo)
+    m = _exact_mean(v)
+    num = table.matvec(v - m, 0, n, lo, hi)
+    den = table.row_sums(0, n, lo, hi)
     full = np.empty(n, dtype=np.float64)
     full[lo:hi] = v
     for r0, r1 in ((0, lo), (hi, n)):
-        if r0 == r1:
-            continue
-        num = table.matvec(v, r0, r1, lo, hi, workers=workers)
-        den = table.matvec(ones, r0, r1, lo, hi, workers=workers)
-        full[r0:r1] = num / den
+        full[r0:r1] = m + num[r0:r1] / den[r0:r1]
     return ExtendedField(values=full, grid=grid, from_extension=True)

@@ -141,11 +141,9 @@ class SweepRecord:
 # whole-space ground state
 
 
-def _line_quad_pot(
-    v: np.ndarray, p: float, table: KernelTable, workers: int
-) -> tuple[float, float]:
+def _line_quad_pot(v: np.ndarray, p: float, table: KernelTable) -> tuple[float, float]:
     """Q(v) = c [v]^2 + int v^2 and P(v) = int |v|^(p+1) on the line."""
-    quad = table.c_ns / 2.0 * _gagliardo_line(v, table, workers) + table.h * float(
+    quad = table.c_ns / 2.0 * _gagliardo_line(v, table) + table.h * float(
         np.sum(v * v)
     )
     pot = table.h * float(np.sum(np.abs(v) ** (p + 1.0)))
@@ -162,7 +160,6 @@ def solve_ground_state(
     params: Params,
     grid: LineGrid,
     config: SolverConfig = SolverConfig(),
-    workers: int = 1,
 ) -> GroundStateResult:
     """Least-energy solution of (-Lap)^s w + w = w^p on the line.
 
@@ -196,7 +193,7 @@ def solve_ground_state(
     def project(v: np.ndarray) -> tuple[np.ndarray, float]:
         v = np.abs(v)
         v = 0.5 * (v + v[::-1])
-        quad, pot = _line_quad_pot(v, p, table, workers)
+        quad, pot = _line_quad_pot(v, p, table)
         if pot <= 0.0 or not math.isfinite(pot):
             raise ConvergenceError("iterate collapsed to the trivial limit", history)
         t0 = (quad / pot) ** (1.0 / (p - 1.0))
@@ -209,14 +206,14 @@ def solve_ground_state(
     step = config.step
 
     for it in range(config.max_iters):
-        r = frac_laplacian_apply(u, table, workers=workers) + u - u**p
+        r = frac_laplacian_apply(u, table) + u - u**p
         res = float(np.max(np.abs(r[inner])))
         history.append(res)
         if float(np.max(np.abs(u))) < 1e-10:
             raise ConvergenceError("iterate collapsed to the trivial limit", history)
         if res <= config.tol_residual:
             return _package_ground_state(
-                u, grid, table, params, res, it, np.array(peaks), workers
+                u, grid, table, params, res, it, np.array(peaks)
             )
 
         if prev_u is not None:
@@ -250,16 +247,16 @@ def solve_ground_state(
     )
 
 
-def _package_ground_state(u, grid, table, params, res, iters, peaks, workers):
+def _package_ground_state(u, grid, table, params, res, iters, peaks):
     x = grid.nodes
     h = grid.h
     p, s = params.p, params.s
 
-    gag = _gagliardo_line(u, table, workers)
+    gag = _gagliardo_line(u, table)
     mass = 0.5 * h * float(np.sum(u * u))
     pot = h * float(np.sum(np.abs(u) ** (p + 1.0))) / (p + 1.0)
     f_val = table.c_ns / 4.0 * gag + mass - pot
-    poh = pohozaev(u, p, s, table, workers=workers)
+    poh = pohozaev(u, p, s, table)
     semi_poh = (1.0 - 2.0 * s) * table.c_ns / 4.0 * gag
     poh_rel = abs(poh) / max(abs(semi_poh), abs(mass), abs(pot))
 
@@ -287,7 +284,6 @@ def _reduced_state(
     u_int: np.ndarray,
     params: Params,
     table: KernelTable,
-    workers: int,
     ext: ExtendedField | None = None,
 ) -> tuple[ExtendedField, np.ndarray]:
     """Extension and pointwise Euler-Lagrange residual at u_int.
@@ -301,10 +297,10 @@ def _reduced_state(
     lo, hi = grid.interior_range
     n = grid.n_nodes
     if ext is None:
-        ext = extend(u_int, table, workers=workers)
+        ext = extend(u_int, table)
     vals = ext.values
 
-    conv = table.matvec(vals, lo, hi, 0, n, workers=workers)
+    conv = table.matvec(vals, lo, hi, 0, n)
     rs = table.row_sums(lo, hi, 0, n)
     pair = u_int * rs - conv
 
@@ -324,7 +320,6 @@ def solve_least_energy(
     config: SolverConfig = SolverConfig(),
     warm: np.ndarray | None = None,
     ground: GroundStateResult | None = None,
-    workers: int = 1,
 ) -> LeastEnergyResult:
     """Least-energy critical point of J_d on the Neumann problem.
 
@@ -372,8 +367,8 @@ def solve_least_energy(
 
     def project(v: np.ndarray) -> tuple[np.ndarray, float, ExtendedField]:
         v = np.abs(v)
-        ext = extend(v, table, workers=workers)
-        quad, pot = _quadratic_and_potential(ext, params, table, workers)
+        ext = extend(v, table)
+        quad, pot = _quadratic_and_potential(ext, params, table)
         if pot <= 0.0 or not math.isfinite(pot):
             raise ConvergenceError("iterate collapsed to the trivial limit", history)
         t0 = (quad / pot) ** (1.0 / (p - 1.0))
@@ -390,7 +385,7 @@ def solve_least_energy(
 
     for it in range(config.max_iters):
         iterations = it
-        ext, r = _reduced_state(u, params, table, workers, ext=ext)
+        ext, r = _reduced_state(u, params, table, ext=ext)
         scale = max(1.0, float(np.max(u)))
         res = float(np.max(np.abs(r))) / scale
         total_u = float(np.sum(u))
@@ -440,25 +435,23 @@ def solve_least_energy(
         _, alt_peak, _ = project(alt)
         if alt_peak < peak * (1.0 - 1e-6):
             cfg = replace(config, init="warm_start")
-            return solve_least_energy(
-                params, grid, table, cfg, warm=alt, ground=None, workers=workers
-            )
+            return solve_least_energy(params, grid, table, cfg, warm=alt, ground=None)
 
     if not constant:
-        c_d = J_d(ext, params, table, workers=workers).total
+        c_d = J_d(ext, params, table).total
         if c_d > J_d_constant(grid, params):
             constant = True  # the constant critical point lies lower
 
     if constant:
         u = np.ones_like(u)
         init_used = init_used + "/constant-branch"
-        ext = extend(u, table, workers=workers)
-    breakdown = J_d(ext, params, table, workers=workers)
-    quad, pot = _quadratic_and_potential(ext, params, table, workers)
+        ext = extend(u, table)
+    breakdown = J_d(ext, params, table)
+    quad, pot = _quadratic_and_potential(ext, params, table)
     nehari_res = abs(quad - pot) / quad
     flux_res = abs(float(np.sum(u - u**p))) / float(np.sum(u))
     imax = int(np.argmax(u))
-    _, r_final = _reduced_state(u, params, table, workers, ext=ext)
+    _, r_final = _reduced_state(u, params, table, ext=ext)
     res_final = float(np.max(np.abs(r_final))) / max(1.0, float(np.max(u)))
 
     return LeastEnergyResult(
@@ -556,7 +549,6 @@ def sweep(
     grid_policy=default_grid_policy,
     config: SolverConfig = SolverConfig(),
     ground: GroundStateResult | None = None,
-    workers: int = 1,
     keep_results: list[LeastEnergyResult] | None = None,
 ) -> list[SweepRecord]:
     """Continuation in decreasing d with warm starts.
@@ -582,16 +574,14 @@ def sweep(
                 cfg = replace(config, init="warm_start")
                 warm = np.interp(grid.interior_nodes, prev[0], prev[1])
                 result = solve_least_energy(
-                    pd, grid, table, cfg, warm=warm, ground=ground, workers=workers
+                    pd, grid, table, cfg, warm=warm, ground=ground
                 )
             elif ground is not None:
                 cfg = replace(config, init="transplanted_ground_state")
-                result = solve_least_energy(
-                    pd, grid, table, cfg, ground=ground, workers=workers
-                )
+                result = solve_least_energy(pd, grid, table, cfg, ground=ground)
             else:
                 cfg = replace(config, init="gaussian_bump")
-                result = solve_least_energy(pd, grid, table, cfg, workers=workers)
+                result = solve_least_energy(pd, grid, table, cfg)
         except (ConvergenceError, ValueError) as exc:
             raise SweepAborted(f"sweep failed at d = {d}: {exc}", records) from exc
         records.append(record_from_result(result, pd, grid))
@@ -626,26 +616,52 @@ def save_snapshot(path: str, result: LeastEnergyResult, params: Params) -> None:
     for x, v in zip(grid.nodes, result.u.values):
         lines.append(f"{x:.17g} {v:.17g}")
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _finite(where: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: expected a finite number, got {text!r}")
+    return value
 
 
 def load_snapshot(path: str) -> tuple[dict[str, float], np.ndarray, np.ndarray]:
-    """Header dict plus node and value arrays from a snapshot file."""
+    """Header dict plus node and value arrays from a snapshot file.
+
+    Raises ValueError, naming the path and line, unless every header is
+    a new ``# key = value`` above the data and every data row holds two
+    finite numbers, and when there are no data rows.
+    """
     header: dict[str, float] = {}
     xs: list[float] = []
     vs: list[float] = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+        for lineno, line in enumerate(fh, start=1):
+            where, line = f"{path}:{lineno}", line.strip()
             if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                header[key.strip()] = float(val)
-            else:
-                sx, sv = line.split()
-                xs.append(float(sx))
-                vs.append(float(sv))
+                key, eq, val = (part.strip() for part in line[1:].partition("="))
+                if not (eq and key) or key in header or xs:
+                    raise ValueError(
+                        f"{where}: expected a new '# key = value' above the data"
+                    )
+                header[key] = _finite(where, val)
+            elif line:
+                fields = line.split()
+                if len(fields) != 2:
+                    raise ValueError(f"{where}: expected 'node value', got {line!r}")
+                xs.append(_finite(where, fields[0]))
+                vs.append(_finite(where, fields[1]))
+    if not xs:
+        raise ValueError(f"{path}: snapshot has no data rows")
     return header, np.array(xs), np.array(vs)

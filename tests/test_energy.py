@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracneumann import (
     ExtendedField,
@@ -79,6 +81,40 @@ def test_seminorm_matches_brute_force_on_random_fields():
         assert seminorm_T(u, t) == pytest.approx(
             brute_force_cross_seminorm(vals, g, t), rel=1e-11
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(8, 400),
+    s=st.floats(0.05, 0.45),
+    bounds=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    d=st.floats(0.01, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_seminorm_identity_on_any_grid(n, s, bounds, d, seed):
+    lo = min(int(bounds[0] * n), n - 1)
+    hi = max(lo + 1, int(bounds[1] * n))
+    h = 1.0 / n
+    k = np.arange(n)
+    inside = (k >= lo) & (k < hi)
+    g = Grid(a=lo * h, b=hi * h, h=h, r_ext=1.0, nodes=(k + 0.5) * h, interior=inside)
+    params = Params(s=s, d=d)
+    t = kernel_weights(g, params)
+    vals = np.random.default_rng(seed).uniform(0.0, 2.0, n)
+    u = ExtendedField(vals, g)
+
+    b = J_d(u, params, t)
+    assert b.total == (b.seminorm_term + b.mass_term) / 2.0 - b.potential_term
+    assert b.seminorm_term == pytest.approx(
+        d * t.c_ns / 2.0 * seminorm_T(u, t), rel=1e-15
+    )
+    # vectorised oracle: every ordered pair with at least one interior end
+    W = t.dense()
+    cross = inside[:, None] | inside[None, :]
+    pairs = float(np.sum(W[cross] * ((vals[:, None] - vals[None, :]) ** 2)[cross]))
+    vi = vals[lo:hi]
+    tail = 2.0 * float((vi - np.mean(vi)) ** 2 @ t.tail[lo:hi])
+    assert seminorm_T(u, t) == pytest.approx(h * (pairs + tail), rel=1e-11)
 
 
 def test_seminorm_zero_iff_constant():

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from fracneumann import (
     Field,
+    Grid,
+    KernelTable,
     Params,
     build_grid,
     build_line_grid,
@@ -296,7 +300,7 @@ def test_plane_wave_reproduces_symbol():
     lg = build_line_grid(60.0, 0.01)
     t = kernel_weights(lg, Params(s=s))
     center = np.where(np.abs(lg.nodes) <= 20.0)[0]
-    out = frac_laplacian_apply(np.cos(k * lg.nodes), t, at=center, workers=2)
+    out = frac_laplacian_apply(np.cos(k * lg.nodes), t, at=center)
     ref = abs(k) ** (2 * s) * np.cos(k * lg.nodes[center])
     assert np.max(np.abs(out - ref)) < 2e-2
 
@@ -358,16 +362,6 @@ def test_apply_rejects_out_of_range_nodes():
         frac_laplacian_apply(np.zeros(3), t)
 
 
-def test_worker_count_does_not_change_bits():
-    lg = build_line_grid(12.0, 0.02)
-    t = kernel_weights(lg, Params())
-    rng = np.random.default_rng(123)
-    v = rng.standard_normal(lg.n_nodes)
-    base = frac_laplacian_apply(v, t, workers=1)
-    for w in (2, 3, 8):
-        assert np.array_equal(frac_laplacian_apply(v, t, workers=w), base)
-
-
 def test_matvec_blocks_match_dense():
     g = build_grid(0.0, 1.0, 0.1, 2.0)
     t = kernel_weights(g, Params())
@@ -378,6 +372,72 @@ def test_matvec_blocks_match_dense():
     assert np.allclose(got, W[2:40, 7:25] @ x, rtol=1e-13)
     with pytest.raises(ValueError):
         t.matvec(x, 2, 40, 7, 26)
+
+
+@st.composite
+def table_blocks(draw):
+    """A table on 8-400 nodes with random row and column ranges."""
+    n = draw(st.integers(8, 400))
+    s = draw(st.floats(0.05, 0.45))
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.integers(lo + 1, n))
+    h = 1.0 / n
+    nodes = (np.arange(n) + 0.5) * h
+    interior = (np.arange(n) >= lo) & (np.arange(n) < hi)
+    grid = Grid(a=lo * h, b=hi * h, h=h, r_ext=1.0, nodes=nodes, interior=interior)
+    r0 = draw(st.integers(0, n - 1))
+    r1 = draw(st.integers(r0 + 1, n))
+    c0 = draw(st.integers(0, n - 1))
+    c1 = draw(st.integers(c0 + 1, n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return kernel_weights(grid, Params(s=s)), (r0, r1, c0, c1), seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_blocks())
+def test_matvec_matches_dense_on_any_block(case):
+    t, (r0, r1, c0, c1), seed = case
+    x = np.random.default_rng(seed).standard_normal(c1 - c0)
+    got = t.matvec(x, r0, r1, c0, c1)
+    want = t.dense()[r0:r1, c0:c1] @ x
+    # FFT round-off is relative to the whole table, ||W||_inf ||x||_inf:
+    # a block whose entries cancel has no entrywise relative accuracy.
+    scale = float(np.max(t.row_sums(0, t.n_nodes, 0, t.n_nodes))) * np.max(np.abs(x))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_blocks())
+def test_row_sums_match_dense_on_any_block(case):
+    t, (r0, r1, c0, c1), _ = case
+    want = t.dense()[r0:r1, c0:c1].sum(axis=1)
+    # differences of prefix sums carry round-off relative to a full row
+    scale = float(np.max(t.row_sums(0, t.n_nodes, 0, t.n_nodes)))
+    assert np.max(np.abs(t.row_sums(r0, r1, c0, c1) - want)) <= 1e-13 * scale
+
+
+def test_hand_built_table_derives_its_own_generators():
+    t = kernel_weights(build_grid(0.0, 1.0, 0.1, 2.0), Params())
+    halved = KernelTable(
+        grid=t.grid, s=t.s, c_ns=t.c_ns, omega=0.5 * t.omega, tail=t.tail,
+        pv_coeff=t.pv_coeff,
+    )
+    n = t.n_nodes
+    W = halved.dense()
+    x = np.random.default_rng(2).standard_normal(n)
+    err = np.max(np.abs(halved.matvec(x, 0, n, 0, n) - W @ x))
+    assert err <= 1e-13 * float(np.max(W.sum(axis=1))) * np.max(np.abs(x))
+    assert np.allclose(halved.row_sums(0, n, 0, n), W.sum(axis=1), rtol=1e-13)
+
+
+def test_equal_grids_share_read_only_generators():
+    p = Params()
+    first = kernel_weights(build_grid(0.0, 1.0, 0.05, 2.0), p)
+    moved = kernel_weights(build_grid(0.25, 1.25, 0.05, 2.0), p)
+    for name in ("omega", "prefix", "spec", "tail"):
+        assert getattr(first, name) is getattr(moved, name)
+        assert not getattr(first, name).flags.writeable
 
 
 def test_field_validation():

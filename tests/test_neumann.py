@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracneumann import (
     ExtendedField,
@@ -9,6 +11,7 @@ from fracneumann import (
     Params,
     build_grid,
     build_line_grid,
+    default_grid_policy,
     extend,
     kernel_weights,
     neumann_derivative,
@@ -79,6 +82,34 @@ def test_extension_of_constant_is_exact():
     assert np.all(ext.values == 1.0)
 
 
+@pytest.mark.parametrize("d", [float(np.geomspace(2.0, 0.02, 13)[10]), 0.02])
+def test_extension_of_constant_is_exact_at_production_size(d):
+    # the default sweep's two largest grid sizes in use, n = 26 935 and 125 000
+    params = Params(d=d)
+    g = default_grid_policy(params)
+    assert g.n_nodes in (26_935, 125_000)
+    ext = extend(np.full(g.n_interior, 0.7), kernel_weights(g, params))
+    assert np.all(ext.values == 0.7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(8, 400),
+    s=st.floats(0.05, 0.45),
+    bounds=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    level=st.floats(-1e6, 1e6, allow_subnormal=False),
+)
+def test_extension_of_constant_is_exact_on_any_grid(n, s, bounds, level):
+    lo = min(int(bounds[0] * n), n - 1)
+    hi = max(lo + 1, int(bounds[1] * n))
+    h = 1.0 / n
+    k = np.arange(n)
+    g = Grid(a=lo * h, b=hi * h, h=h, r_ext=1.0, nodes=(k + 0.5) * h,
+             interior=(k >= lo) & (k < hi))
+    ext = extend(np.full(hi - lo, level), kernel_weights(g, Params(s=s)))
+    assert np.all(ext.values == level)
+
+
 def test_extended_field_annuls_neumann_derivative():
     g = build_grid(0.0, 1.0, 0.05, 2.0)
     t = kernel_weights(g, Params())
@@ -121,16 +152,6 @@ def test_extension_keeps_nonnegative_data_positive():
     u[3] = 1.0
     ext = extend(u, t)
     assert np.all(ext.values[~g.interior] > 0.0)
-
-
-def test_extension_worker_count_is_bitwise_neutral():
-    g = build_grid(0.0, 1.0, 0.01, 4.0)
-    t = kernel_weights(g, Params())
-    rng = np.random.default_rng(9)
-    u = rng.standard_normal(g.n_interior)
-    base = extend(u, t, workers=1)
-    for w in (2, 5):
-        assert np.array_equal(extend(u, t, workers=w).values, base.values)
 
 
 def test_extension_input_validation():

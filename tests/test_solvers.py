@@ -335,3 +335,42 @@ def test_snapshot_round_trip_is_bit_exact(tmp_path, solved_02, domain_02):
     assert np.array_equal(vs, solved_02.u.values)
     assert glob.glob(str(tmp_path / "*.tmp")) == []
     assert os.path.exists(path)
+
+
+def test_failed_snapshot_write_leaves_no_temporary_file(tmp_path, solved_02, domain_02):
+    params, _, _ = domain_02
+    target = tmp_path / "taken"
+    target.mkdir()  # a directory cannot be replaced by the finished file
+    with pytest.raises(OSError):
+        save_snapshot(str(target), solved_02, params)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+@pytest.mark.parametrize(
+    "body, line, match",
+    [
+        ("# s 0.25\n0.5 1.0\n", 1, "key = value"),
+        ("# = 0.25\n0.5 1.0\n", 1, "key = value"),
+        ("# s = quarter\n0.5 1.0\n", 1, "finite number"),
+        ("# s = 0.25\n# s = 0.5\n0.5 1.0\n", 2, "new '# key"),
+        ("# s = 0.25\n0.5 1.0\n# d = 1\n", 3, "above the data"),
+        ("# s = 0.25\n0.5 1.0 2.0\n", 2, "node value"),
+        ("# s = 0.25\n0.5\n", 2, "node value"),
+        ("# s = 0.25\n\n0.5 one\n", 3, "finite number"),
+        ("# s = 0.25\n0.5 nan\n", 2, "finite number"),
+    ],
+)
+def test_snapshot_loader_rejects_malformed_lines(tmp_path, body, line, match):
+    path = tmp_path / "bad.txt"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=match) as info:
+        load_snapshot(str(path))
+    assert f"{path}:{line}:" in str(info.value)
+
+
+def test_snapshot_loader_rejects_files_without_data(tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("# s = 0.25\n")
+    with pytest.raises(ValueError, match="no data rows") as info:
+        load_snapshot(str(path))
+    assert str(path) in str(info.value)
