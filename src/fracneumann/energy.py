@@ -12,9 +12,13 @@ quadrature:
   h * (c * frac_laplacian_apply(u) + u - |u|^(p-1) u) and Euler-Lagrange
   residuals of ground states can be driven to round-off.
 
-Each double sum costs one Toeplitz product through the table's FFT
-engine; the Neumann form gets its interior and cross pairs from the
-same product W[:, I] v_I, using the symmetry of the weights.
+Each double sum costs at most one Toeplitz product through the table's
+FFT engine.  The Neumann form gets its interior and cross pairs from
+the one product W[:, I] v_I, using the symmetry of the weights, with v
+the field minus its interior mean.  That is the numerator product of
+the Neumann extension, so a field fresh from ``extend`` hands it over
+and its seminorm costs no product at all: one Nehari projection, the
+extension plus its seminorm, makes a single product.
 """
 
 from __future__ import annotations
@@ -62,7 +66,9 @@ def seminorm_T(u: ExtendedField, table: KernelTable) -> float:
     where the field is modelled by its interior mean.  The value is
     translation invariant and vanishes exactly for constants; exterior
     values enter only through the pair terms, so minimizing over them
-    reproduces the Neumann extension.
+    reproduces the Neumann extension.  On a field fresh from ``extend``
+    the product W[:, I] v_I is the one the extension made, taken over
+    bit for bit instead of recomputed.
     """
     grid = u.grid
     if not isinstance(table.grid, Grid) or table.grid.n_nodes != grid.n_nodes:
@@ -73,9 +79,12 @@ def seminorm_T(u: ExtendedField, table: KernelTable) -> float:
     vi = v[lo:hi]
     vi2 = vi * vi
 
-    # one product: rows I of W[:, I] v_I pair the domain with itself, and
-    # by symmetry v_E . W_EI v_I on the collar rows equals v_I . W_IE v_E
-    conv = table.matvec(vi, 0, n, lo, hi)
+    # one product (none on a fresh extension): rows I of W[:, I] v_I pair
+    # the domain with itself, and by symmetry v_E . W_EI v_I on the
+    # collar rows equals v_I . W_IE v_E
+    conv = u._take_product(table)
+    if conv is None:
+        conv = table.matvec(vi, 0, n, lo, hi)
     rs = table.row_sums(0, n, lo, hi)
 
     # domain x domain: sum_{i,j in I, i != j} W (v_i - v_j)^2
@@ -197,12 +206,7 @@ def _gagliardo_line(v: np.ndarray, table: KernelTable) -> float:
 
 
 def _line_field(u: Field | np.ndarray, table: KernelTable) -> np.ndarray:
-    if isinstance(u, Field):
-        if u.far_field != "zero":
-            raise ValueError("whole-space energies use the zero far-field model")
-        v = u.values
-    else:
-        v = np.asarray(u, dtype=np.float64)
+    v = u.values if isinstance(u, Field) else np.asarray(u, dtype=np.float64)
     if not isinstance(table.grid, LineGrid):
         raise ValueError("whole-space energies need a symmetric line grid")
     if v.shape != (table.n_nodes,):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -221,7 +222,9 @@ def build_grid(a: float, b: float, h: float, r_ext: float) -> Grid:
     -------
     Grid
         Cell-centered grid whose interior nodes are exactly those inside
-        (a, b); a and b fall midway between adjacent nodes.
+        (a, b); a and b fall midway between adjacent nodes.  Equal
+        arguments return one shared grid with read-only ``nodes`` and
+        ``interior``.
     """
     for name, value in (("a", a), ("b", b), ("h", h), ("r_ext", r_ext)):
         if not math.isfinite(value):
@@ -239,7 +242,12 @@ def build_grid(a: float, b: float, h: float, r_ext: float) -> Grid:
             f"collar half-width r_ext = {r_ext} must be at least 2(b - a) = "
             f"{2.0 * (b - a)}"
         )
+    return _shared_grid(float(a), float(b), float(h), float(r_ext))
 
+
+@lru_cache(maxsize=16)
+def _shared_grid(a: float, b: float, h: float, r_ext: float) -> Grid:
+    """One read-only grid per validated (a, b, h, r_ext); holds a sweep."""
     n_int = _cell_count(b - a, h, "domain")
     h_eff = (b - a) / n_int
     # Collar cell count rounds up so the window always covers r_ext.
@@ -249,6 +257,8 @@ def build_grid(a: float, b: float, h: float, r_ext: float) -> Grid:
     nodes = a + offsets * h_eff
     interior = np.zeros(nodes.size, dtype=bool)
     interior[n_ext : n_ext + n_int] = True
+    for arr in (nodes, interior):
+        arr.flags.writeable = False
     return Grid(a=a, b=b, h=h_eff, r_ext=r_ext, nodes=nodes, interior=interior)
 
 

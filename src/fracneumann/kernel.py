@@ -18,10 +18,16 @@ Row sums of the table plus the tail reproduce the full one-dimensional
 kernel mass 2*(h/2)^(-2s)/(2s) up to rounding, which is the invariant
 the tests pin down.
 
-Every Toeplitz product is one forward and one inverse real FFT against
-the stored spectrum of ``omega`` embedded as an even circulant; tables
-of equal (n, h, s) share one read-only copy of their arrays.  Results
-are bitwise reproducible from run to run.
+Every Toeplitz product is one forward and one inverse real FFT.  A
+block W[rows, cols] only reaches offsets up to the largest |i - j|
+between its rows and columns, so it is convolved at the shortest fast
+length that holds that reach without wrap-around, against the spectrum
+of ``omega`` embedded as an even circulant of that length.  A Neumann
+block W[:, I] or W[I, :] thus costs a transform of about
+2 (n_ext + n_I) points instead of 2 n; the full product keeps the
+length next_fast_len(2n - 1).  Spectra are made on first use, one per
+length, and tables of equal (n, h, s) share one read-only copy of their
+arrays and spectra.  Results are bitwise reproducible from run to run.
 """
 
 from __future__ import annotations
@@ -48,20 +54,11 @@ _QUAD_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class Field:
-    """Nodal values together with a far-field closure model.
-
-    ``far_field`` declares what the field looks like beyond the
-    represented window: ``"zero"`` for compactly supported data and
-    whole-space windows, ``"mean"`` for Neumann-extended fields whose
-    exterior trace levels off at the interior average.
-    """
+    """Nodal values on a whole-space window, zero beyond its edges."""
 
     values: np.ndarray
-    far_field: str = "zero"
 
     def __post_init__(self) -> None:
-        if self.far_field not in ("zero", "mean"):
-            raise ValueError(f"unknown far-field model {self.far_field!r}")
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1:
             raise ValueError("field values must be one-dimensional")
@@ -163,18 +160,37 @@ def _curvature_defect(s: float) -> float:
     return total
 
 
-def _fft_length(n: int) -> int:
-    """Circulant length for an n-node table: no wrap-around at offsets < n."""
-    return fft.next_fast_len(2 * n - 1, real=True)
+def _spectrum(omega: np.ndarray, length: int) -> np.ndarray:
+    """Real spectrum of the even circulant holding omega[m] at m and L - m.
+
+    Offsets past length // 2 cannot occur in a product of this length,
+    so only omega[:length // 2 + 1] is embedded.
+    """
+    k = min(omega.size, length // 2 + 1)
+    gen = np.zeros(length, dtype=np.float64)
+    gen[:k] = omega[:k]
+    gen[length - k + 1 :] = omega[k - 1 : 0 : -1]
+    spec = np.ascontiguousarray(fft.rfft(gen).real)
+    spec.flags.writeable = False
+    return spec
 
 
-def _spectrum(omega: np.ndarray) -> np.ndarray:
-    """Real spectrum of the even circulant holding omega[m] at m and L - m."""
-    n = omega.size
-    gen = np.zeros(_fft_length(n), dtype=np.float64)
-    gen[:n] = omega
-    gen[gen.size - n + 1 :] = omega[:0:-1]
-    return np.ascontiguousarray(fft.rfft(gen).real)
+class _Spectra:
+    """Circulant spectra of one offset generator, one per FFT length.
+
+    Each is made on first use and kept read-only; a Neumann table needs
+    one length for all its blocks, a line table the full length.
+    """
+
+    def __init__(self, omega: np.ndarray) -> None:
+        self._omega = omega
+        self._by_length: dict[int, np.ndarray] = {}
+
+    def __call__(self, length: int) -> np.ndarray:
+        spec = self._by_length.get(length)
+        if spec is None:
+            spec = self._by_length[length] = _spectrum(self._omega, length)
+        return spec
 
 
 def _prefix(omega: np.ndarray) -> np.ndarray:
@@ -209,15 +225,15 @@ class KernelTable:
     pv_coeff: float
 
     # Derived from ``omega`` unless supplied: prefix sums for
-    # ``row_sums`` and the circulant spectrum for ``matvec``.
+    # ``row_sums`` and the circulant spectra for ``matvec``.
     prefix: np.ndarray = field(repr=False, default=None)
-    spec: np.ndarray = field(repr=False, default=None)
+    spectra: _Spectra = field(repr=False, default=None)
 
     def __post_init__(self) -> None:
         if self.prefix is None:
             object.__setattr__(self, "prefix", _prefix(self.omega))
-        if self.spec is None:
-            object.__setattr__(self, "spec", _spectrum(self.omega))
+        if self.spectra is None:
+            object.__setattr__(self, "spectra", _Spectra(self.omega))
 
     # -- element access -------------------------------------------------
 
@@ -259,21 +275,28 @@ class KernelTable:
     ) -> np.ndarray:
         """y[i] = sum_j W[i][j] * x[j - col_lo] for the given index ranges.
 
-        ``x`` has length col_hi - col_lo.  It is placed at col_lo in a
-        zero vector of the circulant length and convolved through the
-        stored spectrum; rows [row_lo, row_hi) are read off.  Round-off
-        is of order eps * ||W||_inf * ||x||_inf, not relative per entry.
+        ``x`` has length col_hi - col_lo.  The block reaches offsets up
+        to k = max(row_hi - 1 - col_lo, col_hi - 1 - row_lo), so it is
+        convolved at L = next_fast_len(2k + 1) against the circulant
+        spectrum of that length: ``x`` is placed at col_lo - base in a
+        zero vector of length L, with base = min(row_lo, col_lo), and
+        rows are read from row_lo - base.  The full product (0, n, 0, n)
+        has base 0 and L = next_fast_len(2n - 1).  Round-off is of order
+        eps * ||W||_inf * ||x||_inf, not relative per entry.
         """
         if x.shape != (col_hi - col_lo,):
             raise ValueError("operand length must match the column range")
         if row_hi <= row_lo:
             return np.empty(0, dtype=np.float64)
-        size = _fft_length(self.n_nodes)
+        reach = max(row_hi - 1 - col_lo, col_hi - 1 - row_lo)
+        size = fft.next_fast_len(2 * reach + 1, real=True)
+        base = min(row_lo, col_lo)
         buf = np.zeros(size, dtype=np.float64)
-        buf[col_lo:col_hi] = x
+        buf[col_lo - base : col_hi - base] = x
         coeffs = fft.rfft(buf)
-        coeffs *= self.spec
-        return fft.irfft(coeffs, size, overwrite_x=True)[row_lo:row_hi]
+        coeffs *= self.spectra(size)
+        out = fft.irfft(coeffs, size, overwrite_x=True)
+        return out[row_lo - base : row_hi - base]
 
     def row_sums(
         self, row_lo: int, row_hi: int, col_lo: int, col_hi: int
@@ -293,8 +316,8 @@ class KernelTable:
 
 
 @lru_cache(maxsize=16)
-def _shared_arrays(n: int, h: float, s: float) -> tuple[np.ndarray, ...]:
-    """Read-only (omega, prefix, spec, tail) for n nodes of spacing h.
+def _shared_arrays(n: int, h: float, s: float) -> tuple:
+    """Read-only (omega, prefix, spectra, tail) for n nodes of spacing h.
 
     Shared by every table of equal (n, h, s), translated domains included;
     the cache holds every grid of the default sweep.
@@ -314,10 +337,10 @@ def _shared_arrays(n: int, h: float, s: float) -> tuple[np.ndarray, ...]:
         2.0 * s
     )
 
-    arrays = (omega, _prefix(omega), _spectrum(omega), tail)
-    for a in arrays:
+    prefix = _prefix(omega)
+    for a in (omega, prefix, tail):
         a.flags.writeable = False
-    return arrays
+    return omega, prefix, _Spectra(omega), tail
 
 
 def kernel_weights(grid: Grid | LineGrid, params: Params) -> KernelTable:
@@ -331,7 +354,7 @@ def kernel_weights(grid: Grid | LineGrid, params: Params) -> KernelTable:
         raise ValueError("weight tables are one-dimensional; need params.n == 1")
     s = params.s
     h = grid.h
-    omega, prefix, spec, tail = _shared_arrays(grid.n_nodes, h, s)
+    omega, prefix, spectra, tail = _shared_arrays(grid.n_nodes, h, s)
 
     pv = (0.5 ** (2.0 - 2.0 * s) / (2.0 * (1.0 - s)) + _curvature_defect(s)) * h ** (
         -2.0 * s
@@ -345,16 +368,8 @@ def kernel_weights(grid: Grid | LineGrid, params: Params) -> KernelTable:
         tail=tail,
         pv_coeff=pv,
         prefix=prefix,
-        spec=spec,
+        spectra=spectra,
     )
-
-
-def _far_value(u: Field, grid: Grid | LineGrid) -> float:
-    if u.far_field == "zero":
-        return 0.0
-    if not isinstance(grid, Grid):
-        raise ValueError("mean far-field model needs a bounded-domain grid")
-    return _exact_mean(u.values[grid.interior])
 
 
 def frac_laplacian_apply(
@@ -365,14 +380,14 @@ def frac_laplacian_apply(
     """Discrete fractional Laplacian of ``u`` at the requested nodes.
 
     Combines the cell-integrated differences, the analytic window tail
-    against the field's far-field value, and the principal-value Taylor
-    rule for the node's own cell (a central second difference; one-sided
-    at the two outermost nodes, where accuracy degrades).
+    against a zero far field, and the principal-value Taylor rule for
+    the node's own cell (a central second difference; one-sided at the
+    two outermost nodes, where accuracy degrades).
 
     Parameters
     ----------
     u:
-        Field on the table's grid, or a bare array (zero far field).
+        Field on the table's grid, or a bare array.
     at:
         Node indices to evaluate at; all nodes when omitted.
 
@@ -390,20 +405,16 @@ def frac_laplacian_apply(
             f"field has {v.shape[0]} values but the grid has {n} nodes"
         )
 
-    # Differences are taken against the far-field value first, so a
-    # constant field yields exact zeros instead of rounding residue.
-    far = _far_value(u, table.grid)
-    w = v - far if far != 0.0 else v
-    conv = table.matvec(w, 0, n, 0, n)
+    conv = table.matvec(v, 0, n, 0, n)
     sums = table.row_sums(0, n, 0, n)
-    full = w * sums - conv + table.tail * w
+    full = v * sums - conv + table.tail * v
 
     # Second-difference Taylor rule: -u'' times the joined second moment
     # (own cell plus curvature defect), one-sided at the outermost nodes.
     pv = np.empty(n, dtype=np.float64)
-    pv[1:-1] = 2.0 * w[1:-1] - w[:-2] - w[2:]
-    pv[0] = w[0] - w[1]
-    pv[-1] = w[-1] - w[-2]
+    pv[1:-1] = 2.0 * v[1:-1] - v[:-2] - v[2:]
+    pv[0] = v[0] - v[1]
+    pv[-1] = v[-1] - v[-2]
     full += table.pv_coeff * pv
 
     if at is not None:

@@ -11,11 +11,18 @@ The average is taken of the data minus its interior mean m, then m is
 added back, so a constant interior field extends to exactly the same
 constant (bitwise) at every grid size, and re-extending an extended
 field is a no-op.
+
+The numerator is one Toeplitz product W[:, I](u_I - m).  The seminorm
+of the extended field needs exactly that product, so ``extend`` leaves
+it on the field it returns and ``seminorm_T`` takes it over instead of
+making it again; the hand-over happens once, after which the field no
+longer holds the array.  Extended values are read-only, so the product
+cannot go stale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +44,11 @@ class ExtendedField:
     values: np.ndarray
     grid: Grid
     from_extension: bool = False
+    # (table, W[:, I](u_I - m)) as made by ``extend``, for one hand-over;
+    # not an init field, so ``dataclasses.replace`` never carries it over
+    _product: tuple[KernelTable, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64)
@@ -52,6 +64,14 @@ class ExtendedField:
     def interior_values(self) -> np.ndarray:
         lo, hi = self.grid.interior_range
         return self.values[lo:hi]
+
+    def _take_product(self, table: KernelTable) -> np.ndarray | None:
+        """W[:, I](u_I - m) if ``extend`` made it with ``table``; once only."""
+        held = self._product
+        if held is None:
+            return None
+        object.__setattr__(self, "_product", None)
+        return held[1] if held[0] is table else None
 
 
 def neumann_derivative(u: ExtendedField | np.ndarray, table: KernelTable, x: int) -> float:
@@ -81,7 +101,9 @@ def extend(u_int: np.ndarray, table: KernelTable) -> ExtendedField:
 
     Each exterior value is the kernel-weighted average of the interior
     values; weights are positive, so the exterior range is contained in
-    [min u_int, max u_int] and nonnegative data stays nonnegative.
+    [min u_int, max u_int] and nonnegative data stays nonnegative.  The
+    returned values are read-only and carry the numerator product for
+    the first ``seminorm_T`` of the field.
     """
     grid = table.grid
     if not isinstance(grid, Grid):
@@ -103,4 +125,7 @@ def extend(u_int: np.ndarray, table: KernelTable) -> ExtendedField:
     full[lo:hi] = v
     for r0, r1 in ((0, lo), (hi, n)):
         full[r0:r1] = m + num[r0:r1] / den[r0:r1]
-    return ExtendedField(values=full, grid=grid, from_extension=True)
+    full.flags.writeable = False
+    ext = ExtendedField(full, grid, from_extension=True)
+    object.__setattr__(ext, "_product", (table, num))
+    return ext

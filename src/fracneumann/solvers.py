@@ -264,7 +264,7 @@ def _package_ground_state(u, grid, table, params, res, iters, peaks):
     slope = np.polyfit(np.log(np.abs(x[window])), np.log(u[window]), 1)[0]
     sym_err = float(np.max(np.abs(u - u[::-1])))
     return GroundStateResult(
-        w=Field(u, far_field="zero"),
+        w=Field(u),
         grid=grid,
         F_value=f_val,
         pohozaev_residual=float(poh_rel),
@@ -438,15 +438,15 @@ def solve_least_energy(
             return solve_least_energy(params, grid, table, cfg, warm=alt, ground=None)
 
     if not constant:
-        c_d = J_d(ext, params, table).total
-        if c_d > J_d_constant(grid, params):
-            constant = True  # the constant critical point lies lower
+        breakdown = J_d(ext, params, table)
+        # the constant critical point may lie lower
+        constant = breakdown.total > J_d_constant(grid, params)
 
     if constant:
         u = np.ones_like(u)
         init_used = init_used + "/constant-branch"
         ext = extend(u, table)
-    breakdown = J_d(ext, params, table)
+        breakdown = J_d(ext, params, table)
     quad, pot = _quadratic_and_potential(ext, params, table)
     nehari_res = abs(quad - pot) / quad
     flux_res = abs(float(np.sum(u - u**p))) / float(np.sum(u))

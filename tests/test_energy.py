@@ -1,5 +1,7 @@
 """Energy functionals: brute-force oracles, identities, Nehari algebra."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,9 @@ from hypothesis import strategies as st
 from fracneumann import (
     ExtendedField,
     F_energy,
-    Field,
     Grid,
     J_d,
+    KernelTable,
     Params,
     build_grid,
     build_line_grid,
@@ -115,6 +117,46 @@ def test_seminorm_identity_on_any_grid(n, s, bounds, d, seed):
     vi = vals[lo:hi]
     tail = 2.0 * float((vi - np.mean(vi)) ** 2 @ t.tail[lo:hi])
     assert seminorm_T(u, t) == pytest.approx(h * (pairs + tail), rel=1e-11)
+
+
+def test_fresh_extension_hands_its_product_to_the_seminorm(monkeypatch):
+    g = build_grid(0.0, 1.0, 0.05, 2.0)
+    t = kernel_weights(g, Params())
+    ext = random_extended(g, t, 4)
+    copy = ExtendedField(ext.values.copy(), g, from_extension=True)
+    calls = []
+    original = KernelTable.matvec
+
+    def counting(self, *args):
+        calls.append(args[1:])
+        return original(self, *args)
+
+    monkeypatch.setattr(KernelTable, "matvec", counting)
+    fresh = seminorm_T(ext, t)
+    assert calls == []
+    assert fresh == seminorm_T(copy, t)
+    assert len(calls) == 1
+    # the hand-over happens once; afterwards the field holds no product
+    assert ext._product is None
+    assert seminorm_T(ext, t) == fresh
+    assert len(calls) == 2
+    with pytest.raises(ValueError):
+        ext.values[0] = 1.0
+    # a field made from a fresh one by ``replace`` holds no product
+    again = extend(ext.interior_values, t)
+    assert dataclasses.replace(again, from_extension=False)._product is None
+
+
+def test_extension_product_is_not_reused_with_another_table():
+    g = build_grid(0.0, 1.0, 0.05, 2.0)
+    t = kernel_weights(g, Params())
+    halved = KernelTable(
+        grid=g, s=t.s, c_ns=t.c_ns, omega=0.5 * t.omega, tail=t.tail,
+        pv_coeff=t.pv_coeff,
+    )
+    ext = random_extended(g, t, 5)
+    copy = ExtendedField(ext.values.copy(), g, from_extension=True)
+    assert seminorm_T(ext, halved) == seminorm_T(copy, halved)
 
 
 def test_seminorm_zero_iff_constant():
@@ -251,6 +293,41 @@ def test_peak_energy_closed_form_for_p_three_halves():
     assert peak_energy(u, p, t) == pytest.approx(0.1 * quad**5 / pot**4, rel=1e-10)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(8, 400),
+    s=st.floats(0.1, 0.45),
+    bounds=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    d=st.floats(0.01, 2.0),
+    p_frac=st.floats(0.0, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_peak_energy_nehari_algebra_on_any_grid(n, s, bounds, d, p_frac, seed):
+    lo = min(int(bounds[0] * n), n - 1)
+    hi = max(lo + 1, int(bounds[1] * n))
+    h = 1.0 / n
+    k = np.arange(n)
+    g = Grid(a=lo * h, b=hi * h, h=h, r_ext=1.0, nodes=(k + 0.5) * h,
+             interior=(k >= lo) & (k < hi))
+    p_max = (1.0 + s) / (1.0 - s)
+    params = Params(s=s, d=d, p=1.1 + p_frac * (p_max - 1.1))
+    t = kernel_weights(g, params)
+    u = extend(np.random.default_rng(seed).uniform(0.1, 2.0, hi - lo), t)
+
+    # peak_energy raises when direct and algebraic values disagree
+    peak = peak_energy(u, params, t)
+    t0 = nehari_scale(u, params, t)
+    on = J_d(ExtendedField(t0 * u.values, g, from_extension=True), params, t)
+    assert peak == on.total
+    # t0 u lies on the Nehari manifold: Q(t0 u) = int |t0 u|^(p+1)
+    quad = on.seminorm_term + on.mass_term
+    assert quad == pytest.approx(on.potential_term * (params.p + 1.0), rel=1e-12)
+    # and the peak is the sup of the energy along the ray
+    for c in (0.5, 0.9, 1.1, 2.0):
+        off = J_d(ExtendedField(c * t0 * u.values, g), params, t).total
+        assert off <= peak * (1.0 + 1e-12)
+
+
 def test_ray_energy_is_unimodal():
     g = build_grid(0.0, 1.0, 0.05, 2.0)
     t = kernel_weights(g, Params())
@@ -327,8 +404,6 @@ def test_whole_space_energy_brute_force_small_grid():
 def test_whole_space_input_validation():
     lg = build_line_grid(5.0, 0.1)
     t = kernel_weights(lg, Params())
-    with pytest.raises(ValueError, match="far-field"):
-        F_energy(Field(np.ones(lg.n_nodes), far_field="mean"), 1.5, 0.25, t)
     with pytest.raises(ValueError, match="built for"):
         F_energy(np.ones(lg.n_nodes), 1.5, 0.4, t)
     g = build_grid(0.0, 1.0, 0.1, 2.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
+from scipy import fft, integrate, special
 
 from fracneumann import (
     Field,
@@ -15,6 +15,7 @@ from fracneumann import (
     Params,
     build_grid,
     build_line_grid,
+    default_grid_policy,
     frac_laplacian_apply,
     kernel_weights,
     normalizing_constant,
@@ -287,14 +288,6 @@ def test_weights_require_one_dimension():
 # discrete fractional Laplacian
 
 
-def test_constant_field_maps_to_exact_zero():
-    g = build_grid(0.0, 1.0, 0.05, 2.0)
-    t = kernel_weights(g, Params())
-    u = Field(np.full(g.n_nodes, 3.7), far_field="mean")
-    out = frac_laplacian_apply(u, t)
-    assert np.all(out == 0.0)
-
-
 def test_plane_wave_reproduces_symbol():
     s, k = 0.25, 1.0
     lg = build_line_grid(60.0, 0.01)
@@ -435,9 +428,81 @@ def test_equal_grids_share_read_only_generators():
     p = Params()
     first = kernel_weights(build_grid(0.0, 1.0, 0.05, 2.0), p)
     moved = kernel_weights(build_grid(0.25, 1.25, 0.05, 2.0), p)
-    for name in ("omega", "prefix", "spec", "tail"):
+    for name in ("omega", "prefix", "spectra", "tail"):
         assert getattr(first, name) is getattr(moved, name)
+    for name in ("omega", "prefix", "tail"):
         assert not getattr(first, name).flags.writeable
+    # spectra are made on first use, one per length, and shared after
+    n = first.n_nodes
+    lo, hi = first.grid.interior_range
+    first.matvec(np.ones(hi - lo), 0, n, lo, hi)
+    first.matvec(np.ones(n), 0, n, 0, n)
+    lengths = sorted(first.spectra._by_length)
+    assert lengths == [
+        fft.next_fast_len(2 * (n - lo) - 1, real=True),
+        fft.next_fast_len(2 * n - 1, real=True),
+    ]
+    for length in lengths:
+        spec = first.spectra(length)
+        assert spec is moved.spectra(length)
+        assert not spec.flags.writeable
+
+
+def test_equal_grid_arguments_share_one_read_only_grid():
+    g = build_grid(0.0, 1.0, 0.05, 2.0)
+    assert build_grid(0.0, 1.0, 0.05, 2.0) is g
+    assert build_grid(0.0, 1.0, 0.05, 4.0) is not g
+    for arr in (g.nodes, g.interior):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        g.nodes[0] = 1.0
+
+
+def _full_length_product(omega, x, row_lo, row_hi, col_lo, col_hi):
+    """Independent oracle: numpy FFT at the full circulant length 2n - 1."""
+    n = omega.size
+    size = 2 * n - 1
+    gen = np.concatenate((omega, omega[:0:-1]))
+    buf = np.zeros(size)
+    buf[col_lo:col_hi] = x
+    y = np.fft.irfft(np.fft.rfft(buf) * np.fft.rfft(gen), size)
+    return y[row_lo:row_hi]
+
+
+@pytest.mark.parametrize("block", ["W[:, I]", "W[I, :]"])
+def test_block_products_match_a_full_length_product_at_production_size(block):
+    # d = 0.0431, the default sweep's eleventh point
+    params = Params(d=float(np.geomspace(2.0, 0.02, 13)[10]))
+    grid = default_grid_policy(params)
+    assert grid.n_nodes == 26935
+    t = kernel_weights(grid, params)
+    n = t.n_nodes
+    lo, hi = grid.interior_range
+    ranges = (0, n, lo, hi) if block == "W[:, I]" else (lo, hi, 0, n)
+    x = np.random.default_rng(7).standard_normal(ranges[3] - ranges[2])
+    got = t.matvec(x, *ranges)
+    want = _full_length_product(t.omega, x, *ranges)
+    scale = float(np.max(t.row_sums(0, n, 0, n))) * np.max(np.abs(x))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+def test_full_product_keeps_the_full_circulant_bitwise():
+    lg = build_line_grid(60.0, 0.05)
+    t = kernel_weights(lg, Params())
+    n = t.n_nodes
+    size = fft.next_fast_len(2 * n - 1, real=True)
+    gen = np.zeros(size)
+    gen[:n] = t.omega
+    gen[size - n + 1 :] = t.omega[:0:-1]
+    spec = fft.rfft(gen).real
+    x = np.random.default_rng(8).standard_normal(n)
+    buf = np.zeros(size)
+    buf[:n] = x
+    coeffs = fft.rfft(buf)
+    coeffs *= spec
+    want = fft.irfft(coeffs, size, overwrite_x=True)[:n]
+    assert np.array_equal(t.matvec(x, 0, n, 0, n), want)
 
 
 def test_field_validation():
@@ -445,9 +510,3 @@ def test_field_validation():
         Field(np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
         Field(np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        Field(np.ones(4), far_field="periodic")
-    lg = build_line_grid(5.0, 0.1)
-    t = kernel_weights(lg, Params())
-    with pytest.raises(ValueError):
-        frac_laplacian_apply(Field(np.ones(lg.n_nodes), far_field="mean"), t)

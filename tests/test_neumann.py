@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracneumann import (
@@ -167,3 +167,40 @@ def test_extension_input_validation():
         extend(np.ones(10), tl)
     with pytest.raises(ValueError):
         ExtendedField(np.ones(3), g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_int=st.integers(1, 200),
+    collars=st.tuples(st.integers(0, 200), st.integers(0, 200)),
+    s=st.floats(0.05, 0.45),
+    level=st.floats(-10.0, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_extension_is_stationary_on_grids_with_unequal_collars(
+    n_int, collars, s, level, seed
+):
+    # unequal collar widths give block products whose reach differs on
+    # the two sides of the domain
+    left, right = collars
+    n = left + n_int + right
+    assume(8 <= n <= 400 and left + right > 0)
+    h = 1.0 / n
+    k = np.arange(n)
+    inside = (k >= left) & (k < left + n_int)
+    g = Grid(a=left * h, b=(left + n_int) * h, h=h, r_ext=1.0,
+             nodes=(k + 0.5) * h, interior=inside)
+    t = kernel_weights(g, Params(s=s))
+    u = level + np.random.default_rng(seed).standard_normal(n_int)
+    ext = extend(u, t)
+    # dense oracle of N_s u / c_ns at every collar node
+    W = t.dense()[~inside][:, inside]
+    v = ext.values
+    deriv = np.sum(W * (v[~inside][:, None] - v[inside][None, :]), axis=1)
+    mass = float(np.max(t.row_sums(0, n, 0, n)))
+    assert np.max(np.abs(deriv)) <= 1e-13 * mass * np.max(np.abs(u))
+    for x in (0, n - 1):
+        if not inside[x]:
+            assert abs(neumann_derivative(ext, t, x)) <= (
+                1e-13 * t.c_ns * mass * np.max(np.abs(u))
+            )

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracneumann import (
     ConvergenceError,
@@ -100,6 +102,21 @@ def test_ground_state_profile(ground):
     assert np.all(np.diff(right) < 0.0)
 
 
+@settings(max_examples=8, deadline=None)
+@given(s=st.floats(0.15, 0.45), p_frac=st.floats(0.0, 1.0))
+def test_ground_state_is_even_and_decreasing_for_any_exponents(s, p_frac):
+    p_max = min(3.0, (1.0 + 2.0 * s) / (1.0 - 2.0 * s) - 0.1)
+    params = Params(s=s, p=1.25 + p_frac * (p_max - 1.25))
+    result = solve_ground_state(
+        params, build_line_grid(40.0, 0.1), SolverConfig(max_iters=5000)
+    )
+    w = result.w.values
+    assert np.array_equal(w, w[::-1])
+    assert result.symmetric_error == 0.0
+    right = w[result.grid.nodes > 0.0]
+    assert np.all(np.diff(right) < 0.0)
+
+
 def test_ground_state_iteration_cap_raises_with_history():
     with pytest.raises(ConvergenceError) as err:
         solve_ground_state(
@@ -124,6 +141,16 @@ def test_large_diffusion_lands_on_constant_branch():
     assert result.c_d == pytest.approx(J_d_constant(grid, params), abs=1e-14)
     assert result.nehari_residual == 0.0
     assert result.flux_residual == 0.0
+
+
+def test_results_keep_no_extension_product(solved_02):
+    # the product ``extend`` hands to the seminorm must not outlive it
+    params = Params(d=2.0)
+    grid = default_grid_policy(params)
+    constant = solve_least_energy(params, grid, kernel_weights(grid, params))
+    assert constant.constant_branch and not solved_02.constant_branch
+    for result in (constant, solved_02):
+        assert result.u._product is None
 
 
 def test_small_diffusion_beats_constant_branch(solved_02, domain_02):
