@@ -11,9 +11,7 @@ explicit flags override it.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -32,6 +30,8 @@ from .solvers import (
     ConvergenceError,
     SolverConfig,
     SweepAborted,
+    _atomic_write,
+    _fmt,
     default_grid_policy,
     save_snapshot,
     solve_ground_state,
@@ -114,23 +114,6 @@ def _params(args, config: dict, d: float = 1.0) -> Params:
         p=_resolve(getattr(args, "p", None), config, "p", 1.5),
         d=d,
     )
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _cmd_ground(args, config: dict) -> int:

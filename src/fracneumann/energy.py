@@ -205,6 +205,15 @@ def _gagliardo_line(v: np.ndarray, table: KernelTable) -> float:
     return table.h * (pair + 2.0 * table.pv_coeff * diag + 2.0 * tail)
 
 
+def _line_quad_pot(v: np.ndarray, p: float, table: KernelTable) -> tuple[float, float]:
+    """Q(v) = c [v]^2 + int v^2 and P(v) = int |v|^(p+1) on the line."""
+    quad = table.c_ns / 2.0 * _gagliardo_line(v, table) + table.h * float(
+        np.sum(v * v)
+    )
+    pot = table.h * float(np.sum(np.abs(v) ** (p + 1.0)))
+    return quad, pot
+
+
 def _line_field(u: Field | np.ndarray, table: KernelTable) -> np.ndarray:
     v = u.values if isinstance(u, Field) else np.asarray(u, dtype=np.float64)
     if not isinstance(table.grid, LineGrid):
@@ -224,11 +233,7 @@ def F_energy(
     v = _line_field(u, table)
     if s != table.s:
         raise ValueError(f"table was built for s = {table.s}, not {s}")
-    h = table.h
-    quad = table.c_ns / 2.0 * _gagliardo_line(v, table) + h * float(
-        np.sum(v * v)
-    )
-    pot = h * float(np.sum(np.abs(v) ** (p + 1.0)))
+    quad, pot = _line_quad_pot(v, p, table)
     return 0.5 * quad - pot / (p + 1.0)
 
 

@@ -11,8 +11,6 @@ round trip used by the command line.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +31,8 @@ from .solvers import (
     J_d_constant,
     LeastEnergyResult,
     SweepRecord,
+    _atomic_write,
+    _fmt,
     default_grid_policy,
     solve_ground_state,
     solve_least_energy,
@@ -431,10 +431,6 @@ def verify_suite(
 # CSV round trip
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_sweep_csv(path: str, records: list[SweepRecord]) -> None:
     """Write sweep records with a fixed column order and 17 significant
     digits, atomically (write to a temporary file, then rename)."""
@@ -459,16 +455,7 @@ def write_sweep_csv(path: str, records: list[SweepRecord]) -> None:
                 ]
             )
         )
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_sweep_csv(path: str) -> list[SweepRecord]:

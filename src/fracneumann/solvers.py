@@ -22,7 +22,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .energy import J_d, _gagliardo_line, _quadratic_and_potential, pohozaev
+from .energy import (
+    J_d,
+    _gagliardo_line,
+    _line_quad_pot,
+    _quadratic_and_potential,
+    pohozaev,
+)
 from .grids import Grid, LineGrid, Params, build_grid
 from .kernel import Field, KernelTable, frac_laplacian_apply, kernel_weights
 from .neumann import ExtendedField, extend
@@ -43,8 +49,6 @@ __all__ = [
     "save_snapshot",
     "load_snapshot",
 ]
-
-_INITS = ("gaussian_bump", "transplanted_ground_state", "warm_start")
 
 # Internal gate on the volume (flux) identity, an order below what the
 # identity checks downstream ask for.
@@ -72,21 +76,14 @@ class SolverConfig:
     tol_residual: float = 1e-8
     max_iters: int = 50000
     step: float = 0.1
-    backtrack: float = 0.5
-    init: str = "gaussian_bump"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.tol_residual > 0.0:
             raise ValueError("tol_residual must be positive")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtrack factor must lie in (0, 1)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not self.step > 0.0:
             raise ValueError("initial step must be positive")
-        if self.init not in _INITS:
-            raise ValueError(f"unknown initializer {self.init!r}; pick from {_INITS}")
 
 
 @dataclass(frozen=True)
@@ -141,19 +138,64 @@ class SweepRecord:
 # whole-space ground state
 
 
-def _line_quad_pot(v: np.ndarray, p: float, table: KernelTable) -> tuple[float, float]:
-    """Q(v) = c [v]^2 + int v^2 and P(v) = int |v|^(p+1) on the line."""
-    quad = table.c_ns / 2.0 * _gagliardo_line(v, table) + table.h * float(
-        np.sum(v * v)
-    )
-    pot = table.h * float(np.sum(np.abs(v) ** (p + 1.0)))
-    return quad, pot
-
-
 def _ray_peak(quad: float, pot: float, p: float) -> float:
     """sup_t of (t^2/2) quad - (t^(p+1)/(p+1)) pot, in closed form."""
     t0 = (quad / pot) ** (1.0 / (p - 1.0))
     return (0.5 - 1.0 / (p + 1.0)) * t0 ** (p + 1.0) * pot
+
+
+def _nehari_descent(u0, project, residual, config, h, history):
+    """Nehari-projected descent shared by both solvers.
+
+    ``project(v)`` returns the projected iterate, its ray-sup energy and
+    a solver-specific state; ``residual(u, state)`` returns the
+    Euler-Lagrange residual, its size and whether the iterate converged,
+    and appends to ``history`` itself.  Steps start from a
+    Barzilai-Borwein guess and halve until the Armijo condition (or the
+    round-off band) holds on the ray-sup energy.  Returns the converged
+    iterate, its state, the iteration count, the residual size and the
+    ray-sup energy of every iteration.
+    """
+    u, peak, state = project(u0)
+    peaks = [peak]
+    prev_u: np.ndarray | None = None
+    prev_r: np.ndarray | None = None
+    step = config.step
+
+    for it in range(config.max_iters):
+        r, size, converged = residual(u, state)
+        if converged:
+            return u, state, it, size, np.array(peaks)
+
+        if prev_u is not None:
+            du, dr = u - prev_u, r - prev_r
+            denom = float(du @ dr)
+            if denom > 0.0:
+                step = min(max(float(du @ du) / denom, 1e-6), 1e3)
+        prev_u, prev_r = u, r
+
+        alpha = step
+        accepted = False
+        while alpha > 1e-14 * step:
+            trial, tpeak, tstate = project(u - alpha * r)
+            armijo = peak - 1e-4 * alpha * float(r @ r) * h
+            # near the energy's round-off floor descent cannot be
+            # strict; a one-round-off band lets the step polish the
+            # residual while staying non-increasing to within 1e-14
+            if tpeak <= armijo or tpeak <= peak * (1.0 + 1e-14):
+                u, peak, state = trial, tpeak, tstate
+                peaks.append(tpeak)
+                accepted = True
+                break
+            alpha *= 0.5
+        if not accepted:
+            peaks.append(peak)
+
+    raise ConvergenceError(
+        f"no convergence after {config.max_iters} iterations "
+        f"(last residual {history[-1]:.3e})",
+        history,
+    )
 
 
 def solve_ground_state(
@@ -190,61 +232,27 @@ def solve_ground_state(
 
     history: list[float] = []
 
-    def project(v: np.ndarray) -> tuple[np.ndarray, float]:
+    def project(v: np.ndarray) -> tuple[np.ndarray, float, None]:
         v = np.abs(v)
         v = 0.5 * (v + v[::-1])
         quad, pot = _line_quad_pot(v, p, table)
         if pot <= 0.0 or not math.isfinite(pot):
             raise ConvergenceError("iterate collapsed to the trivial limit", history)
         t0 = (quad / pot) ** (1.0 / (p - 1.0))
-        return t0 * v, _ray_peak(quad, pot, p)
+        return t0 * v, _ray_peak(quad, pot, p), None
 
-    u, peak = project(np.exp(-0.5 * x * x))
-    peaks = [peak]
-    prev_u: np.ndarray | None = None
-    prev_r: np.ndarray | None = None
-    step = config.step
-
-    for it in range(config.max_iters):
+    def residual(u: np.ndarray, _) -> tuple[np.ndarray, float, bool]:
         r = frac_laplacian_apply(u, table) + u - u**p
         res = float(np.max(np.abs(r[inner])))
         history.append(res)
         if float(np.max(np.abs(u))) < 1e-10:
             raise ConvergenceError("iterate collapsed to the trivial limit", history)
-        if res <= config.tol_residual:
-            return _package_ground_state(
-                u, grid, table, params, res, it, np.array(peaks)
-            )
+        return r, res, res <= config.tol_residual
 
-        if prev_u is not None:
-            du, dr = u - prev_u, r - prev_r
-            denom = float(du @ dr)
-            if denom > 0.0:
-                step = min(max(float(du @ du) / denom, 1e-6), 1e3)
-        prev_u, prev_r = u, r
-
-        alpha = step
-        accepted = False
-        while alpha > 1e-14 * step:
-            trial, tpeak = project(u - alpha * r)
-            armijo = peak - 1e-4 * alpha * float(r @ r) * grid.h
-            # near the energy's round-off floor descent cannot be
-            # strict; a one-round-off band lets the step polish the
-            # residual while staying non-increasing to within 1e-14
-            if tpeak <= armijo or tpeak <= peak * (1.0 + 1e-14):
-                u, peak = trial, tpeak
-                peaks.append(tpeak)
-                accepted = True
-                break
-            alpha *= config.backtrack
-        if not accepted:
-            peaks.append(peak)
-
-    raise ConvergenceError(
-        f"no convergence after {config.max_iters} iterations "
-        f"(last residual {history[-1]:.3e})",
-        history,
+    u, _, iterations, res, peaks = _nehari_descent(
+        np.exp(-0.5 * x * x), project, residual, config, grid.h, history
     )
+    return _package_ground_state(u, grid, table, params, res, iterations, peaks)
 
 
 def _package_ground_state(u, grid, table, params, res, iters, peaks):
@@ -281,12 +289,9 @@ def _package_ground_state(u, grid, table, params, res, iters, peaks):
 
 
 def _reduced_state(
-    u_int: np.ndarray,
-    params: Params,
-    table: KernelTable,
-    ext: ExtendedField | None = None,
-) -> tuple[ExtendedField, np.ndarray]:
-    """Extension and pointwise Euler-Lagrange residual at u_int.
+    u_int: np.ndarray, ext: ExtendedField, params: Params, table: KernelTable
+) -> np.ndarray:
+    """Pointwise Euler-Lagrange residual at u_int, given its extension.
 
     The residual of the reduced problem is
     d c (sum_j W_kj (u_k - u_j) + T_k v_k - mean_I(T v)) + u_k - u_k^p
@@ -296,11 +301,7 @@ def _reduced_state(
     grid = table.grid
     lo, hi = grid.interior_range
     n = grid.n_nodes
-    if ext is None:
-        ext = extend(u_int, table)
-    vals = ext.values
-
-    conv = table.matvec(vals, lo, hi, 0, n)
+    conv = table.matvec(ext.values, lo, hi, 0, n)
     rs = table.row_sums(lo, hi, 0, n)
     pair = u_int * rs - conv
 
@@ -309,8 +310,7 @@ def _reduced_state(
     centered_tail = tv - float(np.mean(tv))
 
     dc = params.d * table.c_ns
-    residual = dc * (pair + centered_tail) + u_int - u_int**params.p
-    return ext, residual
+    return dc * (pair + centered_tail) + u_int - u_int**params.p
 
 
 def solve_least_energy(
@@ -331,10 +331,10 @@ def solve_least_energy(
     constant's energy J_d(1), the constant branch is reported instead:
     the least energy is the smaller of the two.
 
-    ``warm`` supplies interior values for the warm_start initializer;
-    ``ground`` supplies the profile for transplanted_ground_state and,
-    when present, a post-convergence restart guard against landing in
-    the wrong basin.
+    The start is ``warm`` (interior values) when given, else the
+    transplanted ``ground`` state when given, else a bump at the left
+    boundary; ``init_used`` names it.  A ``ground`` state also arms a
+    post-convergence restart guard against landing in the wrong basin.
     """
     params.require_neumann_exponent()
     if table.grid is not grid:
@@ -348,18 +348,16 @@ def solve_least_energy(
     h = grid.h
     xs = grid.interior_nodes
 
-    init_used = config.init
-    if config.init == "warm_start":
-        if warm is None:
-            raise ValueError("warm_start initializer needs a warm field")
-        u = np.asarray(warm, dtype=np.float64).copy()
+    if warm is not None:
+        init_used = "warm_start"
+        u = np.asarray(warm, dtype=np.float64)
         if u.shape != xs.shape:
             raise ValueError("warm field length does not match the interior")
-    elif config.init == "transplanted_ground_state":
-        if ground is None:
-            raise ValueError("transplanted initializer needs a ground state")
+    elif ground is not None:
+        init_used = "transplanted_ground_state"
         u = transplant_ground_state(ground, xs, params)
     else:
+        init_used = "gaussian_bump"
         sigma = max(2.0 * h, params.intrinsic_scale)
         u = np.exp(-(((xs - grid.a) / sigma) ** 2))
 
@@ -375,54 +373,17 @@ def solve_least_energy(
         scaled = ExtendedField(t0 * ext.values, grid, from_extension=True)
         return t0 * v, _ray_peak(quad, pot, p), scaled
 
-    u, peak, ext = project(u)
-    peaks = [peak]
-    prev_u: np.ndarray | None = None
-    prev_r: np.ndarray | None = None
-    step = config.step
-    converged = False
-    iterations = 0
-
-    for it in range(config.max_iters):
-        iterations = it
-        ext, r = _reduced_state(u, params, table, ext=ext)
-        scale = max(1.0, float(np.max(u)))
-        res = float(np.max(np.abs(r))) / scale
+    def residual(u: np.ndarray, ext: ExtendedField) -> tuple[np.ndarray, float, bool]:
+        r = _reduced_state(u, ext, params, table)
+        res = float(np.max(np.abs(r))) / max(1.0, float(np.max(u)))
         total_u = float(np.sum(u))
         flux = abs(float(np.sum(u - u**p))) / total_u if total_u > 0 else math.inf
         history.append(res)
-        if res <= config.tol_residual and flux <= _FLUX_TOL:
-            converged = True
-            break
+        return r, res, res <= config.tol_residual and flux <= _FLUX_TOL
 
-        if prev_u is not None:
-            du, dr = u - prev_u, r - prev_r
-            denom = float(du @ dr)
-            if denom > 0.0:
-                step = min(max(float(du @ du) / denom, 1e-6), 1e3)
-        prev_u, prev_r = u, r
-
-        alpha = step
-        accepted = False
-        while alpha > 1e-14 * step:
-            trial, tpeak, text = project(u - alpha * r)
-            armijo = peak - 1e-4 * alpha * float(r @ r) * h
-            # one-round-off acceptance band; see solve_ground_state
-            if tpeak <= armijo or tpeak <= peak * (1.0 + 1e-14):
-                u, peak, ext = trial, tpeak, text
-                peaks.append(tpeak)
-                accepted = True
-                break
-            alpha *= config.backtrack
-        if not accepted:
-            peaks.append(peak)
-
-    if not converged:
-        raise ConvergenceError(
-            f"no convergence after {config.max_iters} iterations "
-            f"(last residual {history[-1]:.3e})",
-            history,
-        )
+    u, ext, iterations, _, peaks = _nehari_descent(
+        u, project, residual, config, h, history
+    )
 
     mean = float(np.mean(u))
     rel_var = float(np.var(u)) / (mean * mean) if mean != 0.0 else math.inf
@@ -433,9 +394,8 @@ def solve_least_energy(
         # transplanted profile if that ray peaks meaningfully lower
         alt = transplant_ground_state(ground, xs, params)
         _, alt_peak, _ = project(alt)
-        if alt_peak < peak * (1.0 - 1e-6):
-            cfg = replace(config, init="warm_start")
-            return solve_least_energy(params, grid, table, cfg, warm=alt, ground=None)
+        if alt_peak < peaks[-1] * (1.0 - 1e-6):
+            return solve_least_energy(params, grid, table, config, warm=alt)
 
     if not constant:
         breakdown = J_d(ext, params, table)
@@ -451,7 +411,7 @@ def solve_least_energy(
     nehari_res = abs(quad - pot) / quad
     flux_res = abs(float(np.sum(u - u**p))) / float(np.sum(u))
     imax = int(np.argmax(u))
-    _, r_final = _reduced_state(u, params, table, ext=ext)
+    r_final = _reduced_state(u, ext, params, table)
     res_final = float(np.max(np.abs(r_final))) / max(1.0, float(np.max(u)))
 
     return LeastEnergyResult(
@@ -465,7 +425,7 @@ def solve_least_energy(
         constant_branch=constant,
         init_used=init_used,
         el_residual=res_final,
-        peak_history=np.array(peaks),
+        peak_history=peaks,
     )
 
 
@@ -570,18 +530,12 @@ def sweep(
         try:
             grid = grid_policy(pd)
             table = kernel_weights(grid, pd)
+            warm = None
             if prev is not None:
-                cfg = replace(config, init="warm_start")
                 warm = np.interp(grid.interior_nodes, prev[0], prev[1])
-                result = solve_least_energy(
-                    pd, grid, table, cfg, warm=warm, ground=ground
-                )
-            elif ground is not None:
-                cfg = replace(config, init="transplanted_ground_state")
-                result = solve_least_energy(pd, grid, table, cfg, ground=ground)
-            else:
-                cfg = replace(config, init="gaussian_bump")
-                result = solve_least_energy(pd, grid, table, cfg)
+            result = solve_least_energy(
+                pd, grid, table, config, warm=warm, ground=ground
+            )
         except (ConvergenceError, ValueError) as exc:
             raise SweepAborted(f"sweep failed at d = {d}: {exc}", records) from exc
         records.append(record_from_result(result, pd, grid))
@@ -593,7 +547,29 @@ def sweep(
 
 
 # ---------------------------------------------------------------------------
-# snapshots
+# text output and snapshots
+
+
+def _fmt(x: float) -> str:
+    """17 significant digits: the decimal text reads back to the same double."""
+    return format(float(x), ".17g")
+
+
+def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through ``<path>.<pid>.tmp`` and a rename.
+
+    The temporary file is deleted when the write or the rename fails.
+    The finished file gets the mode a plain ``open(path, "w")`` gives.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def save_snapshot(path: str, result: LeastEnergyResult, params: Params) -> None:
@@ -612,18 +588,10 @@ def save_snapshot(path: str, result: LeastEnergyResult, params: Params) -> None:
         ("M_d", result.M_d),
         ("argmax_x", result.argmax_x),
     ):
-        lines.append(f"# {key} = {value:.17g}")
+        lines.append(f"# {key} = {_fmt(value)}")
     for x, v in zip(grid.nodes, result.u.values):
-        lines.append(f"{x:.17g} {v:.17g}")
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        lines.append(f"{_fmt(x)} {_fmt(v)}")
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _finite(where: str, text: str) -> float:

@@ -28,7 +28,9 @@ from fracneumann import (
     solve_least_energy,
     sweep,
     transplant_ground_state,
+    write_sweep_csv,
 )
+from fracneumann.cli import main as cli_main
 
 # Relative slack for "the ray-sup energy never increased": acceptance
 # tolerates round-off steps of order 1e-14 relative.
@@ -71,10 +73,8 @@ def test_config_rejects_bad_values():
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(step=-0.1)
-    with pytest.raises(ValueError):
-        SolverConfig(backtrack=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(init="bump")
+    with pytest.raises(TypeError):  # the start follows from warm= / ground=
+        SolverConfig(init="warm_start")
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +123,13 @@ def test_ground_state_iteration_cap_raises_with_history():
             Params(d=1.0), build_line_grid(40.0, 0.1), SolverConfig(max_iters=3)
         )
     assert len(err.value.history) == 3
+
+
+def test_least_energy_iteration_cap_raises_with_history(domain_02):
+    params, grid, table = domain_02
+    with pytest.raises(ConvergenceError) as err:
+        solve_least_energy(params, grid, table, SolverConfig(max_iters=4))
+    assert len(err.value.history) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -189,38 +196,34 @@ def test_energy_is_minimal_among_random_rays(solved_02, domain_02):
 
 def test_warm_start_reconverges_immediately(solved_02, domain_02):
     params, grid, table = domain_02
-    config = SolverConfig(init="warm_start")
-    again = solve_least_energy(
-        params, grid, table, config, warm=solved_02.u.interior_values
-    )
+    again = solve_least_energy(params, grid, table, warm=solved_02.u.interior_values)
     assert again.c_d == pytest.approx(solved_02.c_d, rel=1e-10)
     assert again.iterations <= 5
 
 
 def test_transplant_start_finds_the_same_solution(ground, solved_02, domain_02):
     params, grid, table = domain_02
-    config = SolverConfig(init="transplanted_ground_state")
-    other = solve_least_energy(params, grid, table, config, ground=ground)
+    other = solve_least_energy(params, grid, table, ground=ground)
     assert not other.constant_branch
     assert other.c_d == pytest.approx(solved_02.c_d, rel=1e-8)
 
 
-def test_initializer_preconditions(ground, domain_02):
+def test_start_follows_from_the_arguments(ground, solved_02, domain_02):
     params, grid, table = domain_02
-    with pytest.raises(ValueError):
-        solve_least_energy(params, grid, table, SolverConfig(init="warm_start"))
-    with pytest.raises(ValueError):
-        solve_least_energy(
-            params, grid, table, SolverConfig(init="transplanted_ground_state")
-        )
-    with pytest.raises(ValueError):
-        solve_least_energy(
-            params,
-            grid,
-            table,
-            SolverConfig(init="warm_start"),
-            warm=np.ones(grid.n_interior - 1),
-        )
+    warm = solved_02.u.interior_values
+    assert solved_02.init_used == "gaussian_bump"
+    for kwargs, start in (
+        ({"ground": ground}, "transplanted_ground_state"),
+        ({"warm": warm}, "warm_start"),
+        ({"warm": warm, "ground": ground}, "warm_start"),
+    ):
+        assert solve_least_energy(params, grid, table, **kwargs).init_used == start
+
+
+def test_initializer_preconditions(domain_02):
+    params, grid, table = domain_02
+    with pytest.raises(ValueError, match="warm field length"):
+        solve_least_energy(params, grid, table, warm=np.ones(grid.n_interior - 1))
 
 
 def test_grid_must_resolve_the_intrinsic_scale():
@@ -364,13 +367,38 @@ def test_snapshot_round_trip_is_bit_exact(tmp_path, solved_02, domain_02):
     assert os.path.exists(path)
 
 
-def test_failed_snapshot_write_leaves_no_temporary_file(tmp_path, solved_02, domain_02):
+def _cli_ground(path):
+    if cli_main(["ground", "--L", "40", "--h", "0.1", "--out", path]) != 0:
+        raise OSError(f"fracneumann ground could not write {path}")
+
+
+# every writer of an output file, called as writer(path, solved, params)
+WRITERS = {
+    "save_snapshot": save_snapshot,
+    "write_sweep_csv": lambda path, solved, params: write_sweep_csv(
+        path, [record_from_result(solved, params, solved.u.grid)]
+    ),
+    "cli-ground": lambda path, solved, params: _cli_ground(path),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_failed_write_leaves_no_temporary_file(tmp_path, solved_02, domain_02, writer):
     params, _, _ = domain_02
     target = tmp_path / "taken"
     target.mkdir()  # a directory cannot be replaced by the finished file
     with pytest.raises(OSError):
-        save_snapshot(str(target), solved_02, params)
+        WRITERS[writer](str(target), solved_02, params)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_outputs_get_the_mode_of_a_plain_open(tmp_path, solved_02, domain_02, writer):
+    params, _, _ = domain_02
+    with open(tmp_path / "plain", "w"):
+        pass
+    WRITERS[writer](str(tmp_path / "out"), solved_02, params)
+    assert (tmp_path / "out").stat().st_mode == (tmp_path / "plain").stat().st_mode
 
 
 @pytest.mark.parametrize(
