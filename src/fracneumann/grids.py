@@ -134,6 +134,9 @@ class Grid:
     r_ext: float
     nodes: np.ndarray
     interior: np.ndarray = field(repr=False)
+    # Half-open index range [lo, hi) of the interior block, set once
+    # from ``interior``, which the checks below make one contiguous run.
+    interior_range: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_uniform(self.nodes, self.h)
@@ -142,6 +145,8 @@ class Grid:
             raise ValueError("interior labels must match the open-interval test")
         if not self.interior.any():
             raise ValueError("grid has no interior nodes")
+        idx = np.flatnonzero(self.interior)
+        object.__setattr__(self, "interior_range", (int(idx[0]), int(idx[-1]) + 1))
 
     @property
     def n_nodes(self) -> int:
@@ -154,12 +159,6 @@ class Grid:
     @property
     def interior_nodes(self) -> np.ndarray:
         return self.nodes[self.interior]
-
-    @property
-    def interior_range(self) -> tuple[int, int]:
-        """Half-open index range [lo, hi) of the interior block."""
-        idx = np.flatnonzero(self.interior)
-        return int(idx[0]), int(idx[-1]) + 1
 
     @property
     def window(self) -> tuple[float, float]:

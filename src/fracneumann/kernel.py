@@ -25,9 +25,13 @@ length that holds that reach without wrap-around, against the spectrum
 of ``omega`` embedded as an even circulant of that length.  A Neumann
 block W[:, I] or W[I, :] thus costs a transform of about
 2 (n_ext + n_I) points instead of 2 n; the full product keeps the
-length next_fast_len(2n - 1).  Spectra are made on first use, one per
-length, and tables of equal (n, h, s) share one read-only copy of their
-arrays and spectra.  Results are bitwise reproducible from run to run.
+length next_fast_len(2n - 1).  Spectra (one per length) and row sums
+(one per block) are made on first use, and tables of equal (n, h, s)
+share one read-only copy of their arrays, spectra and row sums.
+Results are bitwise reproducible from run to run.
+
+The normalizing constant c_{n,s} is evaluated in closed form from the
+Gamma function; no quadrature runs when a table is built.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft, integrate, special
+from scipy import fft, special
 
 from .grids import Grid, LineGrid, Params
 
@@ -48,8 +52,6 @@ __all__ = [
     "kernel_weights",
     "frac_laplacian_apply",
 ]
-
-_QUAD_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -70,17 +72,15 @@ class Field:
 def normalizing_constant(n: int, s: float) -> float:
     """Normalizing constant of the fractional Laplacian.
 
-    Evaluates the reciprocal of the defining integral
-    ``int_{R^n} (1 - cos(z_1)) / |z|^(n+2s) dz`` by adaptive quadrature.
-    The transverse directions integrate out analytically, leaving a
-    one-dimensional integral split into a smooth head, an exact
-    power-law piece and an oscillatory Fourier tail.
+    The reciprocal of ``int_{R^n} (1 - cos(z_1)) / |z|^(n+2s) dz`` in
+    closed form, c_{n,s} = s 4^s Gamma(n/2 + s) / (pi^(n/2) Gamma(1 - s))
+    (Di Nezza, Palatucci and Valdinoci, "Hitchhiker's guide to the
+    fractional Sobolev spaces", 2012).
 
     Raises
     ------
     ValueError
-        On parameters outside 0 < s < 1 or n >= 1, or when the
-        quadrature cannot certify eight significant digits.
+        On parameters outside 0 < s < 1, n >= 1 or 2s <= n.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"dimension n must be a positive integer, got {n!r}")
@@ -90,40 +90,12 @@ def normalizing_constant(n: int, s: float) -> float:
         raise ValueError(
             f"fractional order s = {s} too large for dimension n = {n}"
         )
-
-    # Head on (0, pi): factor the integrand as t^(1-2s) * (1-cos t)/t^2
-    # so the algebraic endpoint weight is handled exactly.  The smooth
-    # factor uses the half-angle form, which never cancels.
-    def head_f(t: float) -> float:
-        if t < 1e-12:
-            return 0.5
-        r = math.sin(0.5 * t) / t
-        return 2.0 * r * r
-
-    head, head_err = integrate.quad(
-        head_f, 0.0, math.pi,
-        weight="alg", wvar=(1.0 - 2.0 * s, 0.0),
-        epsabs=1e-13, epsrel=1e-12, limit=200,
+    return (
+        s
+        * 4.0**s
+        * math.gamma(n / 2.0 + s)
+        / (math.pi ** (n / 2.0) * math.gamma(1.0 - s))
     )
-    power = math.pi ** (-2.0 * s) / (2.0 * s)
-    osc, osc_err = integrate.quad(
-        lambda t: t ** (-1.0 - 2.0 * s), math.pi, np.inf,
-        weight="cos", wvar=1.0, epsabs=1e-13, limit=400,
-    )
-    line = 2.0 * (head + power - osc)
-    err = 2.0 * (head_err + osc_err)
-    if not math.isfinite(line) or err > _QUAD_RTOL * abs(line):
-        raise ValueError(
-            f"kernel-constant quadrature did not converge: value {line!r}, "
-            f"estimated error {err:.3e}"
-        )
-
-    transverse = (
-        math.pi ** ((n - 1) / 2.0)
-        * special.gamma((1.0 + 2.0 * s) / 2.0)
-        / special.gamma((n + 2.0 * s) / 2.0)
-    )
-    return 1.0 / (transverse * line)
 
 
 def _curvature_defect(s: float) -> float:
@@ -175,27 +147,55 @@ def _spectrum(omega: np.ndarray, length: int) -> np.ndarray:
     return spec
 
 
-class _Spectra:
-    """Circulant spectra of one offset generator, one per FFT length.
+class _Derived:
+    """Iterate-independent quantities of one offset generator.
 
-    Each is made on first use and kept read-only; a Neumann table needs
-    one length for all its blocks, a line table the full length.
+    Circulant spectra, one per FFT length, and row sums, one per block
+    (row_lo, row_hi, col_lo, col_hi), are each made on first use and
+    kept read-only.  Tables of equal (n, h, s) share one holder, so a
+    grid's spectra and row sums are made once however many tables and
+    solves use them; a Neumann solve needs one length and four blocks.
     """
 
     def __init__(self, omega: np.ndarray) -> None:
         self._omega = omega
+        self.prefix = _prefix(omega)
+        self.prefix.flags.writeable = False
         self._by_length: dict[int, np.ndarray] = {}
+        self._by_block: dict[tuple[int, int, int, int], np.ndarray] = {}
 
-    def __call__(self, length: int) -> np.ndarray:
+    def spectrum(self, length: int) -> np.ndarray:
         spec = self._by_length.get(length)
         if spec is None:
             spec = self._by_length[length] = _spectrum(self._omega, length)
         return spec
 
+    def row_sums(
+        self, row_lo: int, row_hi: int, col_lo: int, col_hi: int
+    ) -> np.ndarray:
+        key = (row_lo, row_hi, col_lo, col_hi)
+        sums = self._by_block.get(key)
+        if sums is None:
+            sums = self._by_block[key] = _row_sums(self.prefix, *key)
+            sums.flags.writeable = False
+        return sums
+
 
 def _prefix(omega: np.ndarray) -> np.ndarray:
     """prefix[m] = sum of omega[1..m]."""
     return np.concatenate(([0.0], np.cumsum(omega[1:])))
+
+
+def _row_sums(
+    p: np.ndarray, row_lo: int, row_hi: int, col_lo: int, col_hi: int
+) -> np.ndarray:
+    """sum_j W[i][j] over columns [col_lo, col_hi) from prefix sums ``p``."""
+    a = max(row_lo, min(row_hi, col_lo))  # first row not left of the columns
+    b = max(a, min(row_hi, col_hi))  # first row right of the columns
+    left = p[col_hi - a : col_hi - row_lo] - p[col_lo - a : col_lo - row_lo]
+    inside = p[a - col_lo : b - col_lo] + p[col_hi - b : col_hi - a][::-1]
+    right = p[b - col_lo : row_hi - col_lo] - p[b - col_hi : row_hi - col_hi]
+    return np.concatenate((left[::-1], inside, right))
 
 
 def _exact_mean(v: np.ndarray) -> float:
@@ -224,16 +224,12 @@ class KernelTable:
     tail: np.ndarray = field(repr=False)
     pv_coeff: float
 
-    # Derived from ``omega`` unless supplied: prefix sums for
-    # ``row_sums`` and the circulant spectra for ``matvec``.
-    prefix: np.ndarray = field(repr=False, default=None)
-    spectra: _Spectra = field(repr=False, default=None)
+    # Spectra and row sums of ``omega``; a hand-built table derives its own.
+    derived: _Derived = field(repr=False, default=None)
 
     def __post_init__(self) -> None:
-        if self.prefix is None:
-            object.__setattr__(self, "prefix", _prefix(self.omega))
-        if self.spectra is None:
-            object.__setattr__(self, "spectra", _Spectra(self.omega))
+        if self.derived is None:
+            object.__setattr__(self, "derived", _Derived(self.omega))
 
     # -- element access -------------------------------------------------
 
@@ -294,7 +290,7 @@ class KernelTable:
         buf = np.zeros(size, dtype=np.float64)
         buf[col_lo - base : col_hi - base] = x
         coeffs = fft.rfft(buf)
-        coeffs *= self.spectra(size)
+        coeffs *= self.derived.spectrum(size)
         out = fft.irfft(coeffs, size, overwrite_x=True)
         return out[row_lo - base : row_hi - base]
 
@@ -304,20 +300,15 @@ class KernelTable:
         """sum_j W[i][j] over columns [col_lo, col_hi) for each row.
 
         Evaluated through prefix sums of the offset generator; the
-        diagonal (offset zero) never contributes.
+        diagonal (offset zero) never contributes.  The result is
+        read-only and made once per block and generator.
         """
-        p = self.prefix
-        a = max(row_lo, min(row_hi, col_lo))  # first row not left of the columns
-        b = max(a, min(row_hi, col_hi))  # first row right of the columns
-        left = p[col_hi - a : col_hi - row_lo] - p[col_lo - a : col_lo - row_lo]
-        inside = p[a - col_lo : b - col_lo] + p[col_hi - b : col_hi - a][::-1]
-        right = p[b - col_lo : row_hi - col_lo] - p[b - col_hi : row_hi - col_hi]
-        return np.concatenate((left[::-1], inside, right))
+        return self.derived.row_sums(row_lo, row_hi, col_lo, col_hi)
 
 
 @lru_cache(maxsize=16)
 def _shared_arrays(n: int, h: float, s: float) -> tuple:
-    """Read-only (omega, prefix, spectra, tail) for n nodes of spacing h.
+    """Read-only (omega, derived, tail) for n nodes of spacing h.
 
     Shared by every table of equal (n, h, s), translated domains included;
     the cache holds every grid of the default sweep.
@@ -337,10 +328,9 @@ def _shared_arrays(n: int, h: float, s: float) -> tuple:
         2.0 * s
     )
 
-    prefix = _prefix(omega)
-    for a in (omega, prefix, tail):
+    for a in (omega, tail):
         a.flags.writeable = False
-    return omega, prefix, _Spectra(omega), tail
+    return omega, _Derived(omega), tail
 
 
 def kernel_weights(grid: Grid | LineGrid, params: Params) -> KernelTable:
@@ -354,7 +344,7 @@ def kernel_weights(grid: Grid | LineGrid, params: Params) -> KernelTable:
         raise ValueError("weight tables are one-dimensional; need params.n == 1")
     s = params.s
     h = grid.h
-    omega, prefix, spectra, tail = _shared_arrays(grid.n_nodes, h, s)
+    omega, derived, tail = _shared_arrays(grid.n_nodes, h, s)
 
     pv = (0.5 ** (2.0 - 2.0 * s) / (2.0 * (1.0 - s)) + _curvature_defect(s)) * h ** (
         -2.0 * s
@@ -367,8 +357,7 @@ def kernel_weights(grid: Grid | LineGrid, params: Params) -> KernelTable:
         omega=omega,
         tail=tail,
         pv_coeff=pv,
-        prefix=prefix,
-        spectra=spectra,
+        derived=derived,
     )
 
 

@@ -503,6 +503,26 @@ def record_from_result(
     )
 
 
+def _stretched_start(
+    prev: LeastEnergyResult, prev_scale: float, xs: np.ndarray, scale: float
+) -> np.ndarray:
+    """The previous solution stretched about its boundary peak onto ``xs``.
+
+    Solutions concentrate on the intrinsic scale d^(1/2s) at a boundary
+    point, so the next d starts from the previous solution evaluated at
+    anchor + (x - anchor) * prev_scale / scale, with anchor the domain
+    end nearest the previous peak.
+    """
+    grid = prev.u.grid
+    near_a = prev.argmax_x - grid.a <= grid.b - prev.argmax_x
+    anchor = grid.a if near_a else grid.b
+    return np.interp(
+        anchor + (xs - anchor) * (prev_scale / scale),
+        grid.interior_nodes,
+        prev.u.interior_values,
+    )
+
+
 def sweep(
     d_values,
     params: Params,
@@ -513,18 +533,20 @@ def sweep(
 ) -> list[SweepRecord]:
     """Continuation in decreasing d with warm starts.
 
-    Each d gets a fresh grid from the policy; the previous nonconstant
-    solution is interpolated onto it as a warm start, while constant or
-    missing predecessors fall back to the transplanted ground state (or
-    a boundary bump when none is supplied).  A failing member aborts the
-    sweep; the records finished so far ride on the exception.
+    Each d gets a fresh grid from the policy.  The previous nonconstant
+    solution, stretched about the domain end nearest its peak by the
+    ratio of intrinsic scales d^(1/2s), is the warm start
+    (``_stretched_start``); constant or missing predecessors fall back
+    to the transplanted ground state (or a boundary bump when none is
+    supplied).  A failing member aborts the sweep; the records finished
+    so far ride on the exception.
     """
     d_list = [float(d) for d in d_values]
     if any(b >= a for a, b in zip(d_list, d_list[1:])):
         raise ValueError("d values must be strictly decreasing")
 
     records: list[SweepRecord] = []
-    prev: tuple[np.ndarray, np.ndarray] | None = None  # interior nodes, values
+    prev: tuple[LeastEnergyResult, float] | None = None  # result, its scale
     for d in d_list:
         pd = replace(params, d=d)
         try:
@@ -532,7 +554,9 @@ def sweep(
             table = kernel_weights(grid, pd)
             warm = None
             if prev is not None:
-                warm = np.interp(grid.interior_nodes, prev[0], prev[1])
+                warm = _stretched_start(
+                    *prev, grid.interior_nodes, pd.intrinsic_scale
+                )
             result = solve_least_energy(
                 pd, grid, table, config, warm=warm, ground=ground
             )
@@ -542,7 +566,7 @@ def sweep(
         if keep_results is not None:
             keep_results.append(result)
         if not result.constant_branch:
-            prev = (grid.interior_nodes, result.u.interior_values)
+            prev = (result, pd.intrinsic_scale)
     return records
 
 

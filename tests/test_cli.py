@@ -1,8 +1,14 @@
 """Command-line front end: subcommands, config file, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fracneumann
 from fracneumann import read_sweep_csv, write_sweep_csv
 from fracneumann.cli import load_config, main
 from fracneumann.solvers import load_snapshot
@@ -12,6 +18,28 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# ---------------------------------------------------------------------------
+# import footprint
+
+
+def test_import_loads_no_quadrature_or_optimizer():
+    # the package needs scipy's fft and special functions only; a fresh
+    # interpreter shows what importing the library and the CLI pulls in
+    src = str(Path(fracneumann.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = (
+        "import sys, fracneumann, fracneumann.cli; "
+        "print(' '.join(m for m in ('scipy.integrate', 'scipy.optimize') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert out.stdout.strip() == ""
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,43 @@ def gamma_constant(n, s):
     )
 
 
+def quadrature_constant(n, s):
+    """Independent oracle: the defining integral by adaptive quadrature.
+
+    1 / int_{R^n} (1 - cos(z_1)) / |z|^(n+2s) dz, with the transverse
+    directions integrated out analytically, leaving a one-dimensional
+    integral split into a smooth head on (0, pi) with the algebraic
+    endpoint weight handled exactly, an exact power-law piece and an
+    oscillatory Fourier tail.
+    """
+
+    def head_f(t):
+        # (1 - cos t) / t^2 in the half-angle form, which never cancels
+        if t < 1e-12:
+            return 0.5
+        r = math.sin(0.5 * t) / t
+        return 2.0 * r * r
+
+    head, head_err = integrate.quad(
+        head_f, 0.0, math.pi,
+        weight="alg", wvar=(1.0 - 2.0 * s, 0.0),
+        epsabs=1e-13, epsrel=1e-12, limit=200,
+    )
+    power = math.pi ** (-2.0 * s) / (2.0 * s)
+    osc, osc_err = integrate.quad(
+        lambda t: t ** (-1.0 - 2.0 * s), math.pi, np.inf,
+        weight="cos", wvar=1.0, epsabs=1e-13, limit=400,
+    )
+    line = 2.0 * (head + power - osc)
+    assert 2.0 * (head_err + osc_err) <= 1e-8 * abs(line), (n, s)
+    transverse = (
+        math.pi ** ((n - 1) / 2.0)
+        * special.gamma((1.0 + 2.0 * s) / 2.0)
+        / special.gamma((n + 2.0 * s) / 2.0)
+    )
+    return 1.0 / (transverse * line)
+
+
 def truncated_operator(x, k, s, half_width, c):
     """Adaptive-quadrature evaluation of the window-truncated operator.
 
@@ -170,11 +207,13 @@ def test_normalizing_constant_half_is_one_over_pi():
 
 def test_normalizing_constant_matches_closed_form():
     for n in (1, 2, 3):
-        for s in (0.05, 0.1, 0.25, 0.4, 0.49):
+        for s in np.linspace(0.05, 0.95, 19):
+            s = float(s)
             if 2 * s > n:
                 continue
             got = normalizing_constant(n, s)
-            assert got == pytest.approx(gamma_constant(n, s), rel=1e-9), (n, s)
+            assert got == pytest.approx(gamma_constant(n, s), rel=1e-14), (n, s)
+            assert got == pytest.approx(quadrature_constant(n, s), rel=1e-12), (n, s)
 
 
 def test_normalizing_constant_quarter_value_frozen():
@@ -404,10 +443,22 @@ def test_matvec_matches_dense_on_any_block(case):
 @given(table_blocks())
 def test_row_sums_match_dense_on_any_block(case):
     t, (r0, r1, c0, c1), _ = case
-    want = t.dense()[r0:r1, c0:c1].sum(axis=1)
-    # differences of prefix sums carry round-off relative to a full row
-    scale = float(np.max(t.row_sums(0, t.n_nodes, 0, t.n_nodes)))
-    assert np.max(np.abs(t.row_sums(r0, r1, c0, c1) - want)) <= 1e-13 * scale
+    idx = np.flatnonzero(t.grid.interior)
+    assert t.grid.interior_range == (idx[0], idx[-1] + 1)
+    # a hand-built table derives its own memo from its own generator
+    halved = KernelTable(
+        grid=t.grid, s=t.s, c_ns=t.c_ns, omega=0.5 * t.omega, tail=t.tail,
+        pv_coeff=t.pv_coeff,
+    )
+    assert halved.derived is not t.derived
+    for table in (t, halved, t, halved):
+        want = table.dense()[r0:r1, c0:c1].sum(axis=1)
+        got = table.row_sums(r0, r1, c0, c1)
+        # differences of prefix sums carry round-off relative to a full row
+        scale = float(np.max(table.dense().sum(axis=1)))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        assert not got.flags.writeable
+        assert table.row_sums(r0, r1, c0, c1) is got
 
 
 def test_hand_built_table_derives_its_own_generators():
@@ -428,24 +479,46 @@ def test_equal_grids_share_read_only_generators():
     p = Params()
     first = kernel_weights(build_grid(0.0, 1.0, 0.05, 2.0), p)
     moved = kernel_weights(build_grid(0.25, 1.25, 0.05, 2.0), p)
-    for name in ("omega", "prefix", "spectra", "tail"):
+    for name in ("omega", "derived", "tail"):
         assert getattr(first, name) is getattr(moved, name)
-    for name in ("omega", "prefix", "tail"):
-        assert not getattr(first, name).flags.writeable
+    for arr in (first.omega, first.tail, first.derived.prefix):
+        assert not arr.flags.writeable
     # spectra are made on first use, one per length, and shared after
     n = first.n_nodes
     lo, hi = first.grid.interior_range
     first.matvec(np.ones(hi - lo), 0, n, lo, hi)
     first.matvec(np.ones(n), 0, n, 0, n)
-    lengths = sorted(first.spectra._by_length)
+    lengths = sorted(first.derived._by_length)
     assert lengths == [
         fft.next_fast_len(2 * (n - lo) - 1, real=True),
         fft.next_fast_len(2 * n - 1, real=True),
     ]
     for length in lengths:
-        spec = first.spectra(length)
-        assert spec is moved.spectra(length)
+        spec = first.derived.spectrum(length)
+        assert spec is moved.derived.spectrum(length)
         assert not spec.flags.writeable
+
+
+def test_equal_grids_share_one_row_sum_array_per_block():
+    p = Params(d=0.2)
+    first = kernel_weights(default_grid_policy(p), p)
+    again = kernel_weights(default_grid_policy(p), p)
+    n = first.n_nodes
+    lo, hi = first.grid.interior_range
+    blocks = [(0, n, lo, hi), (lo, hi, 0, n), (lo, hi, 0, lo), (lo, hi, hi, n),
+              (0, n, 0, n), (lo, hi, lo, hi)]
+    W = first.dense()
+    scale = float(np.max(W.sum(axis=1)))
+    sums = [first.row_sums(*b) for b in blocks]
+    for (r0, r1, c0, c1), got in zip(blocks, sums):
+        assert again.row_sums(r0, r1, c0, c1) is got
+        assert not got.flags.writeable
+        want = W[r0:r1, c0:c1].sum(axis=1)
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    # blocks of equal shape, such as the two collar blocks, never collide
+    assert len({id(a) for a in sums}) == len(blocks)
+    with pytest.raises(ValueError):
+        sums[0][0] = 1.0
 
 
 def test_equal_grid_arguments_share_one_read_only_grid():

@@ -2,6 +2,7 @@
 
 import glob
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,10 @@ from fracneumann import (
     transplant_ground_state,
     write_sweep_csv,
 )
+from fracneumann import solvers
 from fracneumann.cli import main as cli_main
+from fracneumann.neumann import ExtendedField
+from fracneumann.solvers import _stretched_start
 
 # Relative slack for "the ray-sup energy never increased": acceptance
 # tolerates round-off steps of order 1e-14 relative.
@@ -293,6 +297,67 @@ def test_aborted_sweep_preserves_finished_records():
         sweep([0.4, 0.2], Params(), grid_policy=fragile_policy)
     assert len(err.value.records) == 1
     assert err.value.records[0].constant_branch
+
+
+def test_sweep_warm_start_is_the_stretched_previous_solution(monkeypatch):
+    warms = []
+
+    def spy(*args, warm=None, **kwargs):
+        warms.append(warm)
+        return solve_least_energy(*args, warm=warm, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_least_energy", spy)
+    results = []
+    sweep([0.2, 0.1363], Params(), keep_results=results)
+    first, second = results
+    assert warms[0] is None and not first.constant_branch
+    g0, g1 = first.u.grid, second.u.grid
+    assert first.argmax_x - g0.a < g0.b - first.argmax_x  # anchor at a
+    ratio = 0.2 ** 2.0 / 0.1363 ** 2.0  # eps = d^(1/2s) at s = 1/4
+    want = np.interp(
+        g1.a + (g1.interior_nodes - g1.a) * ratio,
+        g0.interior_nodes,
+        first.u.interior_values,
+    )
+    assert np.array_equal(warms[1], want)
+    assert second.init_used == "warm_start"
+
+
+def test_stretched_start_anchors_at_the_nearer_end(solved_02, domain_02):
+    params, grid, _ = domain_02
+    xs = default_grid_policy(Params(d=0.1363)).interior_nodes
+    scale, prev_scale = Params(d=0.1363).intrinsic_scale, params.intrinsic_scale
+    at_a = _stretched_start(solved_02, prev_scale, xs, scale)
+    # the mirror image of the solution peaks at b and is stretched about b
+    mirrored = replace(
+        solved_02,
+        u=ExtendedField(solved_02.u.values[::-1], grid),
+        argmax_x=grid.a + grid.b - solved_02.argmax_x,
+    )
+    at_b = _stretched_start(mirrored, prev_scale, xs, scale)
+    want = np.interp(
+        grid.b + (xs - grid.b) * (prev_scale / scale),
+        grid.interior_nodes,
+        solved_02.u.interior_values[::-1],
+    )
+    assert np.array_equal(at_b, want)
+    assert np.max(np.abs(at_b - at_a[::-1])) <= 1e-12 * np.max(at_a)
+    assert np.argmax(at_b) == xs.size - 1 - np.argmax(at_a)
+
+
+@pytest.mark.parametrize("s, p", [(0.25, 1.5), (0.4, 2.0)])
+def test_sweep_records_match_stand_alone_solves(s, p):
+    params = Params(s=s, p=p)
+    ground = solve_ground_state(params, build_line_grid(40.0, 0.1))
+    records = sweep([0.2, 0.1363, 0.0928], params, ground=ground)
+    for record in records:
+        pd = Params(s=s, p=p, d=record.d)
+        grid = default_grid_policy(pd)
+        alone = solve_least_energy(pd, grid, kernel_weights(grid, pd), ground=ground)
+        assert alone.c_d == pytest.approx(record.c_d, rel=1e-12, abs=0.0)
+        assert alone.M_d == pytest.approx(record.sup_u, rel=1e-6, abs=0.0)
+        assert alone.argmax_x == record.argmax_x
+        assert alone.constant_branch == record.constant_branch
 
 
 # ---------------------------------------------------------------------------
