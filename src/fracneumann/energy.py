@@ -143,6 +143,16 @@ def _quadratic_and_potential(
     return quad, pot
 
 
+def _nehari_ray(quad: float, pot: float, p: float) -> tuple[float, float]:
+    """Maximizer t0 and peak of t -> (t^2/2) quad - (t^(p+1)/(p+1)) pot.
+
+    t0 = (quad/pot)^(1/(p-1)) and the peak is (1/2 - 1/(p+1)) t0^(p+1) pot;
+    callers check that the direction is not degenerate (pot > 0).
+    """
+    t0 = (quad / pot) ** (1.0 / (p - 1.0))
+    return t0, (0.5 - 1.0 / (p + 1.0)) * t0 ** (p + 1.0) * pot
+
+
 def nehari_scale(u: ExtendedField, params: Params, table: KernelTable) -> float:
     """Unique maximizer t0 of t -> J_d(t u) along the ray through u.
 
@@ -152,7 +162,7 @@ def nehari_scale(u: ExtendedField, params: Params, table: KernelTable) -> float:
     quad, pot = _quadratic_and_potential(u, params, table)
     if pot <= 0.0:
         raise ValueError("degenerate direction: field vanishes on the domain")
-    return float((quad / pot) ** (1.0 / (params.p - 1.0)))
+    return float(_nehari_ray(quad, pot, params.p)[0])
 
 
 def peak_energy(u: ExtendedField, params: Params, table: KernelTable) -> float:
@@ -165,10 +175,8 @@ def peak_energy(u: ExtendedField, params: Params, table: KernelTable) -> float:
     quad, pot = _quadratic_and_potential(u, params, table)
     if pot <= 0.0:
         raise ValueError("degenerate direction: field vanishes on the domain")
-    t0 = (quad / pot) ** (1.0 / (params.p - 1.0))
-    scaled = ExtendedField(t0 * u.values, u.grid, from_extension=u.from_extension)
-    direct = J_d(scaled, params, table).total
-    algebra = (0.5 - 1.0 / (params.p + 1.0)) * t0 ** (params.p + 1.0) * pot
+    t0, algebra = _nehari_ray(quad, pot, params.p)
+    direct = J_d(ExtendedField(t0 * u.values, u.grid), params, table).total
     if abs(direct - algebra) > 1e-12 * max(1.0, abs(direct)):
         raise ValueError(
             f"peak-energy evaluations disagree: direct {direct!r}, "

@@ -34,16 +34,15 @@ __all__ = ["ExtendedField", "neumann_derivative", "extend"]
 
 @dataclass(frozen=True)
 class ExtendedField:
-    """Full-grid values whose exterior collar satisfies N_s u = 0.
+    """Full-grid values on a bounded-domain grid.
 
-    ``from_extension`` records provenance: fields built by ``extend``
-    carry True; hand-assembled fields (e.g. perturbation tests) carry
-    False and make no claim about the Neumann derivative.
+    Fields built by ``extend`` satisfy N_s u = 0 on the collar; a
+    hand-assembled field (a perturbation, a scaled copy) makes no claim
+    about the Neumann derivative.
     """
 
     values: np.ndarray
     grid: Grid
-    from_extension: bool = False
     # (table, W[:, I](u_I - m)) as made by ``extend``, for one hand-over;
     # not an init field, so ``dataclasses.replace`` never carries it over
     _product: tuple[KernelTable, np.ndarray] | None = field(
@@ -126,6 +125,6 @@ def extend(u_int: np.ndarray, table: KernelTable) -> ExtendedField:
     for r0, r1 in ((0, lo), (hi, n)):
         full[r0:r1] = m + num[r0:r1] / den[r0:r1]
     full.flags.writeable = False
-    ext = ExtendedField(full, grid, from_extension=True)
+    ext = ExtendedField(full, grid)
     object.__setattr__(ext, "_product", (table, num))
     return ext

@@ -26,6 +26,7 @@ from .energy import (
     J_d,
     _gagliardo_line,
     _line_quad_pot,
+    _nehari_ray,
     _quadratic_and_potential,
     pohozaev,
 )
@@ -109,7 +110,6 @@ class LeastEnergyResult:
     flux_residual: float
     iterations: int
     constant_branch: bool
-    init_used: str
     el_residual: float
     peak_history: np.ndarray = field(repr=False, default=None)
 
@@ -138,12 +138,6 @@ class SweepRecord:
 # whole-space ground state
 
 
-def _ray_peak(quad: float, pot: float, p: float) -> float:
-    """sup_t of (t^2/2) quad - (t^(p+1)/(p+1)) pot, in closed form."""
-    t0 = (quad / pot) ** (1.0 / (p - 1.0))
-    return (0.5 - 1.0 / (p + 1.0)) * t0 ** (p + 1.0) * pot
-
-
 def _nehari_descent(u0, project, residual, config, h, history):
     """Nehari-projected descent shared by both solvers.
 
@@ -155,6 +149,11 @@ def _nehari_descent(u0, project, residual, config, h, history):
     round-off band) holds on the ray-sup energy.  Returns the converged
     iterate, its state, the iteration count, the residual size and the
     ray-sup energy of every iteration.
+
+    A step that halves to its floor without being accepted raises
+    ``ConvergenceError`` at once: it leaves the iterate, the residual
+    and the Barzilai-Borwein step unchanged, so every later iteration
+    would repeat the same rejected search.
     """
     u, peak, state = project(u0)
     peaks = [peak]
@@ -175,7 +174,6 @@ def _nehari_descent(u0, project, residual, config, h, history):
         prev_u, prev_r = u, r
 
         alpha = step
-        accepted = False
         while alpha > 1e-14 * step:
             trial, tpeak, tstate = project(u - alpha * r)
             armijo = peak - 1e-4 * alpha * float(r @ r) * h
@@ -185,11 +183,12 @@ def _nehari_descent(u0, project, residual, config, h, history):
             if tpeak <= armijo or tpeak <= peak * (1.0 + 1e-14):
                 u, peak, state = trial, tpeak, tstate
                 peaks.append(tpeak)
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
-            peaks.append(peak)
+        else:
+            raise ConvergenceError(
+                f"step rejected at iteration {it} (residual {size:.3e})", history
+            )
 
     raise ConvergenceError(
         f"no convergence after {config.max_iters} iterations "
@@ -215,8 +214,9 @@ def solve_ground_state(
     Raises
     ------
     ConvergenceError
-        When the iteration stalls above tolerance or collapses to the
-        trivial limit; the residual history rides on the exception.
+        When a step is rejected, the iteration cap is reached or the
+        iterate collapses to the trivial limit; the residual history
+        rides on the exception.
     """
     params.require_whole_space_exponent()
     if not isinstance(grid, LineGrid):
@@ -238,8 +238,8 @@ def solve_ground_state(
         quad, pot = _line_quad_pot(v, p, table)
         if pot <= 0.0 or not math.isfinite(pot):
             raise ConvergenceError("iterate collapsed to the trivial limit", history)
-        t0 = (quad / pot) ** (1.0 / (p - 1.0))
-        return t0 * v, _ray_peak(quad, pot, p), None
+        t0, peak = _nehari_ray(quad, pot, p)
+        return t0 * v, peak, None
 
     def residual(u: np.ndarray, _) -> tuple[np.ndarray, float, bool]:
         r = frac_laplacian_apply(u, table) + u - u**p
@@ -319,7 +319,6 @@ def solve_least_energy(
     table: KernelTable,
     config: SolverConfig = SolverConfig(),
     warm: np.ndarray | None = None,
-    ground: GroundStateResult | None = None,
 ) -> LeastEnergyResult:
     """Least-energy critical point of J_d on the Neumann problem.
 
@@ -331,10 +330,13 @@ def solve_least_energy(
     constant's energy J_d(1), the constant branch is reported instead:
     the least energy is the smaller of the two.
 
-    The start is ``warm`` (interior values) when given, else the
-    transplanted ``ground`` state when given, else a bump at the left
-    boundary; ``init_used`` names it.  A ``ground`` state also arms a
-    post-convergence restart guard against landing in the wrong basin.
+    The start is ``warm`` (interior values) when given, else a bump of
+    width max(2h, d^(1/2s)) at the left boundary; pass
+    ``transplant_ground_state(ground, grid.interior_nodes, params)`` as
+    ``warm`` to start from a whole-space ground state.  The converged
+    field is evaluated once: c_d and the Nehari quadratic come from one
+    ``J_d``, and ``el_residual`` is the residual size of the descent's
+    last iteration (recomputed only for the constant branch).
     """
     params.require_neumann_exponent()
     if table.grid is not grid:
@@ -349,15 +351,10 @@ def solve_least_energy(
     xs = grid.interior_nodes
 
     if warm is not None:
-        init_used = "warm_start"
         u = np.asarray(warm, dtype=np.float64)
         if u.shape != xs.shape:
             raise ValueError("warm field length does not match the interior")
-    elif ground is not None:
-        init_used = "transplanted_ground_state"
-        u = transplant_ground_state(ground, xs, params)
     else:
-        init_used = "gaussian_bump"
         sigma = max(2.0 * h, params.intrinsic_scale)
         u = np.exp(-(((xs - grid.a) / sigma) ** 2))
 
@@ -369,9 +366,8 @@ def solve_least_energy(
         quad, pot = _quadratic_and_potential(ext, params, table)
         if pot <= 0.0 or not math.isfinite(pot):
             raise ConvergenceError("iterate collapsed to the trivial limit", history)
-        t0 = (quad / pot) ** (1.0 / (p - 1.0))
-        scaled = ExtendedField(t0 * ext.values, grid, from_extension=True)
-        return t0 * v, _ray_peak(quad, pot, p), scaled
+        t0, peak = _nehari_ray(quad, pot, p)
+        return t0 * v, peak, ExtendedField(t0 * ext.values, grid)
 
     def residual(u: np.ndarray, ext: ExtendedField) -> tuple[np.ndarray, float, bool]:
         r = _reduced_state(u, ext, params, table)
@@ -381,50 +377,36 @@ def solve_least_energy(
         history.append(res)
         return r, res, res <= config.tol_residual and flux <= _FLUX_TOL
 
-    u, ext, iterations, _, peaks = _nehari_descent(
+    u, ext, iterations, res, peaks = _nehari_descent(
         u, project, residual, config, h, history
     )
 
     mean = float(np.mean(u))
     rel_var = float(np.var(u)) / (mean * mean) if mean != 0.0 else math.inf
     constant = rel_var < 1e-10
-
-    if not constant and ground is not None:
-        # insurance against a poor basin: restart once from the
-        # transplanted profile if that ray peaks meaningfully lower
-        alt = transplant_ground_state(ground, xs, params)
-        _, alt_peak, _ = project(alt)
-        if alt_peak < peaks[-1] * (1.0 - 1e-6):
-            return solve_least_energy(params, grid, table, config, warm=alt)
-
     if not constant:
         breakdown = J_d(ext, params, table)
         # the constant critical point may lie lower
         constant = breakdown.total > J_d_constant(grid, params)
-
     if constant:
         u = np.ones_like(u)
-        init_used = init_used + "/constant-branch"
         ext = extend(u, table)
         breakdown = J_d(ext, params, table)
-    quad, pot = _quadratic_and_potential(ext, params, table)
-    nehari_res = abs(quad - pot) / quad
-    flux_res = abs(float(np.sum(u - u**p))) / float(np.sum(u))
-    imax = int(np.argmax(u))
-    r_final = _reduced_state(u, ext, params, table)
-    res_final = float(np.max(np.abs(r_final))) / max(1.0, float(np.max(u)))
+        _, res, _ = residual(u, ext)
 
+    quad = breakdown.seminorm_term + breakdown.mass_term
+    pot = h * float(np.sum(np.abs(ext.interior_values) ** (p + 1.0)))
+    imax = int(np.argmax(u))
     return LeastEnergyResult(
         u=ext,
         c_d=breakdown.total,
         M_d=float(np.max(u)),
         argmax_x=float(xs[imax]),
-        nehari_residual=float(nehari_res),
-        flux_residual=float(flux_res),
+        nehari_residual=float(abs(quad - pot) / quad),
+        flux_residual=float(abs(float(np.sum(u - u**p))) / float(np.sum(u))),
         iterations=iterations,
         constant_branch=constant,
-        init_used=init_used,
-        el_residual=res_final,
+        el_residual=res,
         peak_history=peaks,
     )
 
@@ -536,10 +518,11 @@ def sweep(
     Each d gets a fresh grid from the policy.  The previous nonconstant
     solution, stretched about the domain end nearest its peak by the
     ratio of intrinsic scales d^(1/2s), is the warm start
-    (``_stretched_start``); constant or missing predecessors fall back
-    to the transplanted ground state (or a boundary bump when none is
-    supplied).  A failing member aborts the sweep; the records finished
-    so far ride on the exception.
+    (``_stretched_start``).  Until a nonconstant predecessor exists the
+    warm start is ``ground`` transplanted onto the grid
+    (``transplant_ground_state``), or, without ``ground``, the solver's
+    boundary bump.  A failing member aborts the sweep; the records
+    finished so far ride on the exception.
     """
     d_list = [float(d) for d in d_values]
     if any(b >= a for a, b in zip(d_list, d_list[1:])):
@@ -552,14 +535,13 @@ def sweep(
         try:
             grid = grid_policy(pd)
             table = kernel_weights(grid, pd)
+            xs = grid.interior_nodes
             warm = None
             if prev is not None:
-                warm = _stretched_start(
-                    *prev, grid.interior_nodes, pd.intrinsic_scale
-                )
-            result = solve_least_energy(
-                pd, grid, table, config, warm=warm, ground=ground
-            )
+                warm = _stretched_start(*prev, xs, pd.intrinsic_scale)
+            elif ground is not None:
+                warm = transplant_ground_state(ground, xs, pd)
+            result = solve_least_energy(pd, grid, table, config, warm=warm)
         except (ConvergenceError, ValueError) as exc:
             raise SweepAborted(f"sweep failed at d = {d}: {exc}", records) from exc
         records.append(record_from_result(result, pd, grid))

@@ -149,6 +149,18 @@ def test_ground_writes_a_profile(tmp_path, capsys):
     assert len(data) == 800
 
 
+def test_rejected_step_is_an_error_not_a_long_run(tmp_path, capsys):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("solver.max_iters = 2000\n")
+    code, out, err = run(
+        capsys, "--config", str(cfg), "ground",
+        "--s", "0.45", "--p", "1.1", "--L", "40", "--h", "0.1",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: step rejected at iteration ")
+
+
 def test_solve_writes_a_snapshot(tmp_path, capsys):
     out_path = tmp_path / "sol.txt"
     code, out, _ = run(capsys, "solve", "--d", "0.2", "--out", str(out_path))

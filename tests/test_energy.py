@@ -123,7 +123,7 @@ def test_fresh_extension_hands_its_product_to_the_seminorm(monkeypatch):
     g = build_grid(0.0, 1.0, 0.05, 2.0)
     t = kernel_weights(g, Params())
     ext = random_extended(g, t, 4)
-    copy = ExtendedField(ext.values.copy(), g, from_extension=True)
+    copy = ExtendedField(ext.values.copy(), g)
     calls = []
     original = KernelTable.matvec
 
@@ -144,7 +144,7 @@ def test_fresh_extension_hands_its_product_to_the_seminorm(monkeypatch):
         ext.values[0] = 1.0
     # a field made from a fresh one by ``replace`` holds no product
     again = extend(ext.interior_values, t)
-    assert dataclasses.replace(again, from_extension=False)._product is None
+    assert dataclasses.replace(again)._product is None
 
 
 def test_extension_product_is_not_reused_with_another_table():
@@ -155,7 +155,7 @@ def test_extension_product_is_not_reused_with_another_table():
         pv_coeff=t.pv_coeff,
     )
     ext = random_extended(g, t, 5)
-    copy = ExtendedField(ext.values.copy(), g, from_extension=True)
+    copy = ExtendedField(ext.values.copy(), g)
     assert seminorm_T(ext, halved) == seminorm_T(copy, halved)
 
 
@@ -172,7 +172,7 @@ def test_seminorm_translation_invariance():
     g = build_grid(0.0, 1.0, 0.05, 2.0)
     t = kernel_weights(g, Params())
     u = random_extended(g, t, 2)
-    shifted = ExtendedField(u.values + 3.0, g, from_extension=False)
+    shifted = ExtendedField(u.values + 3.0, g)
     assert seminorm_T(shifted, t) == pytest.approx(seminorm_T(u, t), rel=1e-11)
 
 
@@ -227,7 +227,7 @@ def test_energy_scales_polynomially_along_rays():
     e1 = J_d(u, p, t)
     quad = e1.seminorm_term + e1.mass_term
     for tt in (0.5, 1.0, 2.0):
-        scaled = ExtendedField(tt * u.values, g, from_extension=True)
+        scaled = ExtendedField(tt * u.values, g)
         expected = tt**2 * quad / 2.0 - tt ** (p.p + 1.0) * e1.potential_term
         assert J_d(scaled, p, t).total == pytest.approx(expected, rel=1e-12)
 
@@ -250,7 +250,7 @@ def test_nehari_identity_is_fixed_point():
     p = Params()
     u = random_extended(g, t, 31)
     t0 = nehari_scale(u, p, t)
-    projected = ExtendedField(t0 * u.values, g, from_extension=True)
+    projected = ExtendedField(t0 * u.values, g)
     assert nehari_scale(projected, p, t) == pytest.approx(1.0, rel=1e-10)
 
 
@@ -277,7 +277,7 @@ def test_peak_energy_depends_only_on_the_ray():
     u = random_extended(g, t, 12)
     m = peak_energy(u, p, t)
     for c in (0.2, 3.0, 17.5):
-        scaled = ExtendedField(c * u.values, g, from_extension=True)
+        scaled = ExtendedField(c * u.values, g)
         assert peak_energy(scaled, p, t) == pytest.approx(m, rel=1e-10)
 
 
@@ -317,7 +317,7 @@ def test_peak_energy_nehari_algebra_on_any_grid(n, s, bounds, d, p_frac, seed):
     # peak_energy raises when direct and algebraic values disagree
     peak = peak_energy(u, params, t)
     t0 = nehari_scale(u, params, t)
-    on = J_d(ExtendedField(t0 * u.values, g, from_extension=True), params, t)
+    on = J_d(ExtendedField(t0 * u.values, g), params, t)
     assert peak == on.total
     # t0 u lies on the Nehari manifold: Q(t0 u) = int |t0 u|^(p+1)
     quad = on.seminorm_term + on.mass_term

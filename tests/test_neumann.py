@@ -72,7 +72,6 @@ def test_extension_formula_for_unit_bump():
     ext = extend(np.array([1.0, 0.0, 0.0]), t)
     assert ext.values[0] == pytest.approx(w1 / (w1 + w2 + w3), rel=1e-14)
     assert ext.values[4] == pytest.approx(w3 / (w1 + w2 + w3), rel=1e-14)
-    assert ext.from_extension
 
 
 def test_extension_of_constant_is_exact():
