@@ -59,7 +59,6 @@ from .moser import (
 from .harness import (
     FitResult,
     MigrationResult,
-    VerifyConfig,
     VerifyItem,
     boundary_migration,
     profile_compare,
@@ -119,7 +118,6 @@ __all__ = [
     "sobolev_constant_estimate",
     "FitResult",
     "MigrationResult",
-    "VerifyConfig",
     "VerifyItem",
     "scaling_fit",
     "boundary_migration",

@@ -16,7 +16,13 @@ import sys
 import numpy as np
 
 from .grids import Params, build_grid, build_line_grid
-from .harness import read_sweep_csv, scaling_fit, verify_suite, write_sweep_csv
+from .harness import (
+    _QUANTITIES,
+    read_sweep_csv,
+    scaling_fit,
+    verify_suite,
+    write_sweep_csv,
+)
 from .kernel import kernel_weights
 from .moser import (
     L_closed_form,
@@ -30,8 +36,8 @@ from .solvers import (
     ConvergenceError,
     SolverConfig,
     SweepAborted,
-    _atomic_write,
     _fmt,
+    _write_profile,
     default_grid_policy,
     save_snapshot,
     solve_ground_state,
@@ -59,15 +65,19 @@ _CONFIG_KEYS = {
     "sweep.points": int,
 }
 
-_QUANTITY_FLAGS = {
-    "cd": "cd",
-    "sup": "sup",
-    "r:0.5": "L0.5",
-    "r:1": "L1",
-    "r:2": "L2",
-    "r:p1": "Lp1",
-    "r:4": "L4",
+# SolverConfig fields and the config keys that set them; no flag does.
+_SOLVER_KEYS = {
+    "tol_residual": "solver.tol",
+    "max_iters": "solver.max_iters",
+    "step": "solver.step",
 }
+
+# ``fit --quantity`` names: cd and sup as they are, integral "L<r>" as "r:<r>".
+_QUANTITY_FLAGS = {("r:" + q[1:] if q[0] == "L" else q): q for q in _QUANTITIES}
+
+# Half-width and spacing of the window of the whole-space ground state
+# that ``ground`` solves by default and ``sweep`` starts from.
+_GROUND_WINDOW = (60.0, 0.05)
 
 
 def load_config(path: str) -> dict:
@@ -99,27 +109,33 @@ def _resolve(flag, config: dict, key: str, default):
     return default
 
 
+def _given(args, config: dict, **keys) -> dict:
+    """Keyword arguments that a flag or the config file sets.
+
+    ``keys`` maps each keyword to its config key; the flag is the
+    attribute of ``args`` of the same name, if any.  Unset keywords are
+    left out, so the dataclass defaults are the only defaults.
+    """
+    given = {}
+    for name, key in keys.items():
+        value = _resolve(getattr(args, name, None), config, key, None)
+        if value is not None:
+            given[name] = value
+    return given
+
+
 def _solver_config(config: dict) -> SolverConfig:
-    return SolverConfig(
-        tol_residual=config.get("solver.tol", 1e-8),
-        max_iters=config.get("solver.max_iters", 50_000),
-        step=config.get("solver.step", 0.1),
-    )
+    return SolverConfig(**_given(None, config, **_SOLVER_KEYS))
 
 
-def _params(args, config: dict, d: float = 1.0) -> Params:
-    return Params(
-        n=config.get("n", 1),
-        s=_resolve(getattr(args, "s", None), config, "s", 0.25),
-        p=_resolve(getattr(args, "p", None), config, "p", 1.5),
-        d=d,
-    )
+def _params(args, config: dict, **fixed) -> Params:
+    return Params(**_given(args, config, n="n", s="s", p="p"), **fixed)
 
 
 def _cmd_ground(args, config: dict) -> int:
     params = _params(args, config)
-    half_width = _resolve(args.L, config, "", 60.0)
-    h = _resolve(args.h, config, "grid.h", 0.05)
+    half_width = _GROUND_WINDOW[0] if args.L is None else args.L
+    h = _resolve(args.h, config, "grid.h", _GROUND_WINDOW[1])
     grid = build_line_grid(half_width, h)
     result = solve_ground_state(params, grid, _solver_config(config))
     print(
@@ -128,20 +144,16 @@ def _cmd_ground(args, config: dict) -> int:
         f"iterations = {result.iterations}"
     )
     if args.out:
-        header = [
-            f"# s = {_fmt(params.s)}",
-            f"# p = {_fmt(params.p)}",
-            f"# L = {_fmt(half_width)}",
-            f"# h = {_fmt(grid.h)}",
-            f"# F = {_fmt(result.F_value)}",
-            f"# pohozaev = {_fmt(result.pohozaev_residual)}",
-            f"# decay_exponent = {_fmt(result.decay_exponent_fit)}",
-        ]
-        rows = [
-            f"{_fmt(x)} {_fmt(v)}"
-            for x, v in zip(grid.nodes, result.w.values)
-        ]
-        _atomic_write(args.out, "\n".join(header + rows) + "\n")
+        header = (
+            ("s", params.s),
+            ("p", params.p),
+            ("L", half_width),
+            ("h", grid.h),
+            ("F", result.F_value),
+            ("pohozaev", result.pohozaev_residual),
+            ("decay_exponent", result.decay_exponent_fit),
+        )
+        _write_profile(args.out, header, grid.nodes, result.w.values)
     return 0
 
 
@@ -150,11 +162,10 @@ def _cmd_solve(args, config: dict) -> int:
     a = _resolve(args.a, config, "domain.a", 0.0)
     b = _resolve(args.b, config, "domain.b", 1.0)
     h = _resolve(args.h, config, "grid.h", None)
-    r_ext = _resolve(args.Rext, config, "grid.Rext", 2.0 * (b - a))
     if h is None:
-        grid = default_grid_policy(params, a, b)
-    else:
-        grid = build_grid(a, b, h, r_ext)
+        h = default_grid_policy(params, a, b).h
+    r_ext = _resolve(args.Rext, config, "grid.Rext", 2.0 * (b - a))
+    grid = build_grid(a, b, h, r_ext)
     table = kernel_weights(grid, params)
     result = solve_least_energy(params, grid, table, _solver_config(config))
     branch = "constant" if result.constant_branch else "nonconstant"
@@ -179,9 +190,20 @@ def _cmd_sweep(args, config: dict) -> int:
     params = _params(args, config)
     a = config.get("domain.a", 0.0)
     b = config.get("domain.b", 1.0)
-    ground = solve_ground_state(
-        params, build_line_grid(60.0, 0.05), _solver_config(config)
-    )
+    solver_config = _solver_config(config)
+    try:
+        ground = solve_ground_state(
+            params, build_line_grid(*_GROUND_WINDOW), solver_config
+        )
+    except ConvergenceError as exc:
+        # the ground state only seeds the first start; the sweep can go
+        # on from the solver's boundary bump
+        print(
+            f"warning: ground state failed: {exc}; starting the sweep from "
+            "the boundary bump",
+            file=sys.stderr,
+        )
+        ground = None
     d_values = list(np.geomspace(d_max, d_min, points))
 
     def policy(p: Params) -> object:
@@ -192,7 +214,7 @@ def _cmd_sweep(args, config: dict) -> int:
             d_values,
             params,
             grid_policy=policy,
-            config=_solver_config(config),
+            config=solver_config,
             ground=ground,
         )
     except SweepAborted as exc:
@@ -208,13 +230,7 @@ def _cmd_sweep(args, config: dict) -> int:
 
 
 def _cmd_moser(args, config: dict) -> int:
-    mp = MoserParams(
-        n=config.get("n", 1),
-        s=_resolve(args.s, config, "s", 0.25),
-        p=_resolve(args.p, config, "p", 1.5),
-        A=args.A,
-        C0=args.C0,
-    )
+    mp = MoserParams(**_given(args, config, n="n", s="s", p="p", A=None, C0=None))
     print("j,L_j,lambda_j,eta_j,gamma_j,eta_over_L_prev")
     for j in range(args.jmax + 1):
         ratio = (
@@ -304,8 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
     w.set_defaults(func=_cmd_sweep)
 
     m = sub.add_parser("moser", help="print the iteration ladder as CSV")
-    m.add_argument("--A", type=float, default=1.0)
-    m.add_argument("--C0", type=float, default=1.0)
+    m.add_argument("--A", type=float)
+    m.add_argument("--C0", type=float)
     m.add_argument("--jmax", type=int, default=30)
     m.add_argument("--s", type=float)
     m.add_argument("--p", type=float)
@@ -321,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument(
         "--quantity",
         required=True,
-        help="cd, sup, or r:{0.5,1,2,p1,4}",
+        help=f"one of {', '.join(_QUANTITY_FLAGS)}",
     )
     f.set_defaults(func=_cmd_fit)
     return parser

@@ -31,7 +31,9 @@ from .solvers import (
     J_d_constant,
     LeastEnergyResult,
     SweepRecord,
+    _LR_COLUMNS,
     _atomic_write,
+    _finite,
     _fmt,
     default_grid_policy,
     solve_ground_state,
@@ -42,7 +44,6 @@ from .solvers import (
 __all__ = [
     "FitResult",
     "MigrationResult",
-    "VerifyConfig",
     "VerifyItem",
     "scaling_fit",
     "boundary_migration",
@@ -52,25 +53,23 @@ __all__ = [
     "read_sweep_csv",
 ]
 
-# Quantity selectors accepted by scaling_fit: energy, sup, or one of the
-# stored integral exponents.
-_QUANTITIES = ("cd", "sup", "L0.5", "L1", "L2", "Lp1", "L4")
+_LR_LABELS = tuple(label for label, _ in _LR_COLUMNS)
 
-_CSV_COLUMNS = (
-    "d",
-    "c_d",
-    "sup_u",
-    "argmax_x",
-    "dist_boundary",
-    "L0.5",
-    "L1",
-    "L2",
-    "Lp1",
-    "L4",
-    "nehari_res",
-    "flux_res",
-    "constant_branch",
-)
+# Quantity selectors accepted by scaling_fit: energy, sup, or one of the
+# stored integrals.
+_QUANTITIES = ("cd", "sup", *_LR_LABELS)
+
+# Sweep CSV columns, each named as its SweepRecord field or integral label.
+_CSV_HEAD = ("d", "c_d", "sup_u", "argmax_x", "dist_boundary")
+_CSV_TAIL = ("nehari_res", "flux_res")
+_CSV_COLUMNS = (*_CSV_HEAD, *_LR_LABELS, *_CSV_TAIL, "constant_branch")
+
+# Discretisation of the self-verification suite: (half-width, spacing) of
+# its line window and the d of its Neumann solve.  The suite guards
+# wiring, not accuracy, so its grids are small.
+_VERIFY_LINE = (40.0, 0.08)
+_VERIFY_D = 0.2
+_VERIFY_SEED = 0
 
 # Half-width (in intrinsic units) of the window on which rescaled
 # profiles are compared.
@@ -109,22 +108,6 @@ class VerifyItem:
     name: str
     passed: bool
     detail: str
-
-
-@dataclass(frozen=True)
-class VerifyConfig:
-    """Discretisation used by the self-verification suite.
-
-    The suite favours small grids: it guards wiring, not accuracy, so
-    each item should run in well under a second.
-    """
-
-    line_half_width: float = 40.0
-    line_h: float = 0.08
-    a: float = 0.0
-    b: float = 1.0
-    d_small: float = 0.2
-    seed: int = 0
 
 
 def _nonconstant(records: list[SweepRecord]) -> list[SweepRecord]:
@@ -268,8 +251,8 @@ def _check_symbol(table: KernelTable, grid, tol: float = 2e-2) -> VerifyItem:
     )
 
 
-def _check_extension(table: KernelTable, grid: Grid, seed: int) -> VerifyItem:
-    rng = np.random.default_rng(seed)
+def _check_extension(table: KernelTable, grid: Grid) -> VerifyItem:
+    rng = np.random.default_rng(_VERIFY_SEED)
     u_int = 1.0 + rng.uniform(0.0, 1.0, grid.n_interior)
     ext = extend(u_int, table)
     lo, hi = grid.interior_range
@@ -287,11 +270,7 @@ def _check_extension(table: KernelTable, grid: Grid, seed: int) -> VerifyItem:
     )
 
 
-def verify_suite(
-    params: Params,
-    config: VerifyConfig = VerifyConfig(),
-    table_factory=kernel_weights,
-) -> list[VerifyItem]:
+def verify_suite(params: Params) -> list[VerifyItem]:
     """Run the eight wiring checks and report pass/fail per item.
 
     Items never raise: a failed precondition (for example an exponent
@@ -300,17 +279,17 @@ def verify_suite(
     """
     items: list[VerifyItem] = []
 
-    line = build_line_grid(config.line_half_width, config.line_h)
+    line = build_line_grid(*_VERIFY_LINE)
     line_params = replace(params, d=1.0)
-    line_table = table_factory(line, line_params)
+    line_table = kernel_weights(line, line_params)
 
     items.append(_check_symbol(line_table, line))
 
-    domain_params = replace(params, d=config.d_small)
-    domain = default_grid_policy(domain_params, config.a, config.b)
-    domain_table = table_factory(domain, domain_params)
+    domain_params = replace(params, d=_VERIFY_D)
+    domain = default_grid_policy(domain_params)
+    domain_table = kernel_weights(domain, domain_params)
 
-    items.append(_check_extension(domain_table, domain, config.seed))
+    items.append(_check_extension(domain_table, domain))
 
     solved: LeastEnergyResult | None = None
     try:
@@ -368,7 +347,7 @@ def verify_suite(
     except ValueError as exc:
         items.append(VerifyItem("iteration-arithmetic", False, str(exc)))
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(_VERIFY_SEED)
     x = rng.uniform(0.0, 100.0, 10_000)
     y = rng.uniform(0.0, 100.0, 10_000)
     k = rng.uniform(1.0, 20.0, 10_000)
@@ -436,59 +415,39 @@ def write_sweep_csv(path: str, records: list[SweepRecord]) -> None:
     digits, atomically (write to a temporary file, then rename)."""
     lines = [",".join(_CSV_COLUMNS)]
     for r in records:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.d),
-                    _fmt(r.c_d),
-                    _fmt(r.sup_u),
-                    _fmt(r.argmax_x),
-                    _fmt(r.dist_boundary),
-                    _fmt(r.lr_norms["L0.5"]),
-                    _fmt(r.lr_norms["L1"]),
-                    _fmt(r.lr_norms["L2"]),
-                    _fmt(r.lr_norms["Lp1"]),
-                    _fmt(r.lr_norms["L4"]),
-                    _fmt(r.nehari_res),
-                    _fmt(r.flux_res),
-                    str(int(r.constant_branch)),
-                ]
-            )
-        )
+        values = [getattr(r, c) for c in _CSV_HEAD]
+        values += [r.lr_norms[c] for c in _LR_LABELS]
+        values += [getattr(r, c) for c in _CSV_TAIL]
+        lines.append(",".join([*map(_fmt, values), str(int(r.constant_branch))]))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_sweep_csv(path: str) -> list[SweepRecord]:
-    """Read records written by :func:`write_sweep_csv`."""
+    """Read records written by :func:`write_sweep_csv`.
+
+    Raises ValueError, naming the path and line, unless the first line
+    is the expected header and every later row holds one finite number
+    per column and a constant_branch flag of 0 or 1.
+    """
     with open(path) as fh:
-        rows = [line.strip() for line in fh if line.strip()]
-    if not rows or rows[0] != ",".join(_CSV_COLUMNS):
-        raise ValueError(f"{path} does not carry the expected sweep header")
+        rows = [(f"{path}:{n}", t.strip()) for n, t in enumerate(fh, 1) if t.strip()]
+    if not rows or rows[0][1] != ",".join(_CSV_COLUMNS):
+        where = rows[0][0] if rows else path
+        raise ValueError(f"{where}: expected the sweep header {','.join(_CSV_COLUMNS)}")
     records = []
-    for row in rows[1:]:
+    for where, row in rows[1:]:
         parts = row.split(",")
         if len(parts) != len(_CSV_COLUMNS):
-            raise ValueError(f"malformed sweep row: {row!r}")
-        vals = [float(p) for p in parts[:-1]]
-        sup_u = vals[2]
-        records.append(
-            SweepRecord(
-                d=vals[0],
-                c_d=vals[1],
-                sup_u=sup_u,
-                argmax_x=vals[3],
-                dist_boundary=vals[4],
-                lr_norms={
-                    "L0.5": vals[5],
-                    "L1": vals[6],
-                    "L2": vals[7],
-                    "Lp1": vals[8],
-                    "L4": vals[9],
-                    "Linf": sup_u,
-                },
-                nehari_res=vals[10],
-                flux_res=vals[11],
-                constant_branch=bool(int(parts[-1])),
+            raise ValueError(
+                f"{where}: malformed sweep row, expected {len(_CSV_COLUMNS)} "
+                f"fields, got {len(parts)}"
             )
+        vals = {c: _finite(where, t) for c, t in zip(_CSV_COLUMNS, parts[:-1])}
+        flag = parts[-1].strip()
+        if flag not in ("0", "1"):
+            raise ValueError(f"{where}: constant_branch must be 0 or 1, got {flag!r}")
+        lr_norms = {label: vals.pop(label) for label in _LR_LABELS}
+        records.append(
+            SweepRecord(**vals, lr_norms=lr_norms, constant_branch=flag == "1")
         )
     return records

@@ -55,6 +55,12 @@ __all__ = [
 # identity checks downstream ask for.
 _FLUX_TOL = 1e-7
 
+# The integrals int u^r a sweep record keeps, as (label, r) with None
+# standing for r = p + 1.  The sweep CSV columns, the quantities
+# ``scaling_fit`` accepts and the CLI's ``fit --quantity r:...`` names
+# all follow from this one table.
+_LR_COLUMNS = (("L0.5", 0.5), ("L1", 1.0), ("L2", 2.0), ("Lp1", None), ("L4", 4.0))
+
 
 class ConvergenceError(RuntimeError):
     """Raised when a descent run fails; carries the residual history."""
@@ -118,9 +124,9 @@ class LeastEnergyResult:
 class SweepRecord:
     """Per-diffusion diagnostics emitted by a continuation sweep.
 
-    ``lr_norms`` maps exponent labels to the raw integrals int_domain
-    u^r for r in {0.5, 1, 2, p+1, 4} plus the sup under "Linf"; the
-    scaling laws act on these integrals directly.
+    ``lr_norms`` maps the labels of ``_LR_COLUMNS`` to the raw integrals
+    int_domain u^r for r in {0.5, 1, 2, p+1, 4}; the scaling laws act on
+    these integrals directly.  The sup is ``sup_u``.
     """
 
     d: float
@@ -454,22 +460,13 @@ def default_grid_policy(params: Params, a: float = 0.0, b: float = 1.0) -> Grid:
     return build_grid(a, b, h, 2.0 * (b - a))
 
 
-def _lr_integral(u: np.ndarray, h: float, r: float) -> float:
-    return float(h * np.sum(np.abs(u) ** r))
-
-
 def record_from_result(
     result: LeastEnergyResult, params: Params, grid: Grid
 ) -> SweepRecord:
-    ui = result.u.interior_values
-    h = grid.h
+    ui = np.abs(result.u.interior_values)
     lr_norms = {
-        "L0.5": _lr_integral(ui, h, 0.5),
-        "L1": _lr_integral(ui, h, 1.0),
-        "L2": _lr_integral(ui, h, 2.0),
-        "Lp1": _lr_integral(ui, h, params.p + 1.0),
-        "L4": _lr_integral(ui, h, 4.0),
-        "Linf": result.M_d,
+        label: float(grid.h * np.sum(ui ** (params.p + 1.0 if r is None else r)))
+        for label, r in _LR_COLUMNS
     }
     dist = min(result.argmax_x - grid.a, grid.b - result.argmax_x)
     return SweepRecord(
@@ -578,11 +575,17 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _write_profile(path: str, header, nodes, values) -> None:
+    """``# key = value`` lines for ``header``, then one ``x v`` line per node."""
+    lines = [f"# {key} = {_fmt(value)}" for key, value in header]
+    lines += [f"{_fmt(x)} {_fmt(v)}" for x, v in zip(nodes, values)]
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
 def save_snapshot(path: str, result: LeastEnergyResult, params: Params) -> None:
     """Plain-text solution snapshot; decimal round-trip is bit exact."""
     grid = result.u.grid
-    lines = []
-    for key, value in (
+    header = (
         ("s", params.s),
         ("p", params.p),
         ("d", params.d),
@@ -593,11 +596,8 @@ def save_snapshot(path: str, result: LeastEnergyResult, params: Params) -> None:
         ("c_d", result.c_d),
         ("M_d", result.M_d),
         ("argmax_x", result.argmax_x),
-    ):
-        lines.append(f"# {key} = {_fmt(value)}")
-    for x, v in zip(grid.nodes, result.u.values):
-        lines.append(f"{_fmt(x)} {_fmt(v)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    )
+    _write_profile(path, header, grid.nodes, result.u.values)
 
 
 def _finite(where: str, text: str) -> float:

@@ -11,7 +11,7 @@ import pytest
 import fracneumann
 from fracneumann import read_sweep_csv, write_sweep_csv
 from fracneumann.cli import load_config, main
-from fracneumann.solvers import load_snapshot
+from fracneumann.solvers import _LR_COLUMNS, load_snapshot
 
 
 def run(capsys, *argv):
@@ -96,15 +96,23 @@ def test_bad_config_exits_cleanly_through_main(capsys, tmp_path):
 
 
 def test_flags_override_the_config(tmp_path, capsys):
+    # s = 0.25 and p = 1.5 are the library's defaults; a config value
+    # reaches solve, ground and moser alike, and a flag overrides it
     path = tmp_path / "lab.cfg"
     path.write_text("s = 0.3\n")
-    _, with_config, _ = run(capsys, "--config", str(path), "moser", "--jmax", "2")
-    _, with_flag, _ = run(
-        capsys, "--config", str(path), "moser", "--jmax", "2", "--s", "0.25"
+    commands = (
+        ("moser", "--jmax", "2"),
+        ("solve", "--d", "0.5"),
+        ("ground", "--L", "40", "--h", "0.1"),
     )
-    _, plain, _ = run(capsys, "moser", "--jmax", "2")
-    assert with_flag == plain
-    assert with_config != plain
+    for command in commands:
+        _, plain, _ = run(capsys, *command)
+        _, with_config, _ = run(capsys, "--config", str(path), *command)
+        _, with_flag, _ = run(
+            capsys, "--config", str(path), *command, "--s", "0.25"
+        )
+        assert with_config != plain, command
+        assert with_flag == plain, command
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +179,30 @@ def test_solve_writes_a_snapshot(tmp_path, capsys):
     assert np.all(vs > 0.0)
 
 
+def test_solve_honours_the_collar_without_a_spacing(tmp_path, capsys):
+    out_path = tmp_path / "sol.txt"
+    code, _, _ = run(
+        capsys, "solve", "--d", "0.2", "--Rext", "4", "--out", str(out_path)
+    )
+    assert code == 0
+    header, xs, _ = load_snapshot(str(out_path))
+    assert header["R_ext"] == 4.0
+    assert xs[0] < -3.9 and xs[-1] > 4.9
+
+
+def test_sweep_goes_on_when_the_ground_state_fails(tmp_path, capsys):
+    csv_path = tmp_path / "sweep.csv"
+    code, out, err = run(
+        capsys, "sweep", "--s", "0.45", "--p", "1.2455", "--points", "3",
+        "--d-min", "0.2", "--out", str(csv_path),
+    )
+    assert code == 0
+    assert err.startswith("warning: ground state failed: step rejected at ")
+    assert err.count("\n") == 1
+    assert len(read_sweep_csv(str(csv_path))) == 3
+    assert len(out.splitlines()) == 3
+
+
 def test_sweep_writes_csv_and_fit_reads_it(tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
     code, out, _ = run(
@@ -206,8 +238,7 @@ def test_fit_on_a_full_decade(tmp_path, capsys):
             sup_u=2.0,
             argmax_x=0.01,
             dist_boundary=0.01,
-            lr_norms={k: 7.0 * d * d for k in ("L0.5", "L1", "L2", "Lp1", "L4")}
-            | {"Linf": 2.0},
+            lr_norms={k: 7.0 * d * d for k in ("L0.5", "L1", "L2", "Lp1", "L4")},
             nehari_res=0.0,
             flux_res=0.0,
             constant_branch=False,
@@ -229,3 +260,32 @@ def test_unreadable_input_is_an_error_not_a_traceback(tmp_path, capsys):
                        "--quantity", "cd")
     assert code == 1
     assert "error:" in err
+
+
+def test_fit_names_follow_from_the_label_table(tmp_path, capsys):
+    from fracneumann import SweepRecord
+
+    labels = [label for label, _ in _LR_COLUMNS]
+    records = [
+        SweepRecord(
+            d=d,
+            c_d=d,
+            sup_u=d,
+            argmax_x=0.01,
+            dist_boundary=0.01,
+            lr_norms={label: d ** (i + 1) for i, label in enumerate(labels)},
+            nehari_res=0.0,
+            flux_res=0.0,
+            constant_branch=False,
+        )
+        for d in (1.0, 0.5, 0.2, 0.1, 0.05)
+    ]
+    path = tmp_path / "synthetic.csv"
+    write_sweep_csv(str(path), records)
+    for i, label in enumerate(labels):
+        assert label[0] == "L"
+        code, out, _ = run(
+            capsys, "fit", "--in", str(path), "--quantity", "r:" + label[1:]
+        )
+        assert code == 0
+        assert out.startswith(f"slope = {i + 1} ")

@@ -8,7 +8,6 @@ import pytest
 from fracneumann import (
     Params,
     SweepRecord,
-    VerifyConfig,
     boundary_migration,
     build_line_grid,
     default_grid_policy,
@@ -21,11 +20,13 @@ from fracneumann import (
     verify_suite,
     write_sweep_csv,
 )
+from fracneumann import harness
 from fracneumann.kernel import KernelTable
+from fracneumann.solvers import _LR_COLUMNS
 
 
 def synthetic_record(d, q, constant=False, dist=None, argmax=0.01):
-    lr = {"L0.5": q, "L1": q, "L2": q, "Lp1": q, "L4": q, "Linf": q}
+    lr = {"L0.5": q, "L1": q, "L2": q, "Lp1": q, "L4": q}
     return SweepRecord(
         d=d,
         c_d=q,
@@ -163,7 +164,7 @@ def test_suite_reports_the_known_state_of_the_laboratory():
     assert not by_name["transplant-energy-bound"].passed
 
 
-def test_suite_flags_a_tampered_kernel():
+def test_suite_flags_a_tampered_kernel(monkeypatch):
     def halved(grid, params):
         table = kernel_weights(grid, params)
         return KernelTable(
@@ -175,7 +176,8 @@ def test_suite_flags_a_tampered_kernel():
             pv_coeff=table.pv_coeff,
         )
 
-    report = verify_suite(Params(), table_factory=halved)
+    monkeypatch.setattr(harness, "kernel_weights", halved)
+    report = verify_suite(Params())
     by_name = {item.name: item for item in report}
     assert not by_name["kernel-symbol"].passed
 
@@ -189,12 +191,6 @@ def test_suite_degrades_gracefully_outside_the_neumann_range():
     assert by_name["kernel-symbol"].passed
     assert by_name["extension-stationarity"].passed
     assert by_name["iteration-arithmetic"].passed
-
-
-def test_suite_runs_on_a_smaller_config():
-    config = VerifyConfig(line_half_width=40.0, line_h=0.1, d_small=0.25)
-    report = verify_suite(Params(), config)
-    assert len(report) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -230,3 +226,47 @@ def test_csv_rejects_foreign_files(tmp_path):
         fh.write("time,value\n0,1\n")
     with pytest.raises(ValueError):
         read_sweep_csv(path)
+
+
+def _one_row(tmp_path, row):
+    path = tmp_path / "sweep.csv"
+    path.write_text(",".join(harness._CSV_COLUMNS) + "\n\n" + row + "\n")
+    return str(path)
+
+
+GOOD_ROW = "0.2,0.1,2,0.01,0.01,1,1,1,1,1,0,0,0"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (GOOD_ROW.replace("0.2,", "abc,", 1), "expected a finite number, got 'abc'"),
+        (GOOD_ROW.replace("0.1,", "nan,", 1), "expected a finite number, got 'nan'"),
+        (GOOD_ROW[:-1] + "7", "constant_branch must be 0 or 1, got '7'"),
+        ("0.2,0.1,2", "malformed sweep row, expected 13 fields, got 3"),
+    ],
+    ids=["not-a-number", "nan", "flag-not-0-or-1", "short-row"],
+)
+def test_csv_rejects_a_bad_row_naming_path_and_line(tmp_path, row, message):
+    path = _one_row(tmp_path, row)
+    with pytest.raises(ValueError) as err:
+        read_sweep_csv(path)
+    assert str(err.value) == f"{path}:3: {message}"
+
+
+def test_columns_and_quantities_follow_from_the_label_table(tmp_path):
+    labels = [label for label, _ in _LR_COLUMNS]
+    records = [synthetic_record(d, d) for d in (1.0, 0.5, 0.2, 0.1)]
+    path = str(tmp_path / "sweep.csv")
+    write_sweep_csv(path, records)
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+    assert header == [
+        "d", "c_d", "sup_u", "argmax_x", "dist_boundary",
+        *labels,
+        "nehari_res", "flux_res", "constant_branch",
+    ]
+    for quantity in ["cd", "sup", *labels]:
+        assert scaling_fit(records, quantity).slope == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        scaling_fit(records, "Linf")

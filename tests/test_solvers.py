@@ -297,7 +297,10 @@ def test_record_carries_raw_integrals(solved_02, domain_02):
     assert record.lr_norms["L2"] == pytest.approx(
         grid.h * float(np.sum(ui**2)), rel=1e-14
     )
-    assert record.lr_norms["Linf"] == record.sup_u
+    assert list(record.lr_norms) == ["L0.5", "L1", "L2", "Lp1", "L4"]
+    assert record.lr_norms["Lp1"] == pytest.approx(
+        grid.h * float(np.sum(ui ** (params.p + 1.0))), rel=1e-14
+    )
     assert record.sup_u > 1.0
     assert 0.0 <= record.dist_boundary <= 0.5
 
