@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .grids import Grid, LineGrid, Params, build_grid, build_line_grid
 from .kernel import (
-    Field,
     KernelTable,
     frac_laplacian_apply,
     kernel_weights,
@@ -76,7 +75,6 @@ __all__ = [
     "LineGrid",
     "build_grid",
     "build_line_grid",
-    "Field",
     "KernelTable",
     "kernel_weights",
     "normalizing_constant",

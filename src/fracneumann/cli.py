@@ -153,7 +153,7 @@ def _cmd_ground(args, config: dict) -> int:
             ("pohozaev", result.pohozaev_residual),
             ("decay_exponent", result.decay_exponent_fit),
         )
-        _write_profile(args.out, header, grid.nodes, result.w.values)
+        _write_profile(args.out, header, grid.nodes, result.w)
     return 0
 
 
@@ -231,24 +231,23 @@ def _cmd_sweep(args, config: dict) -> int:
 
 def _cmd_moser(args, config: dict) -> int:
     mp = MoserParams(**_given(args, config, n="n", s="s", p="p", A=None, C0=None))
-    print("j,L_j,lambda_j,eta_j,gamma_j,eta_over_L_prev")
-    for j in range(args.jmax + 1):
-        ratio = (
-            "" if j == 0 else _fmt(M_sequence(j, mp) / L_closed_form(j - 1, mp))
-        )
-        print(
-            ",".join(
-                [
-                    str(j),
-                    _fmt(L_closed_form(j, mp)),
-                    _fmt(lambda_term(j, mp)),
-                    _fmt(M_sequence(j, mp)),
-                    _fmt(gamma_majorant(j, mp)),
-                    ratio,
-                ]
+    if args.jmax < 0:
+        raise ValueError(f"--jmax must be nonnegative, got {args.jmax}")
+    # the whole ladder is built before anything is printed, so a level
+    # that overflows leaves only the error
+    terms = (L_closed_form, lambda_term, M_sequence, gamma_majorant)
+    rows = []
+    try:
+        for j in range(args.jmax + 1):
+            ratio = (
+                "" if j == 0 else _fmt(M_sequence(j, mp) / L_closed_form(j - 1, mp))
             )
-        )
-    bound = moser_bound_constant(mp, max(2, args.jmax))
+            rows.append(",".join([str(j), *(_fmt(f(j, mp)) for f in terms), ratio]))
+        bound = moser_bound_constant(mp, max(2, args.jmax))
+    except ValueError as exc:
+        raise ValueError(f"--jmax {args.jmax} is too large: {exc}") from None
+    print("j,L_j,lambda_j,eta_j,gamma_j,eta_over_L_prev")
+    print("\n".join(rows))
     print(f"# m = {_fmt(bound.m)}")
     print(f"# limit = {_fmt(bound.limit)}")
     return 0

@@ -19,6 +19,13 @@ the field minus its interior mean.  That is the numerator product of
 the Neumann extension, so a field fresh from ``extend`` hands it over
 and its seminorm costs no product at all: one Nehari projection, the
 extension plus its seminorm, makes a single product.
+
+The whole-space form is assembled in one place: ``_line_integrals``
+returns ([v]^2, int v^2, int |v|^(p+1)) from one product, and
+``_whole_space`` forms F, the Pohozaev value and the scale of its
+terms from that triple for ``F_energy``, ``pohozaev`` and the
+ground-state report.  Its pair and edge sums come from
+``_pair_and_edges``, which the Moser module's interior form shares.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Grid, LineGrid, Params
-from .kernel import Field, KernelTable, _exact_mean
+from .kernel import KernelTable, _exact_mean, _nodal
 from .neumann import ExtendedField
 
 __all__ = [
@@ -185,83 +192,63 @@ def peak_energy(u: ExtendedField, params: Params, table: KernelTable) -> float:
     return direct
 
 
-def _line_pieces(v: np.ndarray, table: KernelTable) -> tuple[float, float, float]:
-    """(pair sum, second-difference sum, tail sum) of the line form.
+def _pair_and_edges(
+    v: np.ndarray, table: KernelTable, lo: int, hi: int
+) -> tuple[float, float]:
+    """Pair and edge sums of ``v`` on the block [lo, hi) x [lo, hi).
 
-    pair = sum_{i != j} W (v_i - v_j)^2, diag = sum over edges of
-    (v_{i+1} - v_i)^2 (the quadratic form of the operator's one-sided
-    second difference), tail = sum_i tail_i v_i^2.
+    pair = sum_{i != j} W (v_i - v_j)^2 with one product, and edges =
+    sum (v_{i+1} - v_i)^2, the quadratic form of the operator's
+    second-difference rule.
     """
-    n = v.shape[0]
-    conv = table.matvec(v, 0, n, 0, n)
-    rs = table.row_sums(0, n, 0, n)
+    conv = table.matvec(v, lo, hi, lo, hi)
+    rs = table.row_sums(lo, hi, lo, hi)
     pair = 2.0 * (float((v * v) @ rs) - float(v @ conv))
     dv = np.diff(v)
-    diag = float(dv @ dv)
-    tail = float((v * v) @ table.tail)
-    return pair, diag, tail
+    return pair, float(dv @ dv)
 
 
-def _gagliardo_line(v: np.ndarray, table: KernelTable) -> float:
-    """Whole-space double integral of |v(x)-v(y)|^2 |x-y|^(-1-2s).
+def _line_integrals(
+    v: np.ndarray, p: float, table: KernelTable
+) -> tuple[float, float, float]:
+    """([v]^2, int v^2, int |v|^(p+1)) of a whole-space field.
 
-    Quadrature-consistent with ``frac_laplacian_apply``: the same
-    second-difference diagonal rule and analytic tails, so
-    h * v . (operator v) = c/2 * (this value).
+    [v]^2 is the double integral of |v(x)-v(y)|^2 |x-y|^(-1-2s) with the
+    operator's second-difference rule and analytic tails, so
+    h * v . frac_laplacian_apply(v) = c/2 [v]^2.  One product.
     """
-    pair, diag, tail = _line_pieces(v, table)
-    return table.h * (pair + 2.0 * table.pv_coeff * diag + 2.0 * tail)
+    h = table.h
+    pair, edges = _pair_and_edges(v, table, 0, v.shape[0])
+    tail = float((v * v) @ table.tail)
+    gag = h * (pair + 2.0 * table.pv_coeff * edges + 2.0 * tail)
+    return gag, h * float(np.sum(v * v)), h * float(np.sum(np.abs(v) ** (p + 1.0)))
 
 
-def _line_quad_pot(v: np.ndarray, p: float, table: KernelTable) -> tuple[float, float]:
-    """Q(v) = c [v]^2 + int v^2 and P(v) = int |v|^(p+1) on the line."""
-    quad = table.c_ns / 2.0 * _gagliardo_line(v, table) + table.h * float(
-        np.sum(v * v)
-    )
-    pot = table.h * float(np.sum(np.abs(v) ** (p + 1.0)))
-    return quad, pot
-
-
-def _line_field(u: Field | np.ndarray, table: KernelTable) -> np.ndarray:
-    v = u.values if isinstance(u, Field) else np.asarray(u, dtype=np.float64)
+def _whole_space(u: np.ndarray, p: float, table: KernelTable) -> tuple[float, ...]:
+    """F(u), the Pohozaev value P(u) and the largest of P's three terms."""
     if not isinstance(table.grid, LineGrid):
         raise ValueError("whole-space energies need a symmetric line grid")
-    if v.shape != (table.n_nodes,):
-        raise ValueError("field length does not match the grid")
-    return v
+    gag, mass, pot = _line_integrals(_nodal(u, table.n_nodes), p, table)
+    mass, pot = 0.5 * mass, pot / (p + 1.0)
+    semi = (1.0 - 2.0 * table.s) * table.c_ns / 4.0 * gag
+    f_val = table.c_ns / 4.0 * gag + mass - pot
+    return f_val, semi + mass - pot, max(abs(semi), abs(mass), abs(pot))
 
 
-def F_energy(
-    u: Field | np.ndarray,
-    p: float,
-    s: float,
-    table: KernelTable,
-) -> float:
-    """Whole-space energy 1/2 [c [u]^2 + int u^2] - int |u|^(p+1) / (p+1)."""
-    v = _line_field(u, table)
-    if s != table.s:
-        raise ValueError(f"table was built for s = {table.s}, not {s}")
-    quad, pot = _line_quad_pot(v, p, table)
-    return 0.5 * quad - pot / (p + 1.0)
+def F_energy(u: np.ndarray, p: float, table: KernelTable) -> float:
+    """Whole-space energy 1/2 [c [u]^2 + int u^2] - int |u|^(p+1) / (p+1).
+
+    The fractional order is the table's; ``u`` holds one finite value
+    per node of a line grid.
+    """
+    return _whole_space(u, p, table)[0]
 
 
-def pohozaev(
-    u: Field | np.ndarray,
-    p: float,
-    s: float,
-    table: KernelTable,
-) -> float:
+def pohozaev(u: np.ndarray, p: float, table: KernelTable) -> float:
     """Pohozaev functional of a whole-space field (n = 1).
 
-    P(u) = ((1-2s) c / 4) [u]^2 + 1/2 int u^2 - 1/(p+1) int |u|^(p+1);
-    vanishes on exact ground states, so its size is a discretization
-    diagnostic.
+    P(u) = ((1-2s) c / 4) [u]^2 + 1/2 int u^2 - 1/(p+1) int |u|^(p+1),
+    with s the table's order; vanishes on exact ground states, so its
+    size is a discretization diagnostic.
     """
-    v = _line_field(u, table)
-    if s != table.s:
-        raise ValueError(f"table was built for s = {table.s}, not {s}")
-    h = table.h
-    semi = _gagliardo_line(v, table)
-    mass = h * float(np.sum(v * v))
-    pot = h * float(np.sum(np.abs(v) ** (p + 1.0)))
-    return (1.0 - 2.0 * s) * table.c_ns / 4.0 * semi + 0.5 * mass - pot / (p + 1.0)
+    return _whole_space(u, p, table)[1]

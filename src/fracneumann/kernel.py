@@ -32,6 +32,10 @@ Results are bitwise reproducible from run to run.
 
 The normalizing constant c_{n,s} is evaluated in closed form from the
 Gamma function; no quadrature runs when a table is built.
+
+A whole-space field is a plain array of nodal values, zero beyond the
+window; ``frac_laplacian_apply`` and the whole-space energies reject
+one of the wrong length or with a non-finite value.
 """
 
 from __future__ import annotations
@@ -46,27 +50,11 @@ from scipy import fft, special
 from .grids import Grid, LineGrid, Params
 
 __all__ = [
-    "Field",
     "KernelTable",
     "normalizing_constant",
     "kernel_weights",
     "frac_laplacian_apply",
 ]
-
-
-@dataclass(frozen=True)
-class Field:
-    """Nodal values on a whole-space window, zero beyond its edges."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise ValueError("field values must be one-dimensional")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", v)
 
 
 def normalizing_constant(n: int, s: float) -> float:
@@ -196,6 +184,16 @@ def _row_sums(
     inside = p[a - col_lo : b - col_lo] + p[col_hi - b : col_hi - a][::-1]
     right = p[b - col_lo : row_hi - col_lo] - p[b - col_hi : row_hi - col_hi]
     return np.concatenate((left[::-1], inside, right))
+
+
+def _nodal(u: np.ndarray, n: int) -> np.ndarray:
+    """``u`` as an array of ``n`` finite float values, else ValueError."""
+    v = np.asarray(u, dtype=np.float64)
+    if v.shape != (n,):
+        raise ValueError(f"field has shape {v.shape} but the grid has {n} nodes")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("field values must be finite")
+    return v
 
 
 def _exact_mean(v: np.ndarray) -> float:
@@ -361,38 +359,19 @@ def kernel_weights(grid: Grid | LineGrid, params: Params) -> KernelTable:
     )
 
 
-def frac_laplacian_apply(
-    u: Field | np.ndarray,
-    table: KernelTable,
-    at: np.ndarray | None = None,
-) -> np.ndarray:
-    """Discrete fractional Laplacian of ``u`` at the requested nodes.
+def frac_laplacian_apply(u: np.ndarray, table: KernelTable) -> np.ndarray:
+    """Discrete fractional Laplacian of ``u`` at every node of the table.
 
     Combines the cell-integrated differences, the analytic window tail
     against a zero far field, and the principal-value Taylor rule for
     the node's own cell (a central second difference; one-sided at the
-    two outermost nodes, where accuracy degrades).
-
-    Parameters
-    ----------
-    u:
-        Field on the table's grid, or a bare array.
-    at:
-        Node indices to evaluate at; all nodes when omitted.
-
-    Returns
-    -------
-    numpy.ndarray
-        c_ns-scaled operator values, one per requested node.
+    two outermost nodes, where accuracy degrades).  ``u`` holds one
+    finite value per node and is taken as zero beyond the window;
+    anything else raises ValueError.  Returns the c_ns-scaled operator
+    values, one per node.
     """
-    if not isinstance(u, Field):
-        u = Field(np.asarray(u, dtype=np.float64))
-    v = u.values
     n = table.n_nodes
-    if v.shape != (n,):
-        raise ValueError(
-            f"field has {v.shape[0]} values but the grid has {n} nodes"
-        )
+    v = _nodal(u, n)
 
     conv = table.matvec(v, 0, n, 0, n)
     sums = table.row_sums(0, n, 0, n)
@@ -405,10 +384,4 @@ def frac_laplacian_apply(
     pv[0] = v[0] - v[1]
     pv[-1] = v[-1] - v[-2]
     full += table.pv_coeff * pv
-
-    if at is not None:
-        at = np.asarray(at)
-        if at.size and (at.min() < 0 or at.max() >= n):
-            raise ValueError("requested node index outside the grid")
-        full = full[at]
     return table.c_ns * full

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import _pair_and_edges
 from .grids import Grid
 from .kernel import KernelTable
 
@@ -103,11 +104,20 @@ class MoserBound:
 
 
 def L_closed_form(j: int, mp: MoserParams) -> float:
-    """Exponent level L_j = [(2*/2)**(j+1) (2* - p - 1) + p - 1] / (2* - 2)."""
+    """Exponent level L_j = [(2*/2)**(j+1) (2* - p - 1) + p - 1] / (2* - 2).
+
+    Raises ValueError, naming j, when L_j overflows double precision.
+    """
     if j < 0:
         raise ValueError(f"iteration index must be nonnegative, got {j}")
     ts = mp.two_star
-    return ((ts / 2.0) ** (j + 1) * (ts - mp.p - 1.0) + mp.p - 1.0) / (ts - 2.0)
+    try:
+        level = ((ts / 2.0) ** (j + 1) * (ts - mp.p - 1.0) + mp.p - 1.0) / (ts - 2.0)
+    except OverflowError:
+        level = math.inf
+    if not math.isfinite(level):
+        raise ValueError(f"L_j overflows double precision at j = {j}")
+    return level
 
 
 def lambda_term(j: int, mp: MoserParams) -> float:
@@ -201,13 +211,9 @@ def _interior_quadratic(v: np.ndarray, table: KernelTable, d: float) -> float:
     Only interior-interior kernel pairs enter; the adjacent-cell
     quadrature defect is corrected exactly as in the full seminorm.
     """
-    i0, i1 = table.grid.interior_range
-    rs = table.row_sums(i0, i1, i0, i1)
-    conv = table.matvec(v, i0, i1, i0, i1)
-    pair = 2.0 * (float((v * v) @ rs) - float(v @ conv))
-    diag = float(np.sum(np.diff(v) ** 2))
+    pair, edges = _pair_and_edges(v, table, *table.grid.interior_range)
     h = table.h
-    seminorm = h * (pair + 2.0 * table.pv_coeff * diag)
+    seminorm = h * (pair + 2.0 * table.pv_coeff * edges)
     mass = h * float(np.sum(v * v))
     return d * (table.c_ns / 2.0) * seminorm + mass
 

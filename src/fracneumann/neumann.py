@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import Grid
-from .kernel import KernelTable, _exact_mean
+from .kernel import KernelTable, _exact_mean, _nodal
 
 __all__ = ["ExtendedField", "neumann_derivative", "extend"]
 
@@ -50,14 +50,7 @@ class ExtendedField:
     )
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (self.grid.n_nodes,):
-            raise ValueError(
-                f"field has {v.shape} values for a grid of {self.grid.n_nodes} nodes"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _nodal(self.values, self.grid.n_nodes))
 
     @property
     def interior_values(self) -> np.ndarray:
@@ -78,14 +71,13 @@ def neumann_derivative(u: ExtendedField | np.ndarray, table: KernelTable, x: int
 
     The defining integral runs over the domain only, so the value is
     c_ns * sum over interior j of W[x][j] * (u(x) - u(x_j)); neither the
-    kernel tail nor other exterior nodes enter.
+    kernel tail nor other exterior nodes enter.  A bare array must hold
+    one finite value per node.
     """
     grid = table.grid
     if not isinstance(grid, Grid):
         raise ValueError("Neumann derivative needs a bounded-domain grid")
-    v = u.values if isinstance(u, ExtendedField) else np.asarray(u, dtype=np.float64)
-    if v.shape != (grid.n_nodes,):
-        raise ValueError("field length does not match the grid")
+    v = u.values if isinstance(u, ExtendedField) else _nodal(u, grid.n_nodes)
     if not 0 <= x < grid.n_nodes:
         raise ValueError(f"node index {x} outside the grid")
     if grid.interior[x]:

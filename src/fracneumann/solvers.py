@@ -24,14 +24,13 @@ import numpy as np
 
 from .energy import (
     J_d,
-    _gagliardo_line,
-    _line_quad_pot,
+    _line_integrals,
     _nehari_ray,
     _quadratic_and_potential,
-    pohozaev,
+    _whole_space,
 )
 from .grids import Grid, LineGrid, Params, build_grid
-from .kernel import Field, KernelTable, frac_laplacian_apply, kernel_weights
+from .kernel import KernelTable, frac_laplacian_apply, kernel_weights
 from .neumann import ExtendedField, extend
 
 __all__ = [
@@ -47,6 +46,7 @@ __all__ = [
     "default_grid_policy",
     "transplant_ground_state",
     "record_from_result",
+    "J_d_constant",
     "save_snapshot",
     "load_snapshot",
 ]
@@ -95,7 +95,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class GroundStateResult:
-    w: Field
+    w: np.ndarray
     grid: LineGrid
     F_value: float
     pohozaev_residual: float
@@ -241,7 +241,8 @@ def solve_ground_state(
     def project(v: np.ndarray) -> tuple[np.ndarray, float, None]:
         v = np.abs(v)
         v = 0.5 * (v + v[::-1])
-        quad, pot = _line_quad_pot(v, p, table)
+        gag, mass, pot = _line_integrals(v, p, table)
+        quad = table.c_ns / 2.0 * gag + mass
         if pot <= 0.0 or not math.isfinite(pot):
             raise ConvergenceError("iterate collapsed to the trivial limit", history)
         t0, peak = _nehari_ray(quad, pot, p)
@@ -263,25 +264,16 @@ def solve_ground_state(
 
 def _package_ground_state(u, grid, table, params, res, iters, peaks):
     x = grid.nodes
-    h = grid.h
-    p, s = params.p, params.s
-
-    gag = _gagliardo_line(u, table)
-    mass = 0.5 * h * float(np.sum(u * u))
-    pot = h * float(np.sum(np.abs(u) ** (p + 1.0))) / (p + 1.0)
-    f_val = table.c_ns / 4.0 * gag + mass - pot
-    poh = pohozaev(u, p, s, table)
-    semi_poh = (1.0 - 2.0 * s) * table.c_ns / 4.0 * gag
-    poh_rel = abs(poh) / max(abs(semi_poh), abs(mass), abs(pot))
+    f_val, poh, poh_scale = _whole_space(u, params.p, table)
 
     window = (np.abs(x) >= 10.0) & (np.abs(x) <= 30.0) & (u > 0.0)
     slope = np.polyfit(np.log(np.abs(x[window])), np.log(u[window]), 1)[0]
     sym_err = float(np.max(np.abs(u - u[::-1])))
     return GroundStateResult(
-        w=Field(u),
+        w=u,
         grid=grid,
         F_value=f_val,
-        pohozaev_residual=float(poh_rel),
+        pohozaev_residual=float(abs(poh) / poh_scale),
         decay_exponent_fit=float(-slope),
         symmetric_error=sym_err,
         el_residual=res,
@@ -426,19 +418,18 @@ def transplant_ground_state(
     ground: GroundStateResult,
     xs: np.ndarray,
     params: Params,
-    center: float | None = None,
 ) -> np.ndarray:
     """Ground-state profile squeezed to the intrinsic scale d^(1/2s).
 
-    Values are interpolated from the stored profile; beyond its window
-    the power tail |y|^(-(1+2s)) continues the edge sample, matching the
-    profile's decay law.  Default centre is the left boundary point.
+    The profile is centred at the left boundary point, half a cell
+    before the cell-centred nodes ``xs``.  Values are interpolated from
+    the stored profile; beyond its window the power tail |y|^(-(1+2s))
+    continues the edge sample, matching the profile's decay law.
     """
-    if center is None:
-        center = float(xs[0] - (xs[1] - xs[0]) / 2.0)
+    center = float(xs[0] - (xs[1] - xs[0]) / 2.0)
     y = (xs - center) / params.intrinsic_scale
     nodes = ground.grid.nodes
-    vals = ground.w.values
+    vals = ground.w
     out = np.interp(y, nodes, vals)
     edge = float(nodes[-1])
     far = np.abs(y) > edge

@@ -42,6 +42,19 @@ def test_import_loads_no_quadrature_or_optimizer():
     assert out.stdout.strip() == ""
 
 
+def test_package_exports_are_the_module_exports():
+    # the package re-exports exactly what its library modules export
+    from fracneumann import energy, grids, harness, kernel, moser, neumann, solvers
+
+    modules = (grids, kernel, neumann, energy, solvers, moser, harness)
+    names = fracneumann.__all__
+    assert len(names) == len(set(names))
+    assert set(names) == set().union(*(m.__all__ for m in modules)) | {"__version__"}
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(fracneumann, name) is getattr(module, name)
+
+
 # ---------------------------------------------------------------------------
 # config files
 
@@ -130,6 +143,16 @@ def test_moser_prints_the_ladder(capsys):
     assert len(lines) == 4 + 3  # header, j = 0..3, two trailing comments
     assert lines[-2].startswith("# m = ")
     assert lines[-1].startswith("# limit = ")
+
+
+@pytest.mark.parametrize("jmax", ["-3", "1023"])
+def test_moser_rejects_a_bad_jmax(capsys, jmax):
+    # a negative jmax and one whose level L_jmax overflows print no ladder
+    code, out, err = run(capsys, "moser", "--jmax", jmax)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --jmax ") and jmax in err
+    assert err.count("\n") == 1
 
 
 def test_verify_exit_code_reflects_failures(capsys):

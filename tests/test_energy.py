@@ -20,6 +20,7 @@ from fracneumann import (
     frac_laplacian_apply,
     kernel_weights,
     nehari_scale,
+    neumann_derivative,
     peak_energy,
     pohozaev,
     seminorm_T,
@@ -374,12 +375,12 @@ def test_whole_space_energy_zero_and_positive_cases():
     lg = build_line_grid(20.0, 0.05)
     t = kernel_weights(lg, Params())
     p = Params()
-    assert F_energy(np.zeros(lg.n_nodes), p.p, p.s, t) == 0.0
+    assert F_energy(np.zeros(lg.n_nodes), p.p, t) == 0.0
     tiny = 1e-3 * np.exp(-lg.nodes**2)
-    assert F_energy(tiny, p.p, p.s, t) > 0.0
-    assert pohozaev(np.zeros(lg.n_nodes), p.p, p.s, t) == 0.0
+    assert F_energy(tiny, p.p, t) > 0.0
+    assert pohozaev(np.zeros(lg.n_nodes), p.p, t) == 0.0
     small = 1e-2 * np.exp(-lg.nodes**2)
-    assert pohozaev(small, p.p, p.s, t) > 0.0
+    assert pohozaev(small, p.p, t) > 0.0
 
 
 def test_whole_space_energy_brute_force_small_grid():
@@ -392,23 +393,40 @@ def test_whole_space_energy_brute_force_small_grid():
     expected = 0.5 * (
         t.c_ns / 2.0 * brute_force_line_form(v, t) + h * float(np.sum(v * v))
     ) - h * float(np.sum(np.abs(v) ** 2.5)) / 2.5
-    assert F_energy(v, p.p, p.s, t) == pytest.approx(expected, rel=1e-11)
+    assert F_energy(v, p.p, t) == pytest.approx(expected, rel=1e-11)
     expected_p = (
         0.5 * t.c_ns / 4.0 * brute_force_line_form(v, t)
         + 0.5 * h * float(np.sum(v * v))
         - h * float(np.sum(np.abs(v) ** 2.5)) / 2.5
     )
-    assert pohozaev(v, p.p, p.s, t) == pytest.approx(expected_p, rel=1e-11)
+    assert pohozaev(v, p.p, t) == pytest.approx(expected_p, rel=1e-11)
 
 
 def test_whole_space_input_validation():
     lg = build_line_grid(5.0, 0.1)
     t = kernel_weights(lg, Params())
-    with pytest.raises(ValueError, match="built for"):
-        F_energy(np.ones(lg.n_nodes), 1.5, 0.4, t)
     g = build_grid(0.0, 1.0, 0.1, 2.0)
     tg = kernel_weights(g, Params())
     with pytest.raises(ValueError, match="line grid"):
-        F_energy(np.ones(g.n_nodes), 1.5, 0.25, tg)
+        F_energy(np.ones(g.n_nodes), 1.5, tg)
     with pytest.raises(ValueError, match="grids do not match"):
         seminorm_T(ExtendedField(np.ones(g.n_nodes), g), t)
+
+
+@pytest.mark.parametrize(
+    "entry", ["F_energy", "pohozaev", "frac_laplacian_apply", "neumann_derivative"]
+)
+def test_non_finite_input_fails_loudly(entry):
+    # one NaN among the nodal values raises instead of propagating
+    line = kernel_weights(build_line_grid(5.0, 0.1), Params())
+    box = kernel_weights(build_grid(0.0, 1.0, 0.1, 2.0), Params())
+    calls = {
+        "F_energy": lambda v: F_energy(v, 1.5, line),
+        "pohozaev": lambda v: pohozaev(v, 1.5, line),
+        "frac_laplacian_apply": lambda v: frac_laplacian_apply(v, line),
+        "neumann_derivative": lambda v: neumann_derivative(v, box, 0),
+    }
+    v = np.ones((box if entry == "neumann_derivative" else line).n_nodes)
+    v[v.size // 3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        calls[entry](v)

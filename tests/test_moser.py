@@ -73,6 +73,11 @@ def test_levels_increase_and_exceed_one(mp):
         prev = level
 
 
+def test_overflowing_level_is_an_error_naming_j(mp):
+    with pytest.raises(ValueError, match="j = 1023"):
+        L_closed_form(1023, mp)
+
+
 def test_closed_form_matches_the_recurrence(mp):
     # L_{j+1} = (2* L_j - (p - 1)) / 2, the step the iteration performs
     ts = mp.two_star

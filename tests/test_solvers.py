@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fracneumann import (
     ConvergenceError,
+    F_energy,
     J_d_constant,
     Params,
     SolverConfig,
@@ -23,6 +24,7 @@ from fracneumann import (
     load_snapshot,
     nehari_scale,
     peak_energy,
+    pohozaev,
     record_from_result,
     save_snapshot,
     solve_ground_state,
@@ -33,7 +35,7 @@ from fracneumann import (
 )
 from fracneumann import solvers
 from fracneumann.cli import main as cli_main
-from fracneumann.energy import J_d, _quadratic_and_potential
+from fracneumann.energy import J_d, _line_integrals, _quadratic_and_potential
 from fracneumann.neumann import ExtendedField
 from fracneumann.solvers import _stretched_start
 
@@ -93,7 +95,7 @@ def test_ground_state_needs_a_wide_window():
 
 def test_ground_state_profile(ground):
     grid = ground.grid
-    w = ground.w.values
+    w = ground.w
     assert np.all(w > 0.0)
     assert ground.symmetric_error == 0.0
     assert ground.el_residual <= 1e-8
@@ -115,7 +117,7 @@ def test_ground_state_is_even_and_decreasing_for_any_exponents(s, p_frac):
     result = solve_ground_state(
         params, build_line_grid(40.0, 0.1), SolverConfig(max_iters=5000)
     )
-    w = result.w.values
+    w = result.w
     assert np.array_equal(w, w[::-1])
     assert result.symmetric_error == 0.0
     right = w[result.grid.nodes > 0.0]
@@ -218,6 +220,20 @@ def test_reported_figures_are_those_of_the_returned_field(solved_02, domain_02):
         assert result.el_residual == float(np.max(np.abs(r))) / max(
             1.0, float(np.max(ui))
         )
+
+
+def test_ground_state_figures_are_those_of_the_returned_field(ground):
+    # the whole-space twin: F and the Pohozaev ratio recomputed from
+    # ``result.w`` give the same bits
+    params = Params(d=1.0)
+    p, s = params.p, params.s
+    table = kernel_weights(ground.grid, params)
+    w = ground.w
+    assert ground.F_value == F_energy(w, p, table)
+    gag, mass, pot = _line_integrals(w, p, table)
+    terms = ((1.0 - 2.0 * s) * table.c_ns / 4.0 * gag, 0.5 * mass, pot / (p + 1.0))
+    largest = max(abs(term) for term in terms)
+    assert ground.pohozaev_residual == abs(pohozaev(w, p, table)) / largest
 
 
 def test_energy_is_minimal_among_random_rays(solved_02, domain_02):
@@ -397,17 +413,17 @@ def test_sweep_records_match_stand_alone_solves(s, p):
 
 def test_transplant_interpolates_and_extends_by_the_decay_law(ground):
     params = Params(d=0.04)
-    xs = np.linspace(0.0, 1.0, 201)
-    prof = transplant_ground_state(ground, xs, params, center=0.0)
+    xs = (np.arange(256) + 0.5) / 256  # cell-centred: the left boundary is 0
+    prof = transplant_ground_state(ground, xs, params)
     assert np.all(prof > 0.0)
     delta = params.intrinsic_scale
     y = xs / delta
     nodes = ground.grid.nodes
     inside = y <= float(nodes[-1])
-    expect = np.interp(y[inside], nodes, ground.w.values)
+    expect = np.interp(y[inside], nodes, ground.w)
     assert prof[inside] == pytest.approx(expect, rel=1e-14)
     edge = float(nodes[-1])
-    ref = float(ground.w.values[-1])
+    ref = float(ground.w[-1])
     outside = ~inside
     expect_tail = ref * (edge / y[outside]) ** (1.0 + 2.0 * params.s)
     assert prof[outside] == pytest.approx(expect_tail, rel=1e-14)
@@ -421,7 +437,7 @@ def test_transplant_keeps_half_mass_at_the_boundary(ground):
     prof = transplant_ground_state(ground, grid.interior_nodes, params)
     delta = params.intrinsic_scale
     mass = grid.h * float(np.sum(prof**2)) / delta
-    whole = ground.grid.h * float(np.sum(ground.w.values**2))
+    whole = ground.grid.h * float(np.sum(ground.w**2))
     assert mass == pytest.approx(whole / 2.0, rel=0.05)
 
 
