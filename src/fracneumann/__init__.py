@@ -18,7 +18,6 @@ from .kernel import (
 )
 from .neumann import ExtendedField, extend, neumann_derivative
 from .energy import (
-    EnergyBreakdown,
     F_energy,
     J_d,
     nehari_scale,
@@ -82,7 +81,6 @@ __all__ = [
     "ExtendedField",
     "neumann_derivative",
     "extend",
-    "EnergyBreakdown",
     "seminorm_T",
     "J_d",
     "nehari_scale",

@@ -23,7 +23,6 @@ from .harness import (
     verify_suite,
     write_sweep_csv,
 )
-from .kernel import kernel_weights
 from .moser import (
     L_closed_form,
     M_sequence,
@@ -166,8 +165,7 @@ def _cmd_solve(args, config: dict) -> int:
         h = default_grid_policy(params, a, b).h
     r_ext = _resolve(args.Rext, config, "grid.Rext", 2.0 * (b - a))
     grid = build_grid(a, b, h, r_ext)
-    table = kernel_weights(grid, params)
-    result = solve_least_energy(params, grid, table, _solver_config(config))
+    result = solve_least_energy(params, grid, config=_solver_config(config))
     branch = "constant" if result.constant_branch else "nonconstant"
     print(
         f"c_d = {result.c_d:.10g}  sup = {result.M_d:.10g}  "

@@ -20,17 +20,18 @@ the Neumann extension, so a field fresh from ``extend`` hands it over
 and its seminorm costs no product at all: one Nehari projection, the
 extension plus its seminorm, makes a single product.
 
-The whole-space form is assembled in one place: ``_line_integrals``
-returns ([v]^2, int v^2, int |v|^(p+1)) from one product, and
-``_whole_space`` forms F, the Pohozaev value and the scale of its
-terms from that triple for ``F_energy``, ``pohozaev`` and the
-ground-state report.  Its pair and edge sums come from
-``_pair_and_edges``, which the Moser module's interior form shares.
+Each form is assembled in one place.  ``_neumann`` returns
+(J_d, Q, int |u|^(p+1)) for ``J_d``, ``nehari_scale``, ``peak_energy``
+and the least-energy solver, beside its gradient ``_neumann_residual``.
+On the line, ``_line_integrals`` returns ([v]^2, int v^2,
+int |v|^(p+1)) from one product, and ``_whole_space`` forms F, the
+Pohozaev value and the scale of its terms from that triple for
+``F_energy``, ``pohozaev`` and the ground-state report.  Its pair and
+edge sums come from ``_pair_and_edges``, which the Moser module's
+interior form shares.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .kernel import KernelTable, _exact_mean, _nodal
 from .neumann import ExtendedField
 
 __all__ = [
-    "EnergyBreakdown",
     "seminorm_T",
     "J_d",
     "nehari_scale",
@@ -47,22 +47,6 @@ __all__ = [
     "F_energy",
     "pohozaev",
 ]
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """J_d split into its three ingredients.
-
-    ``seminorm_term`` carries the full d*c/2 double integral; the total
-    halves it together with the mass term, so
-    total = (seminorm_term + mass_term)/2 - potential_term holds by
-    construction (it is how total is assembled).
-    """
-
-    seminorm_term: float
-    mass_term: float
-    potential_term: float
-    total: float
 
 
 def seminorm_T(u: ExtendedField, table: KernelTable) -> float:
@@ -114,32 +98,16 @@ def seminorm_T(u: ExtendedField, table: KernelTable) -> float:
     return max(total, 0.0)
 
 
-def J_d(u: ExtendedField, params: Params, table: KernelTable) -> EnergyBreakdown:
-    """Neumann energy of a full-grid field.
-
-    Mass and potential are midpoint cell sums over the domain; the
-    seminorm term carries the factor d*c/2 so the reported total is
-    (seminorm + mass)/2 - potential.
-    """
-    grid = u.grid
-    h = grid.h
-    lo, hi = grid.interior_range
-    ui = u.values[lo:hi]
-    semi = params.d * table.c_ns / 2.0 * seminorm_T(u, table)
-    mass = h * float(np.sum(ui * ui))
-    pot = h * float(np.sum(np.abs(ui) ** (params.p + 1.0))) / (params.p + 1.0)
-    return EnergyBreakdown(
-        seminorm_term=semi,
-        mass_term=mass,
-        potential_term=pot,
-        total=(semi + mass) / 2.0 - pot,
-    )
-
-
-def _quadratic_and_potential(
+def _neumann(
     u: ExtendedField, params: Params, table: KernelTable
-) -> tuple[float, float]:
-    """Q(u) = d c seminorm_T + int u^2 and the raw int |u|^(p+1)."""
+) -> tuple[float, float, float]:
+    """(J_d(u), Q(u), int |u|^(p+1)) of a full-grid field.
+
+    Q = d c/2 seminorm_T + int u^2 is the quadratic part and J_d =
+    Q/2 - int |u|^(p+1) / (p+1); mass and potential are midpoint cell
+    sums over the domain.  At most one product, none on a fresh
+    extension.
+    """
     lo, hi = u.grid.interior_range
     ui = u.values[lo:hi]
     h = u.grid.h
@@ -147,7 +115,37 @@ def _quadratic_and_potential(
         np.sum(ui * ui)
     )
     pot = h * float(np.sum(np.abs(ui) ** (params.p + 1.0)))
-    return quad, pot
+    return quad / 2.0 - pot / (params.p + 1.0), quad, pot
+
+
+def J_d(u: ExtendedField, params: Params, table: KernelTable) -> float:
+    """Neumann energy (d c/2 [u]_T^2 + int u^2)/2 - int |u|^(p+1) / (p+1)."""
+    return _neumann(u, params, table)[0]
+
+
+def _neumann_residual(
+    u_int: np.ndarray, ext: ExtendedField, params: Params, table: KernelTable
+) -> np.ndarray:
+    """Pointwise Euler-Lagrange residual at u_int, given its extension.
+
+    The residual of the reduced problem is
+    d c (sum_j W_kj (u_k - u_j) + T_k v_k - mean_I(T v)) + u_k - u_k^p
+    with v the extension centred at the interior mean; the gradient of
+    J_d in the interior unknowns is h times this vector.
+    """
+    grid = table.grid
+    lo, hi = grid.interior_range
+    n = grid.n_nodes
+    conv = table.matvec(ext.values, lo, hi, 0, n)
+    rs = table.row_sums(lo, hi, 0, n)
+    pair = u_int * rs - conv
+
+    mean = float(np.mean(u_int))
+    tv = table.tail[lo:hi] * (u_int - mean)
+    centered_tail = tv - float(np.mean(tv))
+
+    dc = params.d * table.c_ns
+    return dc * (pair + centered_tail) + u_int - u_int**params.p
 
 
 def _nehari_ray(quad: float, pot: float, p: float) -> tuple[float, float]:
@@ -166,7 +164,7 @@ def nehari_scale(u: ExtendedField, params: Params, table: KernelTable) -> float:
     Closed form t0 = (Q / int |u|^(p+1))^(1/(p-1)) with Q the quadratic
     part; no line search is involved.
     """
-    quad, pot = _quadratic_and_potential(u, params, table)
+    _, quad, pot = _neumann(u, params, table)
     if pot <= 0.0:
         raise ValueError("degenerate direction: field vanishes on the domain")
     return float(_nehari_ray(quad, pot, params.p)[0])
@@ -179,11 +177,11 @@ def peak_energy(u: ExtendedField, params: Params, table: KernelTable) -> float:
     against the direct evaluation and refuses to return silently
     inconsistent numbers.
     """
-    quad, pot = _quadratic_and_potential(u, params, table)
+    _, quad, pot = _neumann(u, params, table)
     if pot <= 0.0:
         raise ValueError("degenerate direction: field vanishes on the domain")
     t0, algebra = _nehari_ray(quad, pot, params.p)
-    direct = J_d(ExtendedField(t0 * u.values, u.grid), params, table).total
+    direct = J_d(ExtendedField(t0 * u.values, u.grid), params, table)
     if abs(direct - algebra) > 1e-12 * max(1.0, abs(direct)):
         raise ValueError(
             f"peak-energy evaluations disagree: direct {direct!r}, "

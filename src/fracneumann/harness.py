@@ -292,7 +292,7 @@ def verify_suite(params: Params) -> list[VerifyItem]:
 
     solved: LeastEnergyResult | None = None
     try:
-        solved = solve_least_energy(domain_params, domain, domain_table)
+        solved = solve_least_energy(domain_params, domain)
         neh, flux = solved.nehari_residual, solved.flux_residual
         items.append(
             VerifyItem(

@@ -239,19 +239,6 @@ class KernelTable:
     def n_nodes(self) -> int:
         return self.grid.n_nodes
 
-    def weight(self, i: int, j: int) -> float:
-        """Single weight W[i][j] (zero on the diagonal)."""
-        return float(self.omega[abs(i - j)])
-
-    def row(self, i: int, col_lo: int = 0, col_hi: int | None = None) -> np.ndarray:
-        """One Toeplitz row over the half-open column range [col_lo, col_hi)."""
-        n = self.n_nodes
-        if col_hi is None:
-            col_hi = n
-        if not 0 <= i < n:
-            raise ValueError(f"requested node index {i} outside the grid")
-        return self.omega[np.abs(np.arange(col_lo, col_hi) - i)]
-
     def dense(self) -> np.ndarray:
         """Full weight matrix; intended for small grids and tests."""
         idx = np.arange(self.n_nodes)

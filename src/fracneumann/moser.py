@@ -121,22 +121,25 @@ def L_closed_form(j: int, mp: MoserParams) -> float:
 
 
 def lambda_term(j: int, mp: MoserParams) -> float:
-    """Per-level inflation lambda_j = (2*/2) log(A L_j) of the log-norm."""
-    return (mp.two_star / 2.0) * math.log(mp.A * L_closed_form(j, mp))
+    """Per-level inflation lambda_j = (2*/2) (log A + log L_j) of the log-norm."""
+    return (mp.two_star / 2.0) * (math.log(mp.A) + math.log(L_closed_form(j, mp)))
 
 
 def M_sequence(j: int, mp: MoserParams) -> float:
     """Log-norm bound eta_j = log M_j after j iteration steps.
 
-    Defined by eta_0 = (2*/2) log(A C0) and the recurrence
-    eta_{j+1} = (2*/2) eta_j + lambda_j.
+    Defined by eta_0 = (2*/2) (log A + log C0) and the recurrence
+    eta_{j+1} = (2*/2) eta_j + lambda_j.  Raises ValueError, naming j,
+    when eta_j overflows double precision.
     """
     if j < 0:
         raise ValueError(f"iteration index must be nonnegative, got {j}")
     half = mp.two_star / 2.0
-    eta = half * math.log(mp.A * mp.C0)
+    eta = half * (math.log(mp.A) + math.log(mp.C0))
     for i in range(j):
         eta = half * eta + lambda_term(i, mp)
+    if not math.isfinite(eta):
+        raise ValueError(f"eta_j overflows double precision at j = {j}")
     return eta
 
 
@@ -150,15 +153,18 @@ def gamma_majorant(j: int, mp: MoserParams) -> float:
 
     gamma_0 = eta_0 and gamma_{j+1} = (2*/2) gamma_j + C* (j + 1);
     since lambda_j <= C* (j + 1) on the working range, eta_j <= gamma_j
-    term by term.
+    term by term.  Raises ValueError, naming j, when gamma_j overflows
+    double precision.
     """
     if j < 0:
         raise ValueError(f"iteration index must be nonnegative, got {j}")
     half = mp.two_star / 2.0
     cs = c_star(mp)
-    gamma = half * math.log(mp.A * mp.C0)
+    gamma = M_sequence(0, mp)
     for i in range(j):
         gamma = half * gamma + cs * (i + 1)
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma_j overflows double precision at j = {j}")
     return gamma
 
 
@@ -174,10 +180,9 @@ def moser_bound_constant(mp: MoserParams, J: int) -> MoserBound:
         raise ValueError(f"need at least two iteration steps, got J = {J}")
     m = max(M_sequence(j, mp) / L_closed_form(j - 1, mp) for j in range(1, J + 1))
     ts = mp.two_star
-    eta0 = (ts / 2.0) * math.log(mp.A * mp.C0)
     limit = (
         (ts - 2.0)
-        * (eta0 + 2.0 * c_star(mp) * ts / (ts - 2.0) ** 2)
+        * (M_sequence(0, mp) + 2.0 * c_star(mp) * ts / (ts - 2.0) ** 2)
         / (ts * (ts - mp.p - 1.0))
     )
     return MoserBound(m=m, limit=limit)
@@ -219,7 +224,6 @@ def _interior_quadratic(v: np.ndarray, table: KernelTable, d: float) -> float:
 
 
 def sobolev_constant_estimate(
-    grid: Grid,
     table: KernelTable,
     trials: int,
     d0: float = 1.0,
@@ -229,15 +233,17 @@ def sobolev_constant_estimate(
 
     Maximises ||v||_{L^{2*}}**2 * d / (d (c/2) [v]**2 + ||v||_2**2) over
     random smooth trial fields and d in {d0, d0/10, d0/100}, where the
-    seminorm pairs interior points only.  With a fixed seed the estimate
-    is a running maximum, hence non-decreasing in ``trials``.
+    seminorm pairs interior points only.  The domain is that of the
+    table's grid.  With a fixed seed the estimate is a running maximum,
+    hence non-decreasing in ``trials``.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trial fields, got {trials}")
     if d0 <= 0.0:
         raise ValueError(f"diffusion d0 must be positive, got {d0}")
-    if table.grid is not grid:
-        raise ValueError("kernel table was built for a different grid")
+    grid = table.grid
+    if not isinstance(grid, Grid):
+        raise ValueError("the embedding estimate needs a bounded-domain grid")
     xs = grid.interior_nodes
     span = grid.b - grid.a
     ts = 2.0 * 1.0 / (1.0 - 2.0 * table.s)

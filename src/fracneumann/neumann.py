@@ -83,7 +83,7 @@ def neumann_derivative(u: ExtendedField | np.ndarray, table: KernelTable, x: int
     if grid.interior[x]:
         raise ValueError(f"node {x} is interior; N_s is defined on the collar")
     lo, hi = grid.interior_range
-    row = table.row(x, lo, hi)
+    row = table.omega[np.abs(np.arange(lo, hi) - x)]
     return float(table.c_ns * (row @ (v[x] - v[lo:hi])))
 
 

@@ -11,7 +11,10 @@ For the Neumann problem the unknowns are interior values only; the
 exterior collar is rebuilt by ``extend`` at every evaluation, which
 keeps the boundary condition exact and makes the reduced gradient equal
 the partial gradient of J_d (the extension is stationary in the
-exterior values, so no chain-rule term survives).
+exterior values, so no chain-rule term survives).  The energy, its
+Nehari pair and that gradient all come from the Neumann form in
+``energy`` (``_neumann`` and ``_neumann_residual``); each solver builds
+its own weight table from its grid and parameters.
 """
 
 from __future__ import annotations
@@ -23,14 +26,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .energy import (
-    J_d,
     _line_integrals,
     _nehari_ray,
-    _quadratic_and_potential,
+    _neumann,
+    _neumann_residual,
     _whole_space,
 )
 from .grids import Grid, LineGrid, Params, build_grid
-from .kernel import KernelTable, frac_laplacian_apply, kernel_weights
+from .kernel import frac_laplacian_apply, kernel_weights
 from .neumann import ExtendedField, extend
 
 __all__ = [
@@ -100,7 +103,6 @@ class GroundStateResult:
     F_value: float
     pohozaev_residual: float
     decay_exponent_fit: float
-    symmetric_error: float
     el_residual: float
     iterations: int
     peak_history: np.ndarray = field(repr=False, default=None)
@@ -268,14 +270,12 @@ def _package_ground_state(u, grid, table, params, res, iters, peaks):
 
     window = (np.abs(x) >= 10.0) & (np.abs(x) <= 30.0) & (u > 0.0)
     slope = np.polyfit(np.log(np.abs(x[window])), np.log(u[window]), 1)[0]
-    sym_err = float(np.max(np.abs(u - u[::-1])))
     return GroundStateResult(
         w=u,
         grid=grid,
         F_value=f_val,
         pohozaev_residual=float(abs(poh) / poh_scale),
         decay_exponent_fit=float(-slope),
-        symmetric_error=sym_err,
         el_residual=res,
         iterations=iters,
         peak_history=peaks,
@@ -286,35 +286,10 @@ def _package_ground_state(u, grid, table, params, res, iters, peaks):
 # Neumann least-energy solution
 
 
-def _reduced_state(
-    u_int: np.ndarray, ext: ExtendedField, params: Params, table: KernelTable
-) -> np.ndarray:
-    """Pointwise Euler-Lagrange residual at u_int, given its extension.
-
-    The residual of the reduced problem is
-    d c (sum_j W_kj (u_k - u_j) + T_k v_k - mean_I(T v)) + u_k - u_k^p
-    with v the extension centred at the interior mean; the gradient of
-    J_d in the interior unknowns is h times this vector.
-    """
-    grid = table.grid
-    lo, hi = grid.interior_range
-    n = grid.n_nodes
-    conv = table.matvec(ext.values, lo, hi, 0, n)
-    rs = table.row_sums(lo, hi, 0, n)
-    pair = u_int * rs - conv
-
-    mean = float(np.mean(u_int))
-    tv = table.tail[lo:hi] * (u_int - mean)
-    centered_tail = tv - float(np.mean(tv))
-
-    dc = params.d * table.c_ns
-    return dc * (pair + centered_tail) + u_int - u_int**params.p
-
-
 def solve_least_energy(
     params: Params,
     grid: Grid,
-    table: KernelTable,
+    *,
     config: SolverConfig = SolverConfig(),
     warm: np.ndarray | None = None,
 ) -> LeastEnergyResult:
@@ -331,19 +306,20 @@ def solve_least_energy(
     The start is ``warm`` (interior values) when given, else a bump of
     width max(2h, d^(1/2s)) at the left boundary; pass
     ``transplant_ground_state(ground, grid.interior_nodes, params)`` as
-    ``warm`` to start from a whole-space ground state.  The converged
-    field is evaluated once: c_d and the Nehari quadratic come from one
-    ``J_d``, and ``el_residual`` is the residual size of the descent's
-    last iteration (recomputed only for the constant branch).
+    ``warm`` to start from a whole-space ground state.  The weight
+    table is built here from ``grid`` and ``params``.  The converged
+    field is evaluated once: c_d, the Nehari quadratic and the potential
+    come from one ``_neumann``, and ``el_residual`` is the residual size
+    of the descent's last iteration (recomputed only for the constant
+    branch).
     """
     params.require_neumann_exponent()
-    if table.grid is not grid:
-        raise ValueError("table was assembled for a different grid")
     if grid.h > params.intrinsic_scale / 10.0 * (1.0 + 1e-12):
         raise ValueError(
             f"grid spacing {grid.h} does not resolve the intrinsic scale "
             f"{params.intrinsic_scale} (need h <= scale/10)"
         )
+    table = kernel_weights(grid, params)
     p = params.p
     h = grid.h
     xs = grid.interior_nodes
@@ -361,14 +337,14 @@ def solve_least_energy(
     def project(v: np.ndarray) -> tuple[np.ndarray, float, ExtendedField]:
         v = np.abs(v)
         ext = extend(v, table)
-        quad, pot = _quadratic_and_potential(ext, params, table)
+        _, quad, pot = _neumann(ext, params, table)
         if pot <= 0.0 or not math.isfinite(pot):
             raise ConvergenceError("iterate collapsed to the trivial limit", history)
         t0, peak = _nehari_ray(quad, pot, p)
         return t0 * v, peak, ExtendedField(t0 * ext.values, grid)
 
     def residual(u: np.ndarray, ext: ExtendedField) -> tuple[np.ndarray, float, bool]:
-        r = _reduced_state(u, ext, params, table)
+        r = _neumann_residual(u, ext, params, table)
         res = float(np.max(np.abs(r))) / max(1.0, float(np.max(u)))
         total_u = float(np.sum(u))
         flux = abs(float(np.sum(u - u**p))) / total_u if total_u > 0 else math.inf
@@ -383,21 +359,19 @@ def solve_least_energy(
     rel_var = float(np.var(u)) / (mean * mean) if mean != 0.0 else math.inf
     constant = rel_var < 1e-10
     if not constant:
-        breakdown = J_d(ext, params, table)
+        c_d, quad, pot = _neumann(ext, params, table)
         # the constant critical point may lie lower
-        constant = breakdown.total > J_d_constant(grid, params)
+        constant = c_d > J_d_constant(grid, params)
     if constant:
         u = np.ones_like(u)
         ext = extend(u, table)
-        breakdown = J_d(ext, params, table)
+        c_d, quad, pot = _neumann(ext, params, table)
         _, res, _ = residual(u, ext)
 
-    quad = breakdown.seminorm_term + breakdown.mass_term
-    pot = h * float(np.sum(np.abs(ext.interior_values) ** (p + 1.0)))
     imax = int(np.argmax(u))
     return LeastEnergyResult(
         u=ext,
-        c_d=breakdown.total,
+        c_d=c_d,
         M_d=float(np.max(u)),
         argmax_x=float(xs[imax]),
         nehari_residual=float(abs(quad - pot) / quad),
@@ -522,14 +496,13 @@ def sweep(
         pd = replace(params, d=d)
         try:
             grid = grid_policy(pd)
-            table = kernel_weights(grid, pd)
             xs = grid.interior_nodes
             warm = None
             if prev is not None:
                 warm = _stretched_start(*prev, xs, pd.intrinsic_scale)
             elif ground is not None:
                 warm = transplant_ground_state(ground, xs, pd)
-            result = solve_least_energy(pd, grid, table, config, warm=warm)
+            result = solve_least_energy(pd, grid, config=config, warm=warm)
         except (ConvergenceError, ValueError) as exc:
             raise SweepAborted(f"sweep failed at d = {d}: {exc}", records) from exc
         records.append(record_from_result(result, pd, grid))

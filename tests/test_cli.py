@@ -155,6 +155,25 @@ def test_moser_rejects_a_bad_jmax(capsys, jmax):
     assert err.count("\n") == 1
 
 
+def test_moser_takes_huge_constants_in_log_space(capsys):
+    # A C0 = 1e400 overflows as a product but not as log A + log C0
+    argv = ("moser", "--A", "1e200", "--C0", "1e200", "--jmax", "2")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.strip().splitlines()[1:4]]
+    assert all(np.isfinite(float(x)) for row in rows for x in row if x)
+    assert float(rows[0][3]) == pytest.approx(4.0 * np.log(1e200), rel=1e-15)
+
+
+def test_moser_overflowing_log_norm_is_an_error(capsys):
+    # every L_j up to 1022 is finite, but eta_j overflows before it
+    code, out, err = run(capsys, "moser", "--A", "1e10", "--jmax", "1022")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --jmax 1022 is too large: ")
+    assert err.count("\n") == 1
+
+
 def test_verify_exit_code_reflects_failures(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 1

@@ -25,6 +25,7 @@ from fracneumann import (
     pohozaev,
     seminorm_T,
 )
+from fracneumann.energy import _neumann, _neumann_residual
 
 
 def brute_force_cross_seminorm(values, grid, table):
@@ -106,16 +107,17 @@ def test_seminorm_identity_on_any_grid(n, s, bounds, d, seed):
     vals = np.random.default_rng(seed).uniform(0.0, 2.0, n)
     u = ExtendedField(vals, g)
 
-    b = J_d(u, params, t)
-    assert b.total == (b.seminorm_term + b.mass_term) / 2.0 - b.potential_term
-    assert b.seminorm_term == pytest.approx(
-        d * t.c_ns / 2.0 * seminorm_T(u, t), rel=1e-15
+    energy, quad, pot = _neumann(u, params, t)
+    vi = vals[lo:hi]
+    assert J_d(u, params, t) == energy
+    assert energy == quad / 2.0 - pot / (params.p + 1.0)
+    assert quad == pytest.approx(
+        d * t.c_ns / 2.0 * seminorm_T(u, t) + h * float(np.sum(vi * vi)), rel=1e-15
     )
     # vectorised oracle: every ordered pair with at least one interior end
     W = t.dense()
     cross = inside[:, None] | inside[None, :]
     pairs = float(np.sum(W[cross] * ((vals[:, None] - vals[None, :]) ** 2)[cross]))
-    vi = vals[lo:hi]
     tail = 2.0 * float((vi - np.mean(vi)) ** 2 @ t.tail[lo:hi])
     assert seminorm_T(u, t) == pytest.approx(h * (pairs + tail), rel=1e-11)
 
@@ -199,25 +201,20 @@ def test_unit_constant_energy_is_one_tenth():
     g = build_grid(0.0, 1.0, 0.05, 2.0)
     t = kernel_weights(g, Params())
     u = extend(np.ones(g.n_interior), t)
-    e = J_d(u, Params(), t)
-    assert e.seminorm_term == 0.0
-    assert e.mass_term == pytest.approx(1.0, rel=1e-13)
-    assert e.potential_term == pytest.approx(0.4, rel=1e-13)
-    assert e.total == pytest.approx(0.1, rel=1e-12)
+    energy, quad, pot = _neumann(u, Params(), t)
+    assert seminorm_T(u, t) == 0.0
+    assert quad == pytest.approx(1.0, rel=1e-13)
+    assert pot == pytest.approx(1.0, rel=1e-13)
+    assert energy == pytest.approx(0.1, rel=1e-12)
+    assert J_d(u, Params(), t) == energy
 
 
 def test_zero_field_energy_is_zero():
     g = build_grid(0.0, 1.0, 0.1, 2.0)
     t = kernel_weights(g, Params())
-    e = J_d(ExtendedField(np.zeros(g.n_nodes), g), Params(), t)
-    assert e.seminorm_term == e.mass_term == e.potential_term == e.total == 0.0
-
-
-def test_breakdown_reconstruction_is_exact():
-    g = build_grid(0.0, 1.0, 0.05, 2.0)
-    t = kernel_weights(g, Params())
-    e = J_d(random_extended(g, t, 5), Params(), t)
-    assert e.total == (e.seminorm_term + e.mass_term) / 2.0 - e.potential_term
+    zero = ExtendedField(np.zeros(g.n_nodes), g)
+    assert _neumann(zero, Params(), t) == (0.0, 0.0, 0.0)
+    assert J_d(zero, Params(), t) == 0.0
 
 
 def test_energy_scales_polynomially_along_rays():
@@ -225,12 +222,47 @@ def test_energy_scales_polynomially_along_rays():
     t = kernel_weights(g, Params())
     p = Params()
     u = random_extended(g, t, 8)
-    e1 = J_d(u, p, t)
-    quad = e1.seminorm_term + e1.mass_term
+    _, quad, pot = _neumann(u, p, t)
     for tt in (0.5, 1.0, 2.0):
         scaled = ExtendedField(tt * u.values, g)
-        expected = tt**2 * quad / 2.0 - tt ** (p.p + 1.0) * e1.potential_term
-        assert J_d(scaled, p, t).total == pytest.approx(expected, rel=1e-12)
+        expected = tt**2 * quad / 2.0 - tt ** (p.p + 1.0) * pot / (p.p + 1.0)
+        assert J_d(scaled, p, t) == pytest.approx(expected, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(8, 400),
+    s=st.floats(0.1, 0.45),
+    bounds=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    d=st.floats(0.01, 2.0),
+    p_frac=st.floats(0.0, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_residual_is_the_gradient_of_the_reduced_energy(n, s, bounds, d, p_frac, seed):
+    # u -> J_d(extend(u)) over the interior values: its central difference
+    # along e_k is h times the k-th residual entry, on any collars
+    lo = min(int(bounds[0] * n), n - 2)
+    hi = max(lo + 2, int(bounds[1] * n))
+    h = 1.0 / n
+    k = np.arange(n)
+    g = Grid(a=lo * h, b=hi * h, h=h, r_ext=1.0, nodes=(k + 0.5) * h,
+             interior=(k >= lo) & (k < hi))
+    p_max = (1.0 + s) / (1.0 - s)
+    params = Params(s=s, d=d, p=1.1 + p_frac * (p_max - 1.1))
+    t = kernel_weights(g, params)
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.1, 2.0, hi - lo)
+    grad = h * _neumann_residual(u, extend(u, t), params, t)
+
+    eps = 1e-6
+    m = hi - lo
+    for j in sorted({0, 1, m - 2, m - 1, *rng.integers(0, m, 4)}):
+        e = np.zeros(m)
+        e[j] = eps
+        up = J_d(extend(u + e, t), params, t)
+        down = J_d(extend(u - e, t), params, t)
+        fd = (up - down) / (2.0 * eps)
+        assert abs(fd - grad[j]) <= 1e-6 * np.max(np.abs(grad)), j
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +320,7 @@ def test_peak_energy_closed_form_for_p_three_halves():
     t = kernel_weights(g, Params())
     p = Params()
     u = random_extended(g, t, 40)
-    e = J_d(u, p, t)
-    quad = e.seminorm_term + e.mass_term
-    pot = e.potential_term * (p.p + 1.0)
+    _, quad, pot = _neumann(u, p, t)
     assert peak_energy(u, p, t) == pytest.approx(0.1 * quad**5 / pot**4, rel=1e-10)
 
 
@@ -318,14 +348,13 @@ def test_peak_energy_nehari_algebra_on_any_grid(n, s, bounds, d, p_frac, seed):
     # peak_energy raises when direct and algebraic values disagree
     peak = peak_energy(u, params, t)
     t0 = nehari_scale(u, params, t)
-    on = J_d(ExtendedField(t0 * u.values, g), params, t)
-    assert peak == on.total
+    energy, quad, pot = _neumann(ExtendedField(t0 * u.values, g), params, t)
+    assert peak == energy
     # t0 u lies on the Nehari manifold: Q(t0 u) = int |t0 u|^(p+1)
-    quad = on.seminorm_term + on.mass_term
-    assert quad == pytest.approx(on.potential_term * (params.p + 1.0), rel=1e-12)
+    assert quad == pytest.approx(pot, rel=1e-12)
     # and the peak is the sup of the energy along the ray
     for c in (0.5, 0.9, 1.1, 2.0):
-        off = J_d(ExtendedField(c * t0 * u.values, g), params, t).total
+        off = J_d(ExtendedField(c * t0 * u.values, g), params, t)
         assert off <= peak * (1.0 + 1e-12)
 
 
@@ -335,10 +364,9 @@ def test_ray_energy_is_unimodal():
     p = Params()
     for seed in (1, 2, 3):
         u = random_extended(g, t, seed)
-        e = J_d(u, p, t)
-        quad = (e.seminorm_term + e.mass_term) / 2.0
+        _, quad, pot = _neumann(u, p, t)
         ts = np.logspace(-2, 2, 200)
-        g_vals = ts**2 * quad - ts ** (p.p + 1.0) * e.potential_term
+        g_vals = ts**2 * quad / 2.0 - ts ** (p.p + 1.0) * pot / (p.p + 1.0)
         interior_max = (g_vals[1:-1] > g_vals[:-2]) & (g_vals[1:-1] > g_vals[2:])
         assert int(interior_max.sum()) == 1
 

@@ -266,7 +266,7 @@ def test_adjacent_weight_closed_form():
     t = kernel_weights(g, Params())
     h, s = g.h, 0.25
     expected = ((h / 2) ** (-2 * s) - (3 * h / 2) ** (-2 * s)) / (2 * s)
-    assert t.weight(7, 8) == pytest.approx(expected, rel=1e-14)
+    assert t.dense()[7, 8] == pytest.approx(expected, rel=1e-14)
 
 
 def test_distant_weights_match_midpoint_rule():
@@ -304,17 +304,6 @@ def test_row_sum_helper_matches_dense_slices():
     assert np.allclose(got, W[3:17, 5:30].sum(axis=1), rtol=1e-13)
     got_full = t.row_sums(0, g.n_nodes, 0, g.n_nodes)
     assert np.allclose(got_full, W.sum(axis=1), rtol=1e-13)
-
-
-def test_row_accessor_matches_dense():
-    g = build_grid(0.0, 1.0, 0.1, 2.0)
-    t = kernel_weights(g, Params())
-    W = t.dense()
-    for i in (0, 7, 23, g.n_nodes - 1):
-        assert np.array_equal(t.row(i), W[i])
-        assert np.array_equal(t.row(i, 4, 31), W[i, 4:31])
-    with pytest.raises(ValueError):
-        t.row(g.n_nodes)
 
 
 def test_weights_require_one_dimension():

@@ -49,8 +49,7 @@ def ground():
 def solved_02():
     params = Params(d=0.2)
     grid = default_grid_policy(params)
-    table = kernel_weights(grid, params)
-    return params, solve_least_energy(params, grid, table)
+    return params, solve_least_energy(params, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +126,7 @@ def test_migration_needs_two_nonconstant_records():
 def test_profile_compare_rejects_constant_branch(ground):
     params = Params(d=10.0)
     grid = default_grid_policy(params)
-    table = kernel_weights(grid, params)
-    result = solve_least_energy(params, grid, table)
+    result = solve_least_energy(params, grid)
     with pytest.raises(ValueError):
         profile_compare(result, ground, params)
 

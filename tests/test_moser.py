@@ -146,6 +146,26 @@ def test_eta_grows_with_the_bootstrap_constant():
         assert M_sequence(j, hi) > M_sequence(j, lo)
 
 
+def test_huge_constants_stay_finite_in_log_space():
+    big = MoserParams(A=1e200, C0=1e200)
+    assert M_sequence(0, big) == gamma_majorant(0, big) == 2.0 * (
+        math.log(1e200) + math.log(1e200)
+    )
+    level = L_closed_form(1000, MoserParams(A=1e10))
+    assert level * 1e10 == math.inf
+    assert lambda_term(1000, MoserParams(A=1e10)) == 2.0 * (
+        math.log(1e10) + math.log(level)
+    )
+
+
+def test_overflowing_log_norm_is_an_error_naming_j():
+    mp = MoserParams(A=1e10)
+    with pytest.raises(ValueError, match="eta_j .* j = 1022"):
+        M_sequence(1022, mp)
+    with pytest.raises(ValueError, match="gamma_j .* j = 1022"):
+        gamma_majorant(1022, mp)
+
+
 def test_growth_constant_bounds_every_lambda(mp):
     cs = c_star(mp)
     for j in range(31):
@@ -187,31 +207,27 @@ def test_margin_fuzz_is_nonnegative():
 def unit_domain():
     params = Params()
     grid = build_grid(0.0, 1.0, 0.02, 2.0)
-    return grid, kernel_weights(grid, params)
+    return kernel_weights(grid, params)
 
 
 def test_estimate_requires_enough_trials(unit_domain):
-    grid, table = unit_domain
     with pytest.raises(ValueError):
-        sobolev_constant_estimate(grid, table, 50)
+        sobolev_constant_estimate(unit_domain, 50)
 
 
 def test_estimate_beats_the_constant_field_ratio(unit_domain):
     # v = 1 with d = 1 realises ratio 1 exactly, so the max over random
     # trials must land at or above it
-    grid, table = unit_domain
-    assert sobolev_constant_estimate(grid, table, 100) >= 1.0 - 1e-12
+    assert sobolev_constant_estimate(unit_domain, 100) >= 1.0 - 1e-12
 
 
 def test_estimate_is_monotone_in_trials(unit_domain):
-    grid, table = unit_domain
-    a100 = sobolev_constant_estimate(grid, table, 100)
-    a250 = sobolev_constant_estimate(grid, table, 250)
+    a100 = sobolev_constant_estimate(unit_domain, 100)
+    a250 = sobolev_constant_estimate(unit_domain, 250)
     assert a250 >= a100
 
 
 def test_estimate_is_deterministic(unit_domain):
-    grid, table = unit_domain
-    assert sobolev_constant_estimate(grid, table, 120) == sobolev_constant_estimate(
-        grid, table, 120
+    assert sobolev_constant_estimate(unit_domain, 120) == sobolev_constant_estimate(
+        unit_domain, 120
     )

@@ -35,7 +35,7 @@ from fracneumann import (
 )
 from fracneumann import solvers
 from fracneumann.cli import main as cli_main
-from fracneumann.energy import J_d, _line_integrals, _quadratic_and_potential
+from fracneumann.energy import _line_integrals, _neumann, _neumann_residual
 from fracneumann.neumann import ExtendedField
 from fracneumann.solvers import _stretched_start
 
@@ -59,8 +59,8 @@ def domain_02():
 
 @pytest.fixture(scope="module")
 def solved_02(domain_02):
-    params, grid, table = domain_02
-    return solve_least_energy(params, grid, table)
+    params, grid, _ = domain_02
+    return solve_least_energy(params, grid)
 
 
 def history_non_increasing(history):
@@ -97,7 +97,7 @@ def test_ground_state_profile(ground):
     grid = ground.grid
     w = ground.w
     assert np.all(w > 0.0)
-    assert ground.symmetric_error == 0.0
+    assert np.array_equal(w, w[::-1])
     assert ground.el_residual <= 1e-8
     # pinned value for this window and spacing; refinement moves it only
     # in the fourth digit
@@ -119,7 +119,6 @@ def test_ground_state_is_even_and_decreasing_for_any_exponents(s, p_frac):
     )
     w = result.w
     assert np.array_equal(w, w[::-1])
-    assert result.symmetric_error == 0.0
     right = w[result.grid.nodes > 0.0]
     assert np.all(np.diff(right) < 0.0)
 
@@ -145,9 +144,9 @@ def test_rejected_step_fails_at_once():
 
 
 def test_least_energy_iteration_cap_raises_with_history(domain_02):
-    params, grid, table = domain_02
+    params, grid, _ = domain_02
     with pytest.raises(ConvergenceError) as err:
-        solve_least_energy(params, grid, table, SolverConfig(max_iters=4))
+        solve_least_energy(params, grid, config=SolverConfig(max_iters=4))
     assert len(err.value.history) == 4
 
 
@@ -158,8 +157,7 @@ def test_least_energy_iteration_cap_raises_with_history(domain_02):
 def test_large_diffusion_lands_on_constant_branch():
     params = Params(d=10.0)
     grid = build_grid(0.0, 1.0, 0.02, 2.0)
-    table = kernel_weights(grid, params)
-    result = solve_least_energy(params, grid, table)
+    result = solve_least_energy(params, grid)
     assert result.constant_branch
     assert np.all(result.u.values == 1.0)
     assert result.M_d == 1.0
@@ -172,7 +170,7 @@ def test_results_keep_no_extension_product(solved_02):
     # the product ``extend`` hands to the seminorm must not outlive it
     params = Params(d=2.0)
     grid = default_grid_policy(params)
-    constant = solve_least_energy(params, grid, kernel_weights(grid, params))
+    constant = solve_least_energy(params, grid)
     assert constant.constant_branch and not solved_02.constant_branch
     for result in (constant, solved_02):
         assert result.u._product is None
@@ -209,13 +207,13 @@ def test_reported_figures_are_those_of_the_returned_field(solved_02, domain_02):
     d_2 = Params(d=2.0)
     grid_2 = default_grid_policy(d_2)
     table_2 = kernel_weights(grid_2, d_2)
-    constant = solve_least_energy(d_2, grid_2, table_2)
+    constant = solve_least_energy(d_2, grid_2)
     assert constant.constant_branch and not solved_02.constant_branch
     for result, pd, t in ((solved_02, params, table), (constant, d_2, table_2)):
         ui = result.u.interior_values
-        quad, pot = _quadratic_and_potential(result.u, pd, t)
-        r = solvers._reduced_state(ui, result.u, pd, t)
-        assert result.c_d == J_d(result.u, pd, t).total
+        energy, quad, pot = _neumann(result.u, pd, t)
+        r = _neumann_residual(ui, result.u, pd, t)
+        assert result.c_d == energy
         assert result.nehari_residual == abs(quad - pot) / quad
         assert result.el_residual == float(np.max(np.abs(r))) / max(
             1.0, float(np.max(ui))
@@ -246,16 +244,16 @@ def test_energy_is_minimal_among_random_rays(solved_02, domain_02):
 
 
 def test_warm_start_reconverges_immediately(solved_02, domain_02):
-    params, grid, table = domain_02
-    again = solve_least_energy(params, grid, table, warm=solved_02.u.interior_values)
+    params, grid, _ = domain_02
+    again = solve_least_energy(params, grid, warm=solved_02.u.interior_values)
     assert again.c_d == pytest.approx(solved_02.c_d, rel=1e-10)
     assert again.iterations <= 5
 
 
 def test_transplant_start_finds_the_same_solution(ground, solved_02, domain_02):
-    params, grid, table = domain_02
+    params, grid, _ = domain_02
     warm = transplant_ground_state(ground, grid.interior_nodes, params)
-    other = solve_least_energy(params, grid, table, warm=warm)
+    other = solve_least_energy(params, grid, warm=warm)
     assert not other.constant_branch
     assert other.c_d == pytest.approx(solved_02.c_d, rel=1e-8)
 
@@ -269,26 +267,26 @@ def test_start_without_warm_is_the_boundary_bump(solved_02, domain_02):
 
 
 def test_initializer_preconditions(domain_02):
-    params, grid, table = domain_02
+    params, grid, _ = domain_02
     with pytest.raises(ValueError, match="warm field length"):
-        solve_least_energy(params, grid, table, warm=np.ones(grid.n_interior - 1))
+        solve_least_energy(params, grid, warm=np.ones(grid.n_interior - 1))
+
+
+def test_the_solver_builds_its_own_table(domain_02):
+    # the table follows from params and grid: one passed in is refused
+    # before any work, and config and warm are keyword-only
+    params, grid, table = domain_02
+    with pytest.raises(TypeError):
+        solve_least_energy(params, grid, table)
+    with pytest.raises(TypeError):
+        solve_least_energy(params, grid, SolverConfig())
 
 
 def test_grid_must_resolve_the_intrinsic_scale():
     params = Params(d=0.05)
     grid = build_grid(0.0, 1.0, 0.02, 2.0)
-    table = kernel_weights(grid, params)
     with pytest.raises(ValueError):
-        solve_least_energy(params, grid, table)
-
-
-def test_table_grid_mismatch_is_rejected():
-    params = Params(d=0.2)
-    grid = default_grid_policy(params)
-    other = build_grid(0.0, 1.0, 0.02, 2.0)
-    table = kernel_weights(other, params)
-    with pytest.raises(ValueError):
-        solve_least_energy(params, grid, table)
+        solve_least_energy(params, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +398,7 @@ def test_sweep_records_match_stand_alone_solves(s, p):
         pd = Params(s=s, p=p, d=record.d)
         grid = default_grid_policy(pd)
         warm = transplant_ground_state(ground, grid.interior_nodes, pd)
-        alone = solve_least_energy(pd, grid, kernel_weights(grid, pd), warm=warm)
+        alone = solve_least_energy(pd, grid, warm=warm)
         assert alone.c_d == pytest.approx(record.c_d, rel=1e-12, abs=0.0)
         assert alone.M_d == pytest.approx(record.sup_u, rel=1e-6, abs=0.0)
         assert alone.argmax_x == record.argmax_x
