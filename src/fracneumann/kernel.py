@@ -18,20 +18,23 @@ Row sums of the table plus the tail reproduce the full one-dimensional
 kernel mass 2*(h/2)^(-2s)/(2s) up to rounding, which is the invariant
 the tests pin down.
 
-Every Toeplitz product is one forward and one inverse real FFT.  A
-block W[rows, cols] only reaches offsets up to the largest |i - j|
-between its rows and columns, so it is convolved at the shortest fast
-length that holds that reach without wrap-around, against the spectrum
-of ``omega`` embedded as an even circulant of that length.  A Neumann
-block W[:, I] or W[I, :] thus costs a transform of about
-2 (n_ext + n_I) points instead of 2 n; the full product keeps the
-length next_fast_len(2n - 1).  Spectra (one per length) and row sums
-(one per block) are made on first use, and tables of equal (n, h, s)
-share one read-only copy of their arrays, spectra and row sums.
-Results are bitwise reproducible from run to run.
+Every Toeplitz product is one forward and one inverse real FFT, both
+numpy's pocketfft (numpy >= 2.0).  A block W[rows, cols] only reaches
+offsets up to the largest |i - j| between its rows and columns, so it
+is convolved at the shortest 5-smooth length that holds that reach
+without wrap-around, against the spectrum of ``omega`` embedded as an
+even circulant of that length.  A Neumann block W[:, I] or W[I, :]
+thus costs a transform of about 2 (n_ext + n_I) points instead of 2 n;
+the full product keeps the smallest 5-smooth length >= 2n - 1.
+Spectra (one per length) and row sums (one per block) are made on
+first use, and tables of equal (n, h, s) share one read-only copy of
+their arrays, spectra and row sums.  Results are bitwise reproducible
+from run to run.
 
 The normalizing constant c_{n,s} is evaluated in closed form from the
-Gamma function; no quadrature runs when a table is built.
+Gamma function, and the zeta values of the curvature defect by an
+Euler-Maclaurin sum; no quadrature runs when a table is built, and the
+module needs numpy alone.
 
 A whole-space field is a plain array of nodal values, zero beyond the
 window; ``frac_laplacian_apply`` and the whole-space energies reject
@@ -41,11 +44,11 @@ one of the wrong length or with a non-finite value.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft, special
 
 from .grids import Grid, LineGrid, Params
 
@@ -97,7 +100,8 @@ def _curvature_defect(s: float) -> float:
 
     The sum is evaluated through the binomial expansion of the kernel
     about each cell centre, which turns it into a zeta series with
-    ratio 1/4; fifty terms reach round-off for every s in (0, 1).
+    ratio 1/4; fifty terms reach round-off for every s in (0, 1).  Each
+    zeta(2s + 2j + 1) comes from ``_zeta``'s Euler-Maclaurin sum.
     """
     total = 0.0
     coeff = 1.0  # binom(-1-2s, k), by recurrence
@@ -111,13 +115,60 @@ def _curvature_defect(s: float) -> float:
             (2.0 * c_odd + c_even)
             * quarter
             / (2 * j + 3)
-            * special.zeta(2.0 * s + 2 * j + 1)
+            * _zeta(2.0 * s + 2 * j + 1)
         )
         total += term
         if abs(term) < 1e-18 * abs(total):
             break
         quarter *= 0.25
     return total
+
+
+# B_2, B_4, ..., B_16: the Bernoulli numbers of the Euler-Maclaurin tail
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+
+
+@lru_cache(maxsize=256)
+def _zeta(x: float) -> float:
+    """Riemann zeta(x) for x > 1, by Euler-Maclaurin summation.
+
+    The terms k^(-x) for k < 10 are summed directly; the rest of the
+    series is the integral 10^(1-x)/(x-1), half of 10^(-x) and the
+    corrections B_2j/(2j)! * x(x+1)...(x+2j-2) * 10^(1-x-2j) for
+    j = 1..8.  ``math.fsum`` adds the terms, so only the terms round:
+    against 30-digit values the result is within one ulp on
+    [1.0001, 110] and within two ulp for 1 < x < 1.0001.
+    """
+    n = 10
+    last = float(n) ** -x
+    terms = [float(k) ** -x for k in range(1, n)]
+    terms += [n * last / (x - 1.0), 0.5 * last]
+    factorial, rising, power = 1.0, x, last / n
+    for j, bernoulli in enumerate(_BERNOULLI, start=1):
+        factorial *= (2 * j - 1) * (2 * j)
+        terms.append(bernoulli / factorial * rising * power)
+        rising *= (x + 2 * j - 1) * (x + 2 * j)
+        power /= n * n
+    return math.fsum(terms)
+
+
+@lru_cache(maxsize=256)
+def _fast_len(target: int) -> int:
+    """Smallest 2^a 3^b 5^c >= target: a length pocketfft transforms fast."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < target:
+            # the least power of two that lifts 3^b 5^c to the target
+            candidate = p35 << ((target - 1) // p35).bit_length()
+            if candidate < best:
+                best = candidate
+            p35 *= 3
+        if p35 < best:
+            best = p35
+        p5 *= 5
+    return best
 
 
 def _spectrum(omega: np.ndarray, length: int) -> np.ndarray:
@@ -130,9 +181,16 @@ def _spectrum(omega: np.ndarray, length: int) -> np.ndarray:
     gen = np.zeros(length, dtype=np.float64)
     gen[:k] = omega[:k]
     gen[length - k + 1 :] = omega[k - 1 : 0 : -1]
-    spec = np.ascontiguousarray(fft.rfft(gen).real)
+    spec = np.ascontiguousarray(np.fft.rfft(gen).real)
     spec.flags.writeable = False
     return spec
+
+
+class _Scratch(threading.local):
+    """FFT work arrays by length, one set per thread."""
+
+    def __init__(self) -> None:
+        self.by_length: dict[int, tuple[np.ndarray, ...]] = {}
 
 
 class _Derived:
@@ -143,6 +201,8 @@ class _Derived:
     kept read-only.  Tables of equal (n, h, s) share one holder, so a
     grid's spectra and row sums are made once however many tables and
     solves use them; a Neumann solve needs one length and four blocks.
+    The holder also keeps each thread's FFT work arrays per length, so
+    a product allocates only its result.
     """
 
     def __init__(self, omega: np.ndarray) -> None:
@@ -151,12 +211,24 @@ class _Derived:
         self.prefix.flags.writeable = False
         self._by_length: dict[int, np.ndarray] = {}
         self._by_block: dict[tuple[int, int, int, int], np.ndarray] = {}
+        self._scratch = _Scratch()
 
     def spectrum(self, length: int) -> np.ndarray:
         spec = self._by_length.get(length)
         if spec is None:
             spec = self._by_length[length] = _spectrum(self._omega, length)
         return spec
+
+    def scratch(self, length: int) -> tuple[np.ndarray, ...]:
+        """This thread's (signal, coefficients, result) arrays of one length."""
+        arrays = self._scratch.by_length.get(length)
+        if arrays is None:
+            arrays = self._scratch.by_length[length] = (
+                np.empty(length, dtype=np.float64),
+                np.empty(length // 2 + 1, dtype=np.complex128),
+                np.empty(length, dtype=np.float64),
+            )
+        return arrays
 
     def row_sums(
         self, row_lo: int, row_hi: int, col_lo: int, col_hi: int
@@ -258,26 +330,31 @@ class KernelTable:
 
         ``x`` has length col_hi - col_lo.  The block reaches offsets up
         to k = max(row_hi - 1 - col_lo, col_hi - 1 - row_lo), so it is
-        convolved at L = next_fast_len(2k + 1) against the circulant
-        spectrum of that length: ``x`` is placed at col_lo - base in a
-        zero vector of length L, with base = min(row_lo, col_lo), and
-        rows are read from row_lo - base.  The full product (0, n, 0, n)
-        has base 0 and L = next_fast_len(2n - 1).  Round-off is of order
-        eps * ||W||_inf * ||x||_inf, not relative per entry.
+        convolved at L = ``_fast_len(2k + 1)``, the smallest 5-smooth
+        length that holds it, against the circulant spectrum of that
+        length: ``x`` is placed at col_lo - base in a zero vector of
+        length L, with base = min(row_lo, col_lo), and rows are read
+        from row_lo - base.  The full product (0, n, 0, n) has base 0
+        and L = ``_fast_len(2n - 1)``.  The transforms are numpy's
+        pocketfft, run in this thread's work arrays of that length, and
+        the rows are returned as a fresh array, so threads may share a
+        table.  Round-off is of order eps * ||W||_inf * ||x||_inf, not
+        relative per entry.
         """
         if x.shape != (col_hi - col_lo,):
             raise ValueError("operand length must match the column range")
         if row_hi <= row_lo:
             return np.empty(0, dtype=np.float64)
         reach = max(row_hi - 1 - col_lo, col_hi - 1 - row_lo)
-        size = fft.next_fast_len(2 * reach + 1, real=True)
+        size = _fast_len(2 * reach + 1)
         base = min(row_lo, col_lo)
-        buf = np.zeros(size, dtype=np.float64)
-        buf[col_lo - base : col_hi - base] = x
-        coeffs = fft.rfft(buf)
+        signal, coeffs, out = self.derived.scratch(size)
+        signal.fill(0.0)
+        signal[col_lo - base : col_hi - base] = x
+        np.fft.rfft(signal, out=coeffs)
         coeffs *= self.derived.spectrum(size)
-        out = fft.irfft(coeffs, size, overwrite_x=True)
-        return out[row_lo - base : row_hi - base]
+        np.fft.irfft(coeffs, size, out=out)
+        return out[row_lo - base : row_hi - base].copy()
 
     def row_sums(
         self, row_lo: int, row_hi: int, col_lo: int, col_hi: int

@@ -88,12 +88,20 @@ class SolverConfig:
     step: float = 0.1
 
     def __post_init__(self) -> None:
-        if not self.tol_residual > 0.0:
-            raise ValueError("tol_residual must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if not self.step > 0.0:
-            raise ValueError("initial step must be positive")
+        # an infinite tolerance switches the residual test off, and an
+        # infinite step is rejected at once by the descent
+        for name in ("tol_residual", "step"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if (
+            not isinstance(self.max_iters, int)
+            or isinstance(self.max_iters, bool)
+            or self.max_iters < 1
+        ):
+            raise ValueError(
+                f"max_iters must be an integer of at least 1, got {self.max_iters!r}"
+            )
 
 
 @dataclass(frozen=True)

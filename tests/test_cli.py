@@ -24,16 +24,16 @@ def run(capsys, *argv):
 # import footprint
 
 
-def test_import_loads_no_quadrature_or_optimizer():
-    # the package needs scipy's fft and special functions only; a fresh
-    # interpreter shows what importing the library and the CLI pulls in
+def test_import_loads_no_scipy():
+    # the package runs on numpy alone; a fresh interpreter shows what
+    # importing the library and the CLI pulls in
     src = str(Path(fracneumann.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     code = (
         "import sys, fracneumann, fracneumann.cli; "
-        "print(' '.join(m for m in ('scipy.integrate', 'scipy.optimize') "
-        "if m in sys.modules))"
+        "print(' '.join(m for m in sys.modules "
+        "if m == 'scipy' or m.startswith('scipy.')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
@@ -97,6 +97,27 @@ def test_config_rejects_malformed_lines(tmp_path):
     path.write_text("just some words\n")
     with pytest.raises(ValueError):
         load_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "line, name",
+    [
+        ("solver.step = inf", "step"),
+        ("solver.tol = inf", "tol_residual"),
+        ("solver.tol = nan", "tol_residual"),
+    ],
+)
+def test_non_finite_solver_value_is_an_error_naming_the_field(
+    capsys, tmp_path, line, name
+):
+    # an infinite step used to fail at iteration 0 as a rejected step, and
+    # an infinite tolerance let the solve end on the flux test alone
+    path = tmp_path / "lab.cfg"
+    path.write_text(line + "\n")
+    code, out, err = run(capsys, "--config", str(path), "solve", "--d", "0.2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {name} must be positive and finite")
 
 
 def test_bad_config_exits_cleanly_through_main(capsys, tmp_path):

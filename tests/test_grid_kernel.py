@@ -1,6 +1,8 @@
 """Grid layout, kernel constants, weight tables and the discrete operator."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from fracneumann import (
     kernel_weights,
     normalizing_constant,
 )
+from fracneumann.kernel import _fast_len, _zeta
 
 
 def gamma_constant(n, s):
@@ -515,6 +518,22 @@ def test_equal_grid_arguments_share_one_read_only_grid():
         g.nodes[0] = 1.0
 
 
+def _scipy_fft_product(omega, x, row_lo, row_hi, col_lo, col_hi):
+    """Reference: scipy.fft at the product's own length and placement."""
+    reach = max(row_hi - 1 - col_lo, col_hi - 1 - row_lo)
+    size = fft.next_fast_len(2 * reach + 1, real=True)
+    base = min(row_lo, col_lo)
+    k = min(omega.size, size // 2 + 1)
+    gen = np.zeros(size)
+    gen[:k] = omega[:k]
+    gen[size - k + 1 :] = omega[k - 1 : 0 : -1]
+    buf = np.zeros(size)
+    buf[col_lo - base : col_hi - base] = x
+    coeffs = fft.rfft(buf)
+    coeffs *= fft.rfft(gen).real
+    return fft.irfft(coeffs, size, overwrite_x=True)[row_lo - base : row_hi - base]
+
+
 def _full_length_product(omega, x, row_lo, row_hi, col_lo, col_hi):
     """Independent oracle: numpy FFT at the full circulant length 2n - 1."""
     n = omega.size
@@ -542,24 +561,101 @@ def test_block_products_match_a_full_length_product_at_production_size(block):
     scale = float(np.max(t.row_sums(0, n, 0, n))) * np.max(np.abs(x))
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    # numpy's pocketfft gives scipy.fft's bits at the same length
+    assert np.array_equal(got, _scipy_fft_product(t.omega, x, *ranges))
 
 
 def test_full_product_keeps_the_full_circulant_bitwise():
     lg = build_line_grid(60.0, 0.05)
     t = kernel_weights(lg, Params())
     n = t.n_nodes
-    size = fft.next_fast_len(2 * n - 1, real=True)
-    gen = np.zeros(size)
-    gen[:n] = t.omega
-    gen[size - n + 1 :] = t.omega[:0:-1]
-    spec = fft.rfft(gen).real
     x = np.random.default_rng(8).standard_normal(n)
-    buf = np.zeros(size)
-    buf[:n] = x
-    coeffs = fft.rfft(buf)
-    coeffs *= spec
-    want = fft.irfft(coeffs, size, overwrite_x=True)[:n]
+    want = _scipy_fft_product(t.omega, x, 0, n, 0, n)
     assert np.array_equal(t.matvec(x, 0, n, 0, n), want)
+
+
+def test_threads_sharing_a_table_get_the_bits_of_one_thread():
+    # each thread has its own FFT work arrays, and every product is a
+    # fresh array, so results neither mix between threads nor change later
+    params = Params(d=0.2)
+    t = kernel_weights(default_grid_policy(params), params)
+    n = t.n_nodes
+    lo, hi = t.grid.interior_range
+    blocks = [(0, n, lo, hi), (lo, hi, 0, n), (0, n, 0, n), (lo, hi, lo, hi)]
+    rng = np.random.default_rng(11)
+    xs = [rng.standard_normal(c1 - c0) for (_, _, c0, c1) in blocks]
+    # copies, so that the reference cannot alias what a later product writes
+    want = [np.array(t.matvec(x, *b)) for x, b in zip(xs, blocks)]
+    rounds = 30
+    results = [[] for _ in range(4)]
+
+    def work(out):
+        for _ in range(rounds):
+            for x, b in zip(xs, blocks):
+                out.append(t.matvec(x, *b))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(r,)) for r in results]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for out in results:
+        assert len(out) == rounds * len(blocks)
+        for i, got in enumerate(out):
+            assert np.array_equal(got, want[i % len(blocks)])
+
+
+def test_fast_len_is_scipys_real_fast_length():
+    # the uncached search, against scipy for every target up to 2^18
+    targets = range(1, 2**18 + 1)
+    ours = [_fast_len.__wrapped__(target) for target in targets]
+    assert ours == [fft.next_fast_len(target, real=True) for target in targets]
+
+
+def test_zeta_matches_scipy_and_the_even_closed_forms():
+    xs = np.linspace(1.0001, 60.0, 20001)
+    ours = np.array([_zeta(float(x)) for x in xs])
+    ref = special.zeta(xs)
+    assert np.max(np.abs(ours - ref) / (np.finfo(float).eps * ref)) <= 4.0
+    assert _zeta(2.0) == pytest.approx(math.pi**2 / 6.0, rel=2e-16)
+    assert _zeta(4.0) == pytest.approx(math.pi**4 / 90.0, rel=2e-16)
+
+
+def _scipy_pv_coeff(s, h):
+    """The cell-rule coefficient as formed with scipy's zeta."""
+    total = 0.0
+    coeff = 1.0
+    quarter = 0.25
+    for j in range(50):
+        c_even = coeff
+        coeff *= (-1.0 - 2.0 * s - 2 * j) / (2 * j + 1)
+        c_odd = coeff
+        coeff *= (-2.0 - 2.0 * s - 2 * j) / (2 * j + 2)
+        term = (
+            (2.0 * c_odd + c_even)
+            * quarter
+            / (2 * j + 3)
+            * special.zeta(2.0 * s + 2 * j + 1)
+        )
+        total += term
+        if abs(term) < 1e-18 * abs(total):
+            break
+        quarter *= 0.25
+    return (0.5 ** (2.0 - 2.0 * s) / (2.0 * (1.0 - s)) + total) * h ** (-2.0 * s)
+
+
+@pytest.mark.parametrize("s", [0.15, 0.25, 0.4])
+def test_pv_coeff_keeps_the_scipy_zeta_bits(s):
+    # the exponents the CLI examples and the default sweep run at
+    for grid in (build_line_grid(60.0, 0.05), build_grid(0.0, 1.0, 0.004, 2.0)):
+        t = kernel_weights(grid, Params(s=s, p=1.3))
+        assert t.pv_coeff == _scipy_pv_coeff(s, grid.h)
 
 
 def test_field_validation():

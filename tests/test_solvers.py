@@ -1,6 +1,7 @@
 """Descent solvers: ground state, Neumann least energy, sweep, snapshots."""
 
 import glob
+import math
 import os
 from dataclasses import replace
 
@@ -80,6 +81,13 @@ def test_config_rejects_bad_values():
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(step=-0.1)
+    for name in ("tol_residual", "step"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^{name} must be positive"):
+                SolverConfig(**{name: value})
+    for value in (2.5, True, "10"):
+        with pytest.raises(ValueError, match="^max_iters must be an integer"):
+            SolverConfig(max_iters=value)
     with pytest.raises(TypeError):  # the start follows from warm=
         SolverConfig(init="warm_start")
 
