@@ -58,7 +58,6 @@ _CONFIG_KEYS = {
     "grid.Rext": float,
     "solver.tol": float,
     "solver.max_iters": int,
-    "solver.step": float,
     "sweep.d_max": float,
     "sweep.d_min": float,
     "sweep.points": int,
@@ -68,7 +67,6 @@ _CONFIG_KEYS = {
 _SOLVER_KEYS = {
     "tol_residual": "solver.tol",
     "max_iters": "solver.max_iters",
-    "step": "solver.step",
 }
 
 # ``fit --quantity`` names: cd and sup as they are, integral "L<r>" as "r:<r>".
@@ -80,7 +78,11 @@ _GROUND_WINDOW = (60.0, 0.05)
 
 
 def load_config(path: str) -> dict:
-    """Parse a ``key = value`` config file with the fixed key set."""
+    """Parse a ``key = value`` config file with the fixed key set.
+
+    Raises ValueError, naming the path and line, on a malformed line, an
+    unknown or repeated key, or a value its key's parser rejects.
+    """
     values: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -93,6 +95,8 @@ def load_config(path: str) -> dict:
             key = key.strip()
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
             try:
                 values[key] = _CONFIG_KEYS[key](text.strip())
             except ValueError as exc:
@@ -163,7 +167,7 @@ def _cmd_solve(args, config: dict) -> int:
     h = _resolve(args.h, config, "grid.h", None)
     if h is None:
         h = default_grid_policy(params, a, b).h
-    r_ext = _resolve(args.Rext, config, "grid.Rext", 2.0 * (b - a))
+    r_ext = _resolve(args.Rext, config, "grid.Rext", None)
     grid = build_grid(a, b, h, r_ext)
     result = solve_least_energy(params, grid, config=_solver_config(config))
     branch = "constant" if result.constant_branch else "nonconstant"

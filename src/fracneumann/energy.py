@@ -104,17 +104,14 @@ def _neumann(
     """(J_d(u), Q(u), int |u|^(p+1)) of a full-grid field.
 
     Q = d c/2 seminorm_T + int u^2 is the quadratic part and J_d =
-    Q/2 - int |u|^(p+1) / (p+1); mass and potential are midpoint cell
-    sums over the domain.  At most one product, none on a fresh
+    Q/2 - int |u|^(p+1) / (p+1); mass and potential are the grid's
+    midpoint rule over the domain.  At most one product, none on a fresh
     extension.
     """
-    lo, hi = u.grid.interior_range
-    ui = u.values[lo:hi]
-    h = u.grid.h
-    quad = params.d * table.c_ns / 2.0 * seminorm_T(u, table) + h * float(
-        np.sum(ui * ui)
-    )
-    pot = h * float(np.sum(np.abs(ui) ** (params.p + 1.0)))
+    grid = u.grid
+    ui = u.interior_values
+    quad = params.d * table.c_ns / 2.0 * seminorm_T(u, table) + grid.integrate(ui * ui)
+    pot = grid.integrate(np.abs(ui) ** (params.p + 1.0))
     return quad / 2.0 - pot / (params.p + 1.0), quad, pot
 
 
@@ -215,11 +212,11 @@ def _line_integrals(
     operator's second-difference rule and analytic tails, so
     h * v . frac_laplacian_apply(v) = c/2 [v]^2.  One product.
     """
-    h = table.h
+    grid = table.grid
     pair, edges = _pair_and_edges(v, table, 0, v.shape[0])
     tail = float((v * v) @ table.tail)
-    gag = h * (pair + 2.0 * table.pv_coeff * edges + 2.0 * tail)
-    return gag, h * float(np.sum(v * v)), h * float(np.sum(np.abs(v) ** (p + 1.0)))
+    gag = grid.h * (pair + 2.0 * table.pv_coeff * edges + 2.0 * tail)
+    return gag, grid.integrate(v * v), grid.integrate(np.abs(v) ** (p + 1.0))
 
 
 def _whole_space(u: np.ndarray, p: float, table: KernelTable) -> tuple[float, ...]:

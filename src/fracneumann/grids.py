@@ -37,6 +37,12 @@ _SPACING_RTOL = 1e-12
 _DIVISIBILITY_RTOL = 1e-9
 
 
+def _check_dimension(n) -> None:
+    """Reject a dimension that is not a positive ``int`` (``bool`` included)."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"dimension n must be a positive integer, got {n!r}")
+
+
 @dataclass(frozen=True)
 class Params:
     """Problem exponents and the diffusion parameter.
@@ -52,8 +58,7 @@ class Params:
     d: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"dimension n must be a positive integer, got {self.n!r}")
+        _check_dimension(self.n)
         for name in ("s", "p", "d"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"parameter {name} must be finite")
@@ -122,10 +127,10 @@ def _check_uniform(nodes: np.ndarray, h: float) -> None:
 class Grid:
     """Bounded domain (a, b) plus exterior collar, cell-centered nodes.
 
-    ``interior`` marks nodes inside the open interval (a, b); everything
-    else belongs to the collar.  Construct through :func:`build_grid`
-    for validated, production-sized grids; direct construction is open
-    for small hand-built fixtures.
+    ``interior`` is derived: it marks the nodes inside the open interval
+    (a, b), and everything else belongs to the collar.  Construct
+    through :func:`build_grid` for validated, production-sized grids;
+    direct construction is open for small hand-built fixtures.
     """
 
     a: float
@@ -133,20 +138,24 @@ class Grid:
     h: float
     r_ext: float
     nodes: np.ndarray
-    interior: np.ndarray = field(repr=False)
-    # Half-open index range [lo, hi) of the interior block, set once
-    # from ``interior``, which the checks below make one contiguous run.
+    interior: np.ndarray = field(init=False, repr=False, compare=False)
+    # Half-open index range [lo, hi) of the interior block; the nodes
+    # increase, so the open-interval test marks one contiguous run.
     interior_range: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_uniform(self.nodes, self.h)
-        coord_mask = (self.nodes > self.a) & (self.nodes < self.b)
-        if not np.array_equal(coord_mask, self.interior):
-            raise ValueError("interior labels must match the open-interval test")
-        if not self.interior.any():
+        interior = (self.nodes > self.a) & (self.nodes < self.b)
+        if not interior.any():
             raise ValueError("grid has no interior nodes")
-        idx = np.flatnonzero(self.interior)
+        interior.flags.writeable = False
+        idx = np.flatnonzero(interior)
+        object.__setattr__(self, "interior", interior)
         object.__setattr__(self, "interior_range", (int(idx[0]), int(idx[-1]) + 1))
+
+    def integrate(self, f: np.ndarray) -> float:
+        """Midpoint rule h * sum(f) of cell values ``f``."""
+        return self.h * float(np.sum(f))
 
     @property
     def n_nodes(self) -> int:
@@ -189,6 +198,8 @@ class LineGrid:
     def n_nodes(self) -> int:
         return self.nodes.size
 
+    integrate = Grid.integrate
+
     @property
     def window(self) -> tuple[float, float]:
         return float(self.nodes[0] - 0.5 * self.h), float(self.nodes[-1] + 0.5 * self.h)
@@ -203,7 +214,7 @@ def _cell_count(length: float, h: float, what: str) -> int:
     return count
 
 
-def build_grid(a: float, b: float, h: float, r_ext: float) -> Grid:
+def build_grid(a: float, b: float, h: float, r_ext: float | None = None) -> Grid:
     """Build the Neumann grid for domain (a, b) with collar half-width r_ext.
 
     Parameters
@@ -215,7 +226,7 @@ def build_grid(a: float, b: float, h: float, r_ext: float) -> Grid:
         domain is resolved by at least eight cells.
     r_ext:
         Collar half-width; the represented window covers
-        [a - r_ext, b + r_ext].  Must be at least 2(b - a).
+        [a - r_ext, b + r_ext].  Must be at least 2(b - a), the default.
 
     Returns
     -------
@@ -225,6 +236,8 @@ def build_grid(a: float, b: float, h: float, r_ext: float) -> Grid:
         arguments return one shared grid with read-only ``nodes`` and
         ``interior``.
     """
+    if r_ext is None:
+        r_ext = 2.0 * (b - a)
     for name, value in (("a", a), ("b", b), ("h", h), ("r_ext", r_ext)):
         if not math.isfinite(value):
             raise ValueError(f"build_grid argument {name} must be finite")
@@ -254,11 +267,8 @@ def _shared_grid(a: float, b: float, h: float, r_ext: float) -> Grid:
 
     offsets = np.arange(-n_ext, n_int + n_ext, dtype=np.float64) + 0.5
     nodes = a + offsets * h_eff
-    interior = np.zeros(nodes.size, dtype=bool)
-    interior[n_ext : n_ext + n_int] = True
-    for arr in (nodes, interior):
-        arr.flags.writeable = False
-    return Grid(a=a, b=b, h=h_eff, r_ext=r_ext, nodes=nodes, interior=interior)
+    nodes.flags.writeable = False
+    return Grid(a=a, b=b, h=h_eff, r_ext=r_ext, nodes=nodes)
 
 
 def build_line_grid(half_width: float, h: float) -> LineGrid:

@@ -71,6 +71,10 @@ _VERIFY_LINE = (40.0, 0.08)
 _VERIFY_D = 0.2
 _VERIFY_SEED = 0
 
+# Largest relative error of the discrete symbol against |k|^2s that the
+# suite's coarse line window passes.
+_SYMBOL_TOL = 2e-2
+
 # Half-width (in intrinsic units) of the window on which rescaled
 # profiles are compared.
 _PROFILE_WINDOW = 5.0
@@ -233,7 +237,7 @@ def profile_compare(
 # self-verification suite
 
 
-def _check_symbol(table: KernelTable, grid, tol: float = 2e-2) -> VerifyItem:
+def _check_symbol(table: KernelTable, grid) -> VerifyItem:
     """Fourier symbol check: the operator's action on cos(kx) vs |k|^2s."""
     xs = grid.nodes
     inner = np.abs(xs) <= grid.half_width / 2.0
@@ -245,8 +249,8 @@ def _check_symbol(table: KernelTable, grid, tol: float = 2e-2) -> VerifyItem:
         worst = max(worst, err)
     return VerifyItem(
         name="kernel-symbol",
-        passed=worst <= tol,
-        detail=f"max relative symbol error {worst:.3e} (tol {tol:g})",
+        passed=worst <= _SYMBOL_TOL,
+        detail=f"max relative symbol error {worst:.3e} (tol {_SYMBOL_TOL:g})",
     )
 
 
@@ -272,9 +276,11 @@ def _check_extension(table: KernelTable, grid: Grid) -> VerifyItem:
 def verify_suite(params: Params) -> list[VerifyItem]:
     """Run the eight wiring checks and report pass/fail per item.
 
-    Items never raise: a failed precondition (for example an exponent
-    outside the Neumann range) becomes a failed item whose detail quotes
-    the error, and the remaining items still run.
+    Needs ``params.n == 1``; any other dimension raises ValueError before
+    the first item, since the weight tables are one-dimensional.  Past
+    that, items never raise: a failed precondition (for example an
+    exponent outside the Neumann range) becomes a failed item whose
+    detail quotes the error, and the remaining items still run.
     """
     items: list[VerifyItem] = []
 

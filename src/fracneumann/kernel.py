@@ -50,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import Grid, LineGrid, Params
+from .grids import Grid, LineGrid, Params, _check_dimension
 
 __all__ = [
     "KernelTable",
@@ -73,8 +73,7 @@ def normalizing_constant(n: int, s: float) -> float:
     ValueError
         On parameters outside 0 < s < 1, n >= 1 or 2s <= n.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"dimension n must be a positive integer, got {n!r}")
+    _check_dimension(n)
     if not 0.0 < s < 1.0:
         raise ValueError(f"fractional order s must lie in (0, 1), got {s}")
     if 2.0 * s > n:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import _pair_and_edges
-from .grids import Grid
+from .grids import Grid, Params, _check_dimension
 from .kernel import KernelTable
 
 __all__ = [
@@ -64,8 +64,7 @@ class MoserParams:
     C0: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"dimension n must be a positive integer, got {self.n!r}")
+        _check_dimension(self.n)
         for name in ("s", "p", "A", "C0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"parameter {name} must be finite")
@@ -216,39 +215,30 @@ def _interior_quadratic(v: np.ndarray, table: KernelTable, d: float) -> float:
     Only interior-interior kernel pairs enter; the adjacent-cell
     quadrature defect is corrected exactly as in the full seminorm.
     """
-    pair, edges = _pair_and_edges(v, table, *table.grid.interior_range)
-    h = table.h
-    seminorm = h * (pair + 2.0 * table.pv_coeff * edges)
-    mass = h * float(np.sum(v * v))
-    return d * (table.c_ns / 2.0) * seminorm + mass
+    grid = table.grid
+    pair, edges = _pair_and_edges(v, table, *grid.interior_range)
+    seminorm = grid.h * (pair + 2.0 * table.pv_coeff * edges)
+    return d * (table.c_ns / 2.0) * seminorm + grid.integrate(v * v)
 
 
-def sobolev_constant_estimate(
-    table: KernelTable,
-    trials: int,
-    d0: float = 1.0,
-    seed: int = 0,
-) -> float:
+def sobolev_constant_estimate(table: KernelTable, trials: int) -> float:
     """Empirical lower estimate of the embedding constant on the domain.
 
     Maximises ||v||_{L^{2*}}**2 * d / (d (c/2) [v]**2 + ||v||_2**2) over
-    random smooth trial fields and d in {d0, d0/10, d0/100}, where the
+    random smooth trial fields and d in {1, 0.1, 0.01}, where the
     seminorm pairs interior points only.  The domain is that of the
-    table's grid.  With a fixed seed the estimate is a running maximum,
-    hence non-decreasing in ``trials``.
+    table's grid.  The trial fields come from a fixed seed, so the
+    estimate is a running maximum, hence non-decreasing in ``trials``.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trial fields, got {trials}")
-    if d0 <= 0.0:
-        raise ValueError(f"diffusion d0 must be positive, got {d0}")
     grid = table.grid
     if not isinstance(grid, Grid):
         raise ValueError("the embedding estimate needs a bounded-domain grid")
     xs = grid.interior_nodes
     span = grid.b - grid.a
-    ts = 2.0 * 1.0 / (1.0 - 2.0 * table.s)
-    h = grid.h
-    rng = np.random.default_rng(seed)
+    ts = Params(s=table.s).two_star
+    rng = np.random.default_rng(0)
     best = 0.0
     phases = np.pi * (xs - grid.a) / span
     for _ in range(trials):
@@ -257,8 +247,8 @@ def sobolev_constant_estimate(
         for m in range(1, _TRIAL_MODES + 1):
             v = v + coeffs[2 * m - 1] * np.cos(m * phases)
             v = v + coeffs[2 * m] * np.sin(m * phases)
-        num = (h * float(np.sum(np.abs(v) ** ts))) ** (2.0 / ts)
-        for d in (d0, d0 / 10.0, d0 / 100.0):
+        num = grid.integrate(np.abs(v) ** ts) ** (2.0 / ts)
+        for d in (1.0, 0.1, 0.01):
             ratio = num * d / _interior_quadratic(v, table, d)
             if ratio > best:
                 best = ratio

@@ -80,9 +80,9 @@ def neumann_derivative(u: ExtendedField | np.ndarray, table: KernelTable, x: int
     v = u.values if isinstance(u, ExtendedField) else _nodal(u, grid.n_nodes)
     if not 0 <= x < grid.n_nodes:
         raise ValueError(f"node index {x} outside the grid")
-    if grid.interior[x]:
-        raise ValueError(f"node {x} is interior; N_s is defined on the collar")
     lo, hi = grid.interior_range
+    if lo <= x < hi:
+        raise ValueError(f"node {x} is interior; N_s is defined on the collar")
     row = table.omega[np.abs(np.arange(lo, hi) - x)]
     return float(table.c_ns * (row @ (v[x] - v[lo:hi])))
 

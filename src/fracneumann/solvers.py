@@ -58,6 +58,10 @@ __all__ = [
 # identity checks downstream ask for.
 _FLUX_TOL = 1e-7
 
+# Step of the first descent iteration; Barzilai-Borwein replaces it as
+# soon as two iterates give a positive curvature du . dr.
+_FIRST_STEP = 0.1
+
 # The integrals int u^r a sweep record keeps, as (label, r) with None
 # standing for r = p + 1.  The sweep CSV columns, the quantities
 # ``scaling_fit`` accepts and the CLI's ``fit --quantity r:...`` names
@@ -85,15 +89,12 @@ class SweepAborted(RuntimeError):
 class SolverConfig:
     tol_residual: float = 1e-8
     max_iters: int = 50000
-    step: float = 0.1
 
     def __post_init__(self) -> None:
-        # an infinite tolerance switches the residual test off, and an
-        # infinite step is rejected at once by the descent
-        for name in ("tol_residual", "step"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        # an infinite tolerance switches the residual test off
+        value = self.tol_residual
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"tol_residual must be positive and finite, got {value}")
         if (
             not isinstance(self.max_iters, int)
             or isinstance(self.max_iters, bool)
@@ -175,7 +176,7 @@ def _nehari_descent(u0, project, residual, config, h, history):
     peaks = [peak]
     prev_u: np.ndarray | None = None
     prev_r: np.ndarray | None = None
-    step = config.step
+    step = _FIRST_STEP
 
     for it in range(config.max_iters):
         r, size, converged = residual(u, state)
@@ -430,7 +431,7 @@ def default_grid_policy(params: Params, a: float = 0.0, b: float = 1.0) -> Grid:
     target = min(0.02, params.intrinsic_scale / 10.0)
     n_int = int(math.ceil((b - a) / target - 1e-9))
     h = (b - a) / n_int
-    return build_grid(a, b, h, 2.0 * (b - a))
+    return build_grid(a, b, h)
 
 
 def record_from_result(
@@ -438,7 +439,7 @@ def record_from_result(
 ) -> SweepRecord:
     ui = np.abs(result.u.interior_values)
     lr_norms = {
-        label: float(grid.h * np.sum(ui ** (params.p + 1.0 if r is None else r)))
+        label: grid.integrate(ui ** (params.p + 1.0 if r is None else r))
         for label, r in _LR_COLUMNS
     }
     dist = min(result.argmax_x - grid.a, grid.b - result.argmax_x)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fracneumann
-from fracneumann import read_sweep_csv, write_sweep_csv
+from fracneumann import Params, read_sweep_csv, verify_suite, write_sweep_csv
 from fracneumann.cli import load_config, main
 from fracneumann.solvers import _LR_COLUMNS, load_snapshot
 
@@ -71,7 +71,6 @@ def test_config_accepts_the_fixed_key_set(tmp_path):
         "grid.Rext = 4.0\n"
         "solver.tol = 1e-9\n"
         "solver.max_iters = 1000\n"
-        "solver.step = 0.2\n"
         "sweep.d_max = 1.0\n"
         "sweep.d_min = 0.1\n"
         "sweep.points = 4\n"
@@ -102,7 +101,6 @@ def test_config_rejects_malformed_lines(tmp_path):
 @pytest.mark.parametrize(
     "line, name",
     [
-        ("solver.step = inf", "step"),
         ("solver.tol = inf", "tol_residual"),
         ("solver.tol = nan", "tol_residual"),
     ],
@@ -110,7 +108,6 @@ def test_config_rejects_malformed_lines(tmp_path):
 def test_non_finite_solver_value_is_an_error_naming_the_field(
     capsys, tmp_path, line, name
 ):
-    # an infinite step used to fail at iteration 0 as a rejected step, and
     # an infinite tolerance let the solve end on the flux test alone
     path = tmp_path / "lab.cfg"
     path.write_text(line + "\n")
@@ -118,6 +115,31 @@ def test_non_finite_solver_value_is_an_error_naming_the_field(
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {name} must be positive and finite")
+
+
+def test_solver_step_is_not_a_config_key(capsys, tmp_path):
+    # the first descent step is a solver constant that Barzilai-Borwein
+    # replaces; the key that set it is gone
+    path = tmp_path / "lab.cfg"
+    path.write_text("solver.step = inf\n")
+    message = f"{path}:1: unknown config key 'solver.step'"
+    with pytest.raises(ValueError) as exc:
+        load_config(str(path))
+    assert str(exc.value) == message
+    code, out, err = run(capsys, "--config", str(path), "solve", "--d", "0.2")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_repeated_config_key_is_an_error(capsys, tmp_path):
+    # the second value used to win silently
+    path = tmp_path / "lab.cfg"
+    path.write_text("s = 0.25\ns = 0.4\n")
+    message = f"{path}:2: duplicate config key 's'"
+    with pytest.raises(ValueError) as exc:
+        load_config(str(path))
+    assert str(exc.value) == message
+    code, out, err = run(capsys, "--config", str(path), "moser")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_bad_config_exits_cleanly_through_main(capsys, tmp_path):
@@ -201,6 +223,18 @@ def test_verify_exit_code_reflects_failures(capsys):
     assert out.count("[PASS]") == 7
     assert out.count("[FAIL]") == 1
     assert "7/8 checks passed" in out
+
+
+def test_verify_needs_one_dimension(capsys, tmp_path):
+    # the suite's weight tables are one-dimensional, so n = 2 raises
+    # before the first item instead of becoming a failed item
+    message = "weight tables are one-dimensional; need params.n == 1"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_suite(Params(n=2))
+    path = tmp_path / "lab.cfg"
+    path.write_text("n = 2\n")
+    code, out, err = run(capsys, "--config", str(path), "verify")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------

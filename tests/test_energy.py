@@ -48,8 +48,7 @@ def brute_force_cross_seminorm(values, grid, table):
 
 def toy_grid():
     nodes = np.array([0.5, 1.5, 2.5])
-    interior = np.array([False, True, False])
-    return Grid(a=1.0, b=2.0, h=1.0, r_ext=1.0, nodes=nodes, interior=interior)
+    return Grid(a=1.0, b=2.0, h=1.0, r_ext=1.0, nodes=nodes)
 
 
 def random_extended(grid, table, seed, amplitude=1.0):
@@ -101,7 +100,7 @@ def test_seminorm_identity_on_any_grid(n, s, bounds, d, seed):
     h = 1.0 / n
     k = np.arange(n)
     inside = (k >= lo) & (k < hi)
-    g = Grid(a=lo * h, b=hi * h, h=h, r_ext=1.0, nodes=(k + 0.5) * h, interior=inside)
+    g = Grid(a=lo * h, b=hi * h, h=h, r_ext=1.0, nodes=(k + 0.5) * h)
     params = Params(s=s, d=d)
     t = kernel_weights(g, params)
     vals = np.random.default_rng(seed).uniform(0.0, 2.0, n)
@@ -245,8 +244,7 @@ def test_residual_is_the_gradient_of_the_reduced_energy(n, s, bounds, d, p_frac,
     hi = max(lo + 2, int(bounds[1] * n))
     h = 1.0 / n
     k = np.arange(n)
-    g = Grid(a=lo * h, b=hi * h, h=h, r_ext=1.0, nodes=(k + 0.5) * h,
-             interior=(k >= lo) & (k < hi))
+    g = Grid(a=lo * h, b=hi * h, h=h, r_ext=1.0, nodes=(k + 0.5) * h)
     p_max = (1.0 + s) / (1.0 - s)
     params = Params(s=s, d=d, p=1.1 + p_frac * (p_max - 1.1))
     t = kernel_weights(g, params)
@@ -338,8 +336,7 @@ def test_peak_energy_nehari_algebra_on_any_grid(n, s, bounds, d, p_frac, seed):
     hi = max(lo + 1, int(bounds[1] * n))
     h = 1.0 / n
     k = np.arange(n)
-    g = Grid(a=lo * h, b=hi * h, h=h, r_ext=1.0, nodes=(k + 0.5) * h,
-             interior=(k >= lo) & (k < hi))
+    g = Grid(a=lo * h, b=hi * h, h=h, r_ext=1.0, nodes=(k + 0.5) * h)
     p_max = (1.0 + s) / (1.0 - s)
     params = Params(s=s, d=d, p=1.1 + p_frac * (p_max - 1.1))
     t = kernel_weights(g, params)

@@ -14,6 +14,7 @@ from fracneumann import (
     F_energy,
     Grid,
     KernelTable,
+    LineGrid,
     Params,
     build_grid,
     build_line_grid,
@@ -135,6 +136,8 @@ def test_params_rejects_bad_values():
         Params(d=0.0)
     with pytest.raises(ValueError):
         Params(n=0)
+    with pytest.raises(ValueError, match="positive integer, got True"):
+        Params(n=True)
 
 
 def test_params_exponent_gates():
@@ -159,6 +162,29 @@ def test_build_grid_small_example():
     assert not np.any(np.isclose(g.nodes, 1.0))
     inside = (g.nodes > 0.0) & (g.nodes < 1.0)
     assert np.array_equal(g.interior, inside)
+    # the collar defaults to its minimum 2(b - a), on the same shared grid
+    assert build_grid(0.0, 1.0, 0.1) is g
+    # a hand-built grid derives the same read-only mask from (a, b)
+    hand = Grid(a=0.0, b=1.0, h=g.h, r_ext=2.0, nodes=np.array(g.nodes))
+    assert np.array_equal(hand.interior, inside)
+    assert hand.interior_range == g.interior_range == (20, 30)
+    assert not hand.interior.flags.writeable
+    with pytest.raises(TypeError):
+        Grid(a=0.0, b=1.0, h=g.h, r_ext=2.0, nodes=g.nodes, interior=inside)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 500), seed=st.integers(0, 2**32 - 1))
+def test_integrate_is_the_midpoint_rule_bitwise(n, seed):
+    rng = np.random.default_rng(seed)
+    f = rng.uniform(-2.0, 3.0, n) * 10.0 ** rng.integers(-8, 8)
+    h = float(rng.uniform(1e-3, 1.0))
+    g = Grid(a=0.0, b=n * h, h=h, r_ext=1.0, nodes=(np.arange(-1, n + 1) + 0.5) * h)
+    lg = LineGrid(half_width=n * h, h=h, nodes=(np.arange(-n, n) + 0.5) * h)
+    for grid in (g, lg):
+        got = grid.integrate(f)
+        assert type(got) is float
+        assert got == grid.h * float(np.sum(f)) == float(grid.h * np.sum(f))
 
 
 def test_build_grid_fine_example():
@@ -235,6 +261,8 @@ def test_normalizing_constant_rejects_bad_parameters():
         normalizing_constant(0, 0.25)
     with pytest.raises(ValueError):
         normalizing_constant(1.5, 0.25)
+    with pytest.raises(ValueError, match="positive integer, got True"):
+        normalizing_constant(True, 0.25)  # a bool is not a dimension
 
 
 def test_constant_agrees_with_operator_to_1e6():
@@ -402,8 +430,7 @@ def table_blocks(draw):
     hi = draw(st.integers(lo + 1, n))
     h = 1.0 / n
     nodes = (np.arange(n) + 0.5) * h
-    interior = (np.arange(n) >= lo) & (np.arange(n) < hi)
-    grid = Grid(a=lo * h, b=hi * h, h=h, r_ext=1.0, nodes=nodes, interior=interior)
+    grid = Grid(a=lo * h, b=hi * h, h=h, r_ext=1.0, nodes=nodes)
     r0 = draw(st.integers(0, n - 1))
     r1 = draw(st.integers(r0 + 1, n))
     c0 = draw(st.integers(0, n - 1))
@@ -430,8 +457,12 @@ def test_matvec_matches_dense_on_any_block(case):
 @given(table_blocks())
 def test_row_sums_match_dense_on_any_block(case):
     t, (r0, r1, c0, c1), _ = case
-    idx = np.flatnonzero(t.grid.interior)
-    assert t.grid.interior_range == (idx[0], idx[-1] + 1)
+    # the mask derived from (a, b) is the open-interval test, read-only
+    g = t.grid
+    assert np.array_equal(g.interior, (g.nodes > g.a) & (g.nodes < g.b))
+    assert not g.interior.flags.writeable
+    idx = np.flatnonzero(g.interior)
+    assert g.interior_range == (idx[0], idx[-1] + 1)
     # a hand-built table derives its own memo from its own generator
     halved = KernelTable(
         grid=t.grid, s=t.s, c_ns=t.c_ns, omega=0.5 * t.omega, tail=t.tail,

@@ -35,6 +35,8 @@ def test_params_validation():
         MoserParams(s=1.2)
     with pytest.raises(ValueError):
         MoserParams(n=0)
+    with pytest.raises(ValueError, match="positive integer, got True"):
+        MoserParams(n=True)
     with pytest.raises(ValueError):
         MoserParams(A=0.0)
     with pytest.raises(ValueError):
@@ -228,6 +230,7 @@ def test_estimate_is_monotone_in_trials(unit_domain):
 
 
 def test_estimate_is_deterministic(unit_domain):
-    assert sobolev_constant_estimate(unit_domain, 120) == sobolev_constant_estimate(
-        unit_domain, 120
-    )
+    value = sobolev_constant_estimate(unit_domain, 120)
+    assert sobolev_constant_estimate(unit_domain, 120) == value
+    # the bits of the estimate with its former d0 = 1.0, seed = 0 arguments
+    assert value == float.fromhex("0x1.333c372869e3dp+0")

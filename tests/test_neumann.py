@@ -21,8 +21,7 @@ from fracneumann import (
 def toy_grid():
     # five unit cells, three interior: labels (ext, int, int, int, ext)
     nodes = np.array([0.5, 1.5, 2.5, 3.5, 4.5])
-    interior = np.array([False, True, True, True, False])
-    return Grid(a=1.0, b=4.0, h=1.0, r_ext=1.0, nodes=nodes, interior=interior)
+    return Grid(a=1.0, b=4.0, h=1.0, r_ext=1.0, nodes=nodes)
 
 
 def omega_unit(m):
@@ -103,8 +102,7 @@ def test_extension_of_constant_is_exact_on_any_grid(n, s, bounds, level):
     hi = max(lo + 1, int(bounds[1] * n))
     h = 1.0 / n
     k = np.arange(n)
-    g = Grid(a=lo * h, b=hi * h, h=h, r_ext=1.0, nodes=(k + 0.5) * h,
-             interior=(k >= lo) & (k < hi))
+    g = Grid(a=lo * h, b=hi * h, h=h, r_ext=1.0, nodes=(k + 0.5) * h)
     ext = extend(np.full(hi - lo, level), kernel_weights(g, Params(s=s)))
     assert np.all(ext.values == level)
 
@@ -188,7 +186,7 @@ def test_extension_is_stationary_on_grids_with_unequal_collars(
     k = np.arange(n)
     inside = (k >= left) & (k < left + n_int)
     g = Grid(a=left * h, b=(left + n_int) * h, h=h, r_ext=1.0,
-             nodes=(k + 0.5) * h, interior=inside)
+             nodes=(k + 0.5) * h)
     t = kernel_weights(g, Params(s=s))
     u = level + np.random.default_rng(seed).standard_normal(n_int)
     ext = extend(u, t)
