@@ -5,7 +5,8 @@ profile, ``solve`` one Neumann problem, ``sweep`` a diffusion
 continuation written as CSV, ``moser`` prints the iteration ladder,
 ``verify`` runs the self-checks and ``fit`` extracts power laws from a
 sweep CSV.  A plain ``key = value`` config file can seed any run;
-explicit flags override it.
+explicit flags override it, and a key the subcommand does not read is
+an error.
 """
 
 from __future__ import annotations
@@ -69,6 +70,24 @@ _SOLVER_KEYS = {
     "max_iters": "solver.max_iters",
 }
 
+# The config keys each subcommand reads; any other key would be ignored,
+# so it is rejected.
+_PARAM_KEYS = ("s", "p", "n")
+_COMMAND_KEYS = {
+    "ground": (*_PARAM_KEYS, "grid.h", *_SOLVER_KEYS.values()),
+    "solve": (
+        *_PARAM_KEYS, "domain.a", "domain.b", "grid.h", "grid.Rext",
+        *_SOLVER_KEYS.values(),
+    ),
+    "sweep": (
+        *_PARAM_KEYS, "domain.a", "domain.b", *_SOLVER_KEYS.values(),
+        "sweep.d_max", "sweep.d_min", "sweep.points",
+    ),
+    "moser": _PARAM_KEYS,
+    "verify": _PARAM_KEYS,
+    "fit": (),
+}
+
 # ``fit --quantity`` names: cd and sup as they are, integral "L<r>" as "r:<r>".
 _QUANTITY_FLAGS = {("r:" + q[1:] if q[0] == "L" else q): q for q in _QUANTITIES}
 
@@ -102,6 +121,13 @@ def load_config(path: str) -> dict:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return values
+
+
+def _check_keys(path: str, config: dict, command: str) -> None:
+    """Reject the first config key that ``command`` does not read."""
+    for key in config:
+        if key not in _COMMAND_KEYS[command]:
+            raise ValueError(f"{path}: config key {key!r} has no effect on {command!r}")
 
 
 def _resolve(flag, config: dict, key: str, default):
@@ -347,7 +373,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = load_config(args.config) if args.config else {}
+        config = {}
+        if args.config:
+            config = load_config(args.config)
+            _check_keys(args.config, config, args.command)
         return args.func(args, config)
     except (ValueError, ConvergenceError, SweepAborted, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

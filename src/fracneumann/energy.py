@@ -15,10 +15,12 @@ quadrature:
 Each double sum costs at most one Toeplitz product through the table's
 FFT engine.  The Neumann form gets its interior and cross pairs from
 the one product W[:, I] v_I, using the symmetry of the weights, with v
-the field minus its interior mean.  That is the numerator product of
-the Neumann extension, so a field fresh from ``extend`` hands it over
-and its seminorm costs no product at all: one Nehari projection, the
-extension plus its seminorm, makes a single product.
+the field minus its interior mean.  ``_seminorm_form`` is the bilinear
+form S(a, b) of two such centred fields, each given with its own
+product; ``seminorm_T`` is S(v, v) and makes that product itself.  It
+is the numerator product of the Neumann extension, so the least-energy
+solver, which keeps the products ``_extension`` returns, evaluates the
+form of a field it extended without making one.
 
 Each form is assembled in one place.  ``_neumann`` returns
 (J_d, Q, int |u|^(p+1)) for ``J_d``, ``nehari_scale``, ``peak_energy``
@@ -49,6 +51,44 @@ __all__ = [
 ]
 
 
+def _seminorm_form(
+    a: np.ndarray, qa: np.ndarray, b: np.ndarray, qb: np.ndarray, table: KernelTable
+) -> float:
+    """Bilinear form S(a, b) of two centred full-grid fields, unclamped.
+
+    ``a`` and ``b`` are fields minus their interior means and ``qa``,
+    ``qb`` their products W[:, I] a_I and W[:, I] b_I; S(v, v) is the
+    seminorm of v.  No product is made.  Rows I of the products pair the
+    domain with itself, and by symmetry b_E . W_EI a_I on the collar
+    rows equals a_I . W_IE b_E.
+    """
+    grid = table.grid
+    lo, hi = grid.interior_range
+    n = grid.n_nodes
+    ai, bi = a[lo:hi], b[lo:hi]
+    abi = ai * bi
+    rs = table.row_sums(0, n, lo, hi)
+
+    # domain x domain: sum_{i,j in I, i != j} W (a_i - a_j)(b_i - b_j)
+    part_ii = 2.0 * (float(abi @ rs[lo:hi]) - float(ai @ qb[lo:hi]))
+
+    # domain x collar, both orders; the two cross terms are added before
+    # they are subtracted, so S(v, v) has the bits of 2 (v_E . W_EI v_I)
+    part_ie = 0.0
+    for c0, c1 in ((0, lo), (hi, n)):
+        if c0 == c1:
+            continue
+        ae, be = a[c0:c1], b[c0:c1]
+        part_ie += (
+            float(abi @ table.row_sums(lo, hi, c0, c1))
+            + float((ae * be) @ rs[c0:c1])
+            - (float(ae @ qb[c0:c1]) + float(be @ qa[c0:c1]))
+        )
+
+    tail_part = float(abi @ table.tail[lo:hi])
+    return grid.h * (part_ii + 2.0 * part_ie + 2.0 * tail_part)
+
+
 def seminorm_T(u: ExtendedField, table: KernelTable) -> float:
     """Double integral of |u(x)-u(y)|^2 over the cross set, unscaled.
 
@@ -57,45 +97,15 @@ def seminorm_T(u: ExtendedField, table: KernelTable) -> float:
     where the field is modelled by its interior mean.  The value is
     translation invariant and vanishes exactly for constants; exterior
     values enter only through the pair terms, so minimizing over them
-    reproduces the Neumann extension.  On a field fresh from ``extend``
-    the product W[:, I] v_I is the one the extension made, taken over
-    bit for bit instead of recomputed.
+    reproduces the Neumann extension.  One product, W[:, I] v_I.
     """
     grid = u.grid
     if not isinstance(table.grid, Grid) or table.grid.n_nodes != grid.n_nodes:
         raise ValueError("field and table grids do not match")
     lo, hi = grid.interior_range
-    n = grid.n_nodes
     v = u.values - _exact_mean(u.values[lo:hi])
-    vi = v[lo:hi]
-    vi2 = vi * vi
-
-    # one product (none on a fresh extension): rows I of W[:, I] v_I pair
-    # the domain with itself, and by symmetry v_E . W_EI v_I on the
-    # collar rows equals v_I . W_IE v_E
-    conv = u._take_product(table)
-    if conv is None:
-        conv = table.matvec(vi, 0, n, lo, hi)
-    rs = table.row_sums(0, n, lo, hi)
-
-    # domain x domain: sum_{i,j in I, i != j} W (v_i - v_j)^2
-    part_ii = 2.0 * (float(vi2 @ rs[lo:hi]) - float(vi @ conv[lo:hi]))
-
-    # domain x collar, both orders
-    part_ie = 0.0
-    for c0, c1 in ((0, lo), (hi, n)):
-        if c0 == c1:
-            continue
-        ve = v[c0:c1]
-        part_ie += (
-            float(vi2 @ table.row_sums(lo, hi, c0, c1))
-            + float((ve * ve) @ rs[c0:c1])
-            - 2.0 * float(ve @ conv[c0:c1])
-        )
-
-    tail_part = float(vi2 @ table.tail[lo:hi])
-    total = grid.h * (part_ii + 2.0 * part_ie + 2.0 * tail_part)
-    return max(total, 0.0)
+    conv = table.matvec(v[lo:hi], 0, grid.n_nodes, lo, hi)
+    return max(_seminorm_form(v, conv, v, conv, table), 0.0)
 
 
 def _neumann(
@@ -105,8 +115,7 @@ def _neumann(
 
     Q = d c/2 seminorm_T + int u^2 is the quadratic part and J_d =
     Q/2 - int |u|^(p+1) / (p+1); mass and potential are the grid's
-    midpoint rule over the domain.  At most one product, none on a fresh
-    extension.
+    midpoint rule over the domain.  One product.
     """
     grid = u.grid
     ui = u.interior_values

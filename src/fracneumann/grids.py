@@ -275,6 +275,7 @@ def build_line_grid(half_width: float, h: float) -> LineGrid:
     """Build the symmetric whole-space window [-L, L] with spacing h.
 
     h must evenly divide the half-width so the node set is symmetric.
+    Equal arguments return one shared grid with read-only ``nodes``.
     """
     if not (math.isfinite(half_width) and math.isfinite(h)):
         raise ValueError("build_line_grid arguments must be finite")
@@ -284,8 +285,15 @@ def build_line_grid(half_width: float, h: float) -> LineGrid:
         raise ValueError(
             f"h = {h} is too coarse for half-width {half_width}: need h < L/4"
         )
+    return _shared_line_grid(float(half_width), float(h))
+
+
+@lru_cache(maxsize=16)
+def _shared_line_grid(half_width: float, h: float) -> LineGrid:
+    """One read-only line grid per validated (half_width, h)."""
     n_half = _cell_count(half_width, h, "half-window")
     h_eff = half_width / n_half
     offsets = np.arange(-n_half, n_half, dtype=np.float64) + 0.5
     nodes = offsets * h_eff
+    nodes.flags.writeable = False
     return LineGrid(half_width=half_width, h=h_eff, nodes=nodes)

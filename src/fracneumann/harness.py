@@ -215,7 +215,8 @@ def profile_compare(
     """
     if result.constant_branch:
         raise ValueError("constant-branch solutions have no peak profile")
-    grid = result.u.grid
+    grid = result.grid
+    values = extend(result.u, kernel_weights(grid, params)).values
     delta = params.intrinsic_scale
     z = result.argmax_x
     ys = ground.grid.nodes
@@ -226,8 +227,8 @@ def profile_compare(
         ys = ys[ys >= 0.0]
     elif near_right:
         ys = ys[ys <= 0.0]
-    phi = np.interp(z + ys * delta, grid.nodes, result.u.values)
-    phi0 = float(np.interp(z, grid.nodes, result.u.values))
+    phi = np.interp(z + ys * delta, grid.nodes, values)
+    phi0 = float(np.interp(z, grid.nodes, values))
     w = np.interp(ys, ground.grid.nodes, ground.w)
     w0 = float(np.interp(0.0, ground.grid.nodes, ground.w))
     return float(np.max(np.abs(phi / phi0 - w / w0)))

@@ -12,17 +12,16 @@ added back, so a constant interior field extends to exactly the same
 constant (bitwise) at every grid size, and re-extending an extended
 field is a no-op.
 
-The numerator is one Toeplitz product W[:, I](u_I - m).  The seminorm
-of the extended field needs exactly that product, so ``extend`` leaves
-it on the field it returns and ``seminorm_T`` takes it over instead of
-making it again; the hand-over happens once, after which the field no
-longer holds the array.  Extended values are read-only, so the product
-cannot go stale.
+The numerator is one Toeplitz product W[:, I](u_I - m), the product
+the seminorm of the extended field is assembled from.  ``_extension``
+returns it beside the values and the mean, so the least-energy solver
+can assemble the seminorm of a field it extended without making the
+product again; ``extend`` keeps only the read-only values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,11 +42,6 @@ class ExtendedField:
 
     values: np.ndarray
     grid: Grid
-    # (table, W[:, I](u_I - m)) as made by ``extend``, for one hand-over;
-    # not an init field, so ``dataclasses.replace`` never carries it over
-    _product: tuple[KernelTable, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _nodal(self.values, self.grid.n_nodes))
@@ -56,14 +50,6 @@ class ExtendedField:
     def interior_values(self) -> np.ndarray:
         lo, hi = self.grid.interior_range
         return self.values[lo:hi]
-
-    def _take_product(self, table: KernelTable) -> np.ndarray | None:
-        """W[:, I](u_I - m) if ``extend`` made it with ``table``; once only."""
-        held = self._product
-        if held is None:
-            return None
-        object.__setattr__(self, "_product", None)
-        return held[1] if held[0] is table else None
 
 
 def neumann_derivative(u: ExtendedField | np.ndarray, table: KernelTable, x: int) -> float:
@@ -87,14 +73,34 @@ def neumann_derivative(u: ExtendedField | np.ndarray, table: KernelTable, x: int
     return float(table.c_ns * (row @ (v[x] - v[lo:hi])))
 
 
+def _extension(
+    v: np.ndarray, table: KernelTable
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(full values, W[:, I](v - m), m) of the extension of interior data v.
+
+    m is the exact interior mean and the full values hold ``v`` itself
+    on the interior.  One product; ``v`` is taken as checked.
+    """
+    grid = table.grid
+    lo, hi = grid.interior_range
+    n = grid.n_nodes
+    m = _exact_mean(v)
+    num = table.matvec(v - m, 0, n, lo, hi)
+    den = table.row_sums(0, n, lo, hi)
+    full = np.empty(n, dtype=np.float64)
+    full[lo:hi] = v
+    for r0, r1 in ((0, lo), (hi, n)):
+        full[r0:r1] = m + num[r0:r1] / den[r0:r1]
+    return full, num, m
+
+
 def extend(u_int: np.ndarray, table: KernelTable) -> ExtendedField:
     """Extend interior data to the collar so that N_s u = 0 exactly.
 
     Each exterior value is the kernel-weighted average of the interior
     values; weights are positive, so the exterior range is contained in
     [min u_int, max u_int] and nonnegative data stays nonnegative.  The
-    returned values are read-only and carry the numerator product for
-    the first ``seminorm_T`` of the field.
+    returned values are read-only.
     """
     grid = table.grid
     if not isinstance(grid, Grid):
@@ -108,15 +114,6 @@ def extend(u_int: np.ndarray, table: KernelTable) -> ExtendedField:
     if not np.all(np.isfinite(v)):
         raise ValueError("interior values must be finite")
 
-    n = grid.n_nodes
-    m = _exact_mean(v)
-    num = table.matvec(v - m, 0, n, lo, hi)
-    den = table.row_sums(0, n, lo, hi)
-    full = np.empty(n, dtype=np.float64)
-    full[lo:hi] = v
-    for r0, r1 in ((0, lo), (hi, n)):
-        full[r0:r1] = m + num[r0:r1] / den[r0:r1]
+    full = _extension(v, table)[0]
     full.flags.writeable = False
-    ext = ExtendedField(full, grid)
-    object.__setattr__(ext, "_product", (table, num))
-    return ext
+    return ExtendedField(full, grid)

@@ -7,18 +7,24 @@ the ray-sup energy M[u] = sup_t J(tu).  Critical points are detected
 through the Euler-Lagrange residual of the discrete equations, not
 through iterate stagnation.
 
-For the Neumann problem the unknowns are interior values only; the
-exterior collar is rebuilt by ``extend`` at every evaluation, which
+For the Neumann problem the unknowns are interior values only; every
+iterate carries the Neumann extension of its interior values, which
 keeps the boundary condition exact and makes the reduced gradient equal
 the partial gradient of J_d (the extension is stationary in the
-exterior values, so no chain-rule term survives).  The energy, its
-Nehari pair and that gradient all come from the Neumann form in
-``energy`` (``_neumann`` and ``_neumann_residual``); each solver builds
-its own weight table from its grid and parameters.
+exterior values, so no chain-rule term survives).  The extension is
+linear, so along a trial ray u - alpha r of nonnegative values the
+seminorm is the quadratic S_u - 2 alpha S_ur + alpha^2 S_r: one
+extension of r per iteration serves every backtracking trial, and only
+a trial that the absolute value clips is extended afresh.  The energy,
+its Nehari pair and the gradient come from the Neumann form in
+``energy``; each solver builds its own weight table from its grid and
+parameters.  Results keep the interior values only; ``extend`` rebuilds
+the collar where an output needs it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -30,11 +36,12 @@ from .energy import (
     _nehari_ray,
     _neumann,
     _neumann_residual,
+    _seminorm_form,
     _whole_space,
 )
 from .grids import Grid, LineGrid, Params, build_grid
 from .kernel import frac_laplacian_apply, kernel_weights
-from .neumann import ExtendedField, extend
+from .neumann import ExtendedField, _extension, extend
 
 __all__ = [
     "SolverConfig",
@@ -119,7 +126,14 @@ class GroundStateResult:
 
 @dataclass(frozen=True)
 class LeastEnergyResult:
-    u: ExtendedField
+    """A Neumann least-energy solution and its figures.
+
+    ``u`` holds the read-only interior values on ``grid``; the collar
+    follows from them by ``extend``.
+    """
+
+    u: np.ndarray
+    grid: Grid
     c_d: float
     M_d: float
     argmax_x: float
@@ -155,17 +169,19 @@ class SweepRecord:
 # whole-space ground state
 
 
-def _nehari_descent(u0, project, residual, config, h, history):
+def _nehari_descent(u0, project, ray, residual, config, h, history):
     """Nehari-projected descent shared by both solvers.
 
     ``project(v)`` returns the projected iterate, its ray-sup energy and
-    a solver-specific state; ``residual(u, state)`` returns the
-    Euler-Lagrange residual, its size and whether the iterate converged,
-    and appends to ``history`` itself.  Steps start from a
-    Barzilai-Borwein guess and halve until the Armijo condition (or the
-    round-off band) holds on the ray-sup energy.  Returns the converged
-    iterate, its state, the iteration count, the residual size and the
-    ray-sup energy of every iteration.
+    a solver-specific state; ``ray(u, state, r)`` returns the map
+    alpha -> the same triple for the projection of u - alpha r, which
+    may reuse work done once per iteration; ``residual(u, state)``
+    returns the Euler-Lagrange residual, its size and whether the
+    iterate converged, and appends to ``history`` itself.  Steps start
+    from a Barzilai-Borwein guess and halve until the Armijo condition
+    (or the round-off band) holds on the ray-sup energy.  Returns the
+    converged iterate, its state, the iteration count, the residual
+    size and the ray-sup energy of every iteration.
 
     A step that halves to its floor without being accepted raises
     ``ConvergenceError`` at once: it leaves the iterate, the residual
@@ -190,9 +206,10 @@ def _nehari_descent(u0, project, residual, config, h, history):
                 step = min(max(float(du @ du) / denom, 1e-6), 1e3)
         prev_u, prev_r = u, r
 
+        along = ray(u, state, r)
         alpha = step
         while alpha > 1e-14 * step:
-            trial, tpeak, tstate = project(u - alpha * r)
+            trial, tpeak, tstate = along(alpha)
             armijo = peak - 1e-4 * alpha * float(r @ r) * h
             # near the energy's round-off floor descent cannot be
             # strict; a one-round-off band lets the step polish the
@@ -259,6 +276,9 @@ def solve_ground_state(
         t0, peak = _nehari_ray(quad, pot, p)
         return t0 * v, peak, None
 
+    def ray(u: np.ndarray, _, r: np.ndarray):
+        return lambda alpha: project(u - alpha * r)
+
     def residual(u: np.ndarray, _) -> tuple[np.ndarray, float, bool]:
         r = frac_laplacian_apply(u, table) + u - u**p
         res = float(np.max(np.abs(r[inner])))
@@ -268,7 +288,7 @@ def solve_ground_state(
         return r, res, res <= config.tol_residual
 
     u, _, iterations, res, peaks = _nehari_descent(
-        np.exp(-0.5 * x * x), project, residual, config, grid.h, history
+        np.exp(-0.5 * x * x), project, ray, residual, config, grid.h, history
     )
     return _package_ground_state(u, grid, table, params, res, iterations, peaks)
 
@@ -316,11 +336,14 @@ def solve_least_energy(
     width max(2h, d^(1/2s)) at the left boundary; pass
     ``transplant_ground_state(ground, grid.interior_nodes, params)`` as
     ``warm`` to start from a whole-space ground state.  The weight
-    table is built here from ``grid`` and ``params``.  The converged
-    field is evaluated once: c_d, the Nehari quadratic and the potential
-    come from one ``_neumann``, and ``el_residual`` is the residual size
-    of the descent's last iteration (recomputed only for the constant
-    branch).
+    table is built here from ``grid`` and ``params``.
+
+    Each iteration makes two Toeplitz products, the residual and the
+    extension of the residual direction, however often the step
+    halves; a trial that the absolute value clips makes one more.  The
+    reported figures are those of the returned interior values: c_d,
+    the Nehari pair and ``el_residual`` come from ``_neumann`` and
+    ``_neumann_residual`` of their fresh extension, three products.
     """
     params.require_neumann_exponent()
     if grid.h > params.intrinsic_scale / 10.0 * (1.0 + 1e-12):
@@ -342,44 +365,102 @@ def solve_least_energy(
         u = np.exp(-(((xs - grid.a) / sigma) ** 2))
 
     history: list[float] = []
+    lo, hi = grid.interior_range
+    dc2 = params.d * table.c_ns / 2.0
 
-    def project(v: np.ndarray) -> tuple[np.ndarray, float, ExtendedField]:
-        v = np.abs(v)
-        ext = extend(v, table)
-        _, quad, pot = _neumann(ext, params, table)
+    def scaled(v, quad, pot, parts, semi):
+        """Nehari scaling t0 v of nonnegative interior values ``v``.
+
+        (quad, pot) is the Nehari pair of ``v`` and ``semi`` its
+        seminorm; ``parts()`` gives its extension, product and mean.  The
+        state of t0 v is a function that returns (extension, product,
+        mean, seminorm), each scaled by t0 (the seminorm by t0^2), with
+        the interior values exactly those of the iterate.  It is built
+        on first use, so a rejected trial never builds it.
+        """
         if pot <= 0.0 or not math.isfinite(pot):
             raise ConvergenceError("iterate collapsed to the trivial limit", history)
         t0, peak = _nehari_ray(quad, pot, p)
-        return t0 * v, peak, ExtendedField(t0 * ext.values, grid)
+        u = t0 * v
 
-    def residual(u: np.ndarray, ext: ExtendedField) -> tuple[np.ndarray, float, bool]:
+        @functools.cache
+        def state():
+            full, q, m = parts()
+            full = t0 * full
+            full[lo:hi] = u
+            return ExtendedField(full, grid), t0 * q, t0 * m, t0 * t0 * semi
+
+        return u, peak, state
+
+    def project(v: np.ndarray):
+        v = np.abs(v)
+        full, q, m = _extension(v, table)
+        a = full - m
+        semi = max(_seminorm_form(a, q, a, q, table), 0.0)
+        quad = dc2 * semi + grid.integrate(v * v)
+        pot = grid.integrate(v ** (p + 1.0))
+        return scaled(v, quad, pot, lambda: (full, q, m), semi)
+
+    def ray(u: np.ndarray, state, r: np.ndarray):
+        ext, q, m, semi = state()
+        full_r, q_r, m_r = _extension(r, table)
+        a, a_r = ext.values - m, full_r - m_r
+        s_ur = _seminorm_form(a, q, a_r, q_r, table)
+        s_rr = _seminorm_form(a_r, q_r, a_r, q_r, table)
+        uu, ur, rr = h * float(u @ u), h * float(u @ r), h * float(r @ r)
+
+        def along(alpha: float):
+            v = u - alpha * r
+            if float(np.min(v)) < 0.0:
+                return project(v)
+            # nonnegative: the projection is linear in alpha up to t0
+            semi_v = max(semi - 2.0 * alpha * s_ur + alpha * alpha * s_rr, 0.0)
+            quad = dc2 * semi_v + (uu - 2.0 * alpha * ur + alpha * alpha * rr)
+            pot = grid.integrate(v ** (p + 1.0))
+
+            def parts():
+                return ext.values - alpha * full_r, q - alpha * q_r, m - alpha * m_r
+
+            return scaled(v, quad, pot, parts, semi_v)
+
+        return along
+
+    def el_residual(u: np.ndarray, ext: ExtendedField) -> tuple[np.ndarray, float]:
         r = _neumann_residual(u, ext, params, table)
-        res = float(np.max(np.abs(r))) / max(1.0, float(np.max(u)))
+        return r, float(np.max(np.abs(r))) / max(1.0, float(np.max(u)))
+
+    def residual(u: np.ndarray, state) -> tuple[np.ndarray, float, bool]:
+        r, res = el_residual(u, state()[0])
         total_u = float(np.sum(u))
         flux = abs(float(np.sum(u - u**p))) / total_u if total_u > 0 else math.inf
         history.append(res)
         return r, res, res <= config.tol_residual and flux <= _FLUX_TOL
 
-    u, ext, iterations, res, peaks = _nehari_descent(
-        u, project, residual, config, h, history
+    u, _, iterations, _, peaks = _nehari_descent(
+        u, project, ray, residual, config, h, history
     )
+
+    def figures(u: np.ndarray):
+        ext = extend(u, table)
+        return (ext, *_neumann(ext, params, table))
 
     mean = float(np.mean(u))
     rel_var = float(np.var(u)) / (mean * mean) if mean != 0.0 else math.inf
     constant = rel_var < 1e-10
     if not constant:
-        c_d, quad, pot = _neumann(ext, params, table)
+        ext, c_d, quad, pot = figures(u)
         # the constant critical point may lie lower
         constant = c_d > J_d_constant(grid, params)
     if constant:
         u = np.ones_like(u)
-        ext = extend(u, table)
-        c_d, quad, pot = _neumann(ext, params, table)
-        _, res, _ = residual(u, ext)
+        ext, c_d, quad, pot = figures(u)
+    res = el_residual(u, ext)[1]
+    u.flags.writeable = False
 
     imax = int(np.argmax(u))
     return LeastEnergyResult(
-        u=ext,
+        u=u,
+        grid=grid,
         c_d=c_d,
         M_d=float(np.max(u)),
         argmax_x=float(xs[imax]),
@@ -434,10 +515,9 @@ def default_grid_policy(params: Params, a: float = 0.0, b: float = 1.0) -> Grid:
     return build_grid(a, b, h)
 
 
-def record_from_result(
-    result: LeastEnergyResult, params: Params, grid: Grid
-) -> SweepRecord:
-    ui = np.abs(result.u.interior_values)
+def record_from_result(result: LeastEnergyResult, params: Params) -> SweepRecord:
+    grid = result.grid
+    ui = np.abs(result.u)
     lr_norms = {
         label: grid.integrate(ui ** (params.p + 1.0 if r is None else r))
         for label, r in _LR_COLUMNS
@@ -466,13 +546,13 @@ def _stretched_start(
     anchor + (x - anchor) * prev_scale / scale, with anchor the domain
     end nearest the previous peak.
     """
-    grid = prev.u.grid
+    grid = prev.grid
     near_a = prev.argmax_x - grid.a <= grid.b - prev.argmax_x
     anchor = grid.a if near_a else grid.b
     return np.interp(
         anchor + (xs - anchor) * (prev_scale / scale),
         grid.interior_nodes,
-        prev.u.interior_values,
+        prev.u,
     )
 
 
@@ -514,7 +594,7 @@ def sweep(
             result = solve_least_energy(pd, grid, config=config, warm=warm)
         except (ConvergenceError, ValueError) as exc:
             raise SweepAborted(f"sweep failed at d = {d}: {exc}", records) from exc
-        records.append(record_from_result(result, pd, grid))
+        records.append(record_from_result(result, pd))
         if keep_results is not None:
             keep_results.append(result)
         if not result.constant_branch:
@@ -556,8 +636,13 @@ def _write_profile(path: str, header, nodes, values) -> None:
 
 
 def save_snapshot(path: str, result: LeastEnergyResult, params: Params) -> None:
-    """Plain-text solution snapshot; decimal round-trip is bit exact."""
-    grid = result.u.grid
+    """Plain-text solution snapshot; decimal round-trip is bit exact.
+
+    The rows are every node of the grid, collar included, with the
+    values of ``extend(result.u, table)``.
+    """
+    grid = result.grid
+    ext = extend(result.u, kernel_weights(grid, params))
     header = (
         ("s", params.s),
         ("p", params.p),
@@ -570,7 +655,7 @@ def save_snapshot(path: str, result: LeastEnergyResult, params: Params) -> None:
         ("M_d", result.M_d),
         ("argmax_x", result.argmax_x),
     )
-    _write_profile(path, header, grid.nodes, result.u.values)
+    _write_profile(path, header, grid.nodes, ext.values)
 
 
 def _finite(where: str, text: str) -> float:

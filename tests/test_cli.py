@@ -151,6 +151,41 @@ def test_bad_config_exits_cleanly_through_main(capsys, tmp_path):
     assert "bogus.key" in err
 
 
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        (("sweep", "--points", "2"), "grid.Rext"),
+        (("sweep", "--points", "2"), "grid.h"),
+        (("ground", "--L", "40", "--h", "0.1"), "domain.a"),
+        (("verify",), "solver.tol"),
+    ],
+)
+def test_config_key_the_command_does_not_read_is_an_error(
+    capsys, tmp_path, command, key
+):
+    # such a key used to be ignored without a word
+    path = tmp_path / "lab.cfg"
+    path.write_text(f"s = 0.25\n{key} = 4\n")
+    code, out, err = run(capsys, "--config", str(path), *command)
+    message = f"error: {path}: config key '{key}' has no effect on '{command[0]}'\n"
+    assert (code, out, err) == (1, "", message)
+
+
+def test_sweep_reads_the_domain_from_the_config(capsys, tmp_path):
+    # the benchmark's own sweep config: a translated domain
+    path = tmp_path / "sweep.cfg"
+    path.write_text("domain.a = 0.015625\ndomain.b = 1.015625\n")
+    csv_path = tmp_path / "sweep.csv"
+    code, out, err = run(
+        capsys, "--config", str(path), "sweep", "--d-max", "0.3",
+        "--d-min", "0.2", "--points", "2", "--out", str(csv_path),
+    )
+    assert (code, err) == (0, "")
+    records = read_sweep_csv(str(csv_path))
+    assert not records[-1].constant_branch
+    assert 0.015625 <= records[-1].argmax_x <= 1.015625
+
+
 def test_flags_override_the_config(tmp_path, capsys):
     # s = 0.25 and p = 1.5 are the library's defaults; a config value
     # reaches solve, ground and moser alike, and a flag overrides it

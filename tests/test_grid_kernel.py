@@ -547,6 +547,12 @@ def test_equal_grid_arguments_share_one_read_only_grid():
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         g.nodes[0] = 1.0
+    line = build_line_grid(60.0, 0.05)
+    assert build_line_grid(60, 0.05) is line
+    assert build_line_grid(60.0, 0.1) is not line
+    assert not line.nodes.flags.writeable
+    with pytest.raises(ValueError):
+        line.nodes[0] = 1.0
 
 
 def _scipy_fft_product(omega, x, row_lo, row_hi, col_lo, col_hi):

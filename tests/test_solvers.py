@@ -37,7 +37,7 @@ from fracneumann import (
 from fracneumann import solvers
 from fracneumann.cli import main as cli_main
 from fracneumann.energy import _line_integrals, _neumann, _neumann_residual
-from fracneumann.neumann import ExtendedField
+from fracneumann.kernel import KernelTable
 from fracneumann.solvers import _stretched_start
 
 # Relative slack for "the ray-sup energy never increased": acceptance
@@ -166,21 +166,25 @@ def test_large_diffusion_lands_on_constant_branch():
     grid = build_grid(0.0, 1.0, 0.02, 2.0)
     result = solve_least_energy(params, grid)
     assert result.constant_branch
-    assert np.all(result.u.values == 1.0)
+    assert np.all(result.u == 1.0)
     assert result.M_d == 1.0
     assert result.c_d == pytest.approx(J_d_constant(grid, params), abs=1e-14)
     assert result.nehari_residual == 0.0
     assert result.flux_residual == 0.0
 
 
-def test_results_keep_no_extension_product(solved_02):
-    # the product ``extend`` hands to the seminorm must not outlive it
+def test_results_keep_the_read_only_interior(solved_02, domain_02):
+    # a result holds the interior values and its grid, never the collar
     params = Params(d=2.0)
     grid = default_grid_policy(params)
     constant = solve_least_energy(params, grid)
     assert constant.constant_branch and not solved_02.constant_branch
-    for result in (constant, solved_02):
-        assert result.u._product is None
+    for result, g in ((constant, grid), (solved_02, domain_02[1])):
+        assert result.grid is g
+        assert isinstance(result.u, np.ndarray)
+        assert result.u.shape == (g.n_interior,)
+        with pytest.raises(ValueError):
+            result.u[0] = 0.0
 
 
 def test_small_diffusion_beats_constant_branch(solved_02, domain_02):
@@ -189,7 +193,7 @@ def test_small_diffusion_beats_constant_branch(solved_02, domain_02):
     assert not result.constant_branch
     assert result.c_d < J_d_constant(grid, params)
     assert result.M_d > 1.0
-    assert np.all(result.u.values > 0.0)
+    assert np.all(extend(result.u, domain_02[2]).values > 0.0)
     assert history_non_increasing(result.peak_history)
     # peak sits near the boundary at this diffusion
     assert min(result.argmax_x, 1.0 - result.argmax_x) < 0.1
@@ -201,15 +205,16 @@ def test_converged_solve_satisfies_the_identities(solved_02, domain_02):
     assert result.nehari_residual <= 1e-6
     assert result.flux_residual <= 1e-6
     assert result.el_residual <= 1e-8 * max(1.0, result.M_d)
-    ui = result.u.interior_values
+    ui = result.u
     pot = grid.h * float(np.sum(ui ** (params.p + 1.0)))
     identity = (params.p - 1.0) / (2.0 * (params.p + 1.0)) * pot
     assert abs(result.c_d - identity) / result.c_d <= 1e-8
 
 
 def test_reported_figures_are_those_of_the_returned_field(solved_02, domain_02):
-    # each figure is taken once from the converged state; recomputing it
-    # from ``result.u`` must give the same bits on both branches
+    # each figure is taken once from the extension of the returned
+    # interior values; recomputing it from ``extend(result.u)`` must give
+    # the same bits on both branches
     params, _, table = domain_02
     d_2 = Params(d=2.0)
     grid_2 = default_grid_policy(d_2)
@@ -217,14 +222,135 @@ def test_reported_figures_are_those_of_the_returned_field(solved_02, domain_02):
     constant = solve_least_energy(d_2, grid_2)
     assert constant.constant_branch and not solved_02.constant_branch
     for result, pd, t in ((solved_02, params, table), (constant, d_2, table_2)):
-        ui = result.u.interior_values
-        energy, quad, pot = _neumann(result.u, pd, t)
-        r = _neumann_residual(ui, result.u, pd, t)
+        ui = result.u
+        ext = extend(ui, t)
+        energy, quad, pot = _neumann(ext, pd, t)
+        r = _neumann_residual(ui, ext, pd, t)
         assert result.c_d == energy
         assert result.nehari_residual == abs(quad - pot) / quad
         assert result.el_residual == float(np.max(np.abs(r))) / max(
             1.0, float(np.max(ui))
         )
+
+
+# ---------------------------------------------------------------------------
+# Neumann descent: line-search trials without Toeplitz products
+
+
+class _Captured(Exception):
+    pass
+
+
+def _descent_closures(monkeypatch, params, grid, warm):
+    """(project, ray, residual) that a least-energy solve hands its descent."""
+    seen = {}
+
+    def capture(u0, project, ray, residual, config, h, history):
+        seen.update(project=project, ray=ray, residual=residual)
+        raise _Captured
+
+    monkeypatch.setattr(solvers, "_nehari_descent", capture)
+    with pytest.raises(_Captured):
+        solve_least_energy(params, grid, warm=warm)
+    monkeypatch.undo()
+    return seen["project"], seen["ray"], seen["residual"]
+
+
+def _counting_products(monkeypatch):
+    calls = []
+    original = KernelTable.matvec
+
+    def counting(self, *args):
+        calls.append(args[1:])
+        return original(self, *args)
+
+    monkeypatch.setattr(KernelTable, "matvec", counting)
+    return calls
+
+
+@pytest.mark.parametrize("d", [0.2, 0.04308869380063769])
+def test_unclipped_trials_match_the_full_projection(monkeypatch, d):
+    # along a ray of nonnegative values the seminorm is the quadratic
+    # S_u - 2 alpha S_ur + alpha^2 S_r, so a trial makes no product and
+    # lands on the full projection's t0 and peak to round-off
+    params = Params(d=d)
+    grid = default_grid_policy(params)
+    warm = 0.5 + np.random.default_rng(3).uniform(0.0, 1.0, grid.n_interior)
+    project, ray, residual = _descent_closures(monkeypatch, params, grid, warm)
+    u, _, state = project(warm)
+    r = residual(u, state)[0]
+    along = ray(u, state, r)
+    reach = float(np.min(u[r > 0.0] / r[r > 0.0]))
+    for alpha in (1e-3 * reach, 0.1 * reach, 0.9 * reach):
+        v = u - alpha * r
+        assert np.min(v) >= 0.0
+        calls = _counting_products(monkeypatch)
+        trial, peak, trial_state = along(alpha)
+        ext, _, _, semi = trial_state()
+        assert calls == []
+        monkeypatch.undo()
+        want, want_peak, want_state = project(v)
+        want_ext, _, _, want_semi = want_state()
+        # both are t0 v for one v, so their ratio is the ratio of the t0s
+        assert np.max(np.abs(trial - want)) <= 1e-13 * np.max(want)
+        assert abs(peak - want_peak) <= 1e-13 * want_peak
+        assert abs(semi - want_semi) <= 1e-12 * want_semi
+        lo, hi = grid.interior_range
+        assert np.array_equal(ext.values[lo:hi], trial)
+        scale = np.max(want_ext.values)
+        assert np.max(np.abs(ext.values - want_ext.values)) <= 1e-12 * scale
+
+
+def test_a_clipped_trial_takes_the_full_projection(monkeypatch, domain_02):
+    params, grid, _ = domain_02
+    warm = 0.5 + np.random.default_rng(5).uniform(0.0, 1.0, grid.n_interior)
+    warm[10] = 0.0
+    project, ray, residual = _descent_closures(monkeypatch, params, grid, warm)
+    u, _, state = project(warm)
+    assert u[10] == 0.0
+    r = residual(u, state)[0].copy()
+    r[10] = 1.0  # u - alpha r < 0 there for every alpha > 0
+    along = ray(u, state, r)
+    calls = _counting_products(monkeypatch)
+    trial, peak, trial_state = along(1e-3)
+    ext, q, m, semi = trial_state()
+    assert len(calls) == 1
+    monkeypatch.undo()
+    want, want_peak, want_state = project(u - 1e-3 * r)
+    want_ext, want_q, want_m, want_semi = want_state()
+    assert np.array_equal(trial, want) and peak == want_peak
+    assert np.array_equal(ext.values, want_ext.values)
+    assert np.array_equal(q, want_q) and (m, semi) == (want_m, want_semi)
+
+
+def test_each_descent_iteration_makes_two_products(monkeypatch, domain_02):
+    # one product for the residual and one for the extension of its
+    # direction, however often the step halves; one more per trial that
+    # the absolute value clips, one for the first projection, and three
+    # for the figures: extend, its seminorm and the residual
+    params, grid, _ = domain_02
+    clipped = []
+    descent = solvers._nehari_descent
+
+    def counted(u0, project, ray, residual, config, h, history):
+        def counting_ray(u, state, r):
+            along = ray(u, state, r)
+
+            def counting_along(alpha):
+                clipped.append(bool(np.min(u - alpha * r) < 0.0))
+                return along(alpha)
+
+            return counting_along
+
+        return descent(u0, project, counting_ray, residual, config, h, history)
+
+    monkeypatch.setattr(solvers, "_nehari_descent", counted)
+    calls = _counting_products(monkeypatch)
+    result = solve_least_energy(params, grid)
+    assert not result.constant_branch
+    assert len(clipped) > result.iterations  # some steps halved
+    it = result.iterations
+    assert len(calls) == 2 * it + 1 + 1 + sum(clipped) + 3
 
 
 def test_ground_state_figures_are_those_of_the_returned_field(ground):
@@ -252,7 +378,7 @@ def test_energy_is_minimal_among_random_rays(solved_02, domain_02):
 
 def test_warm_start_reconverges_immediately(solved_02, domain_02):
     params, grid, _ = domain_02
-    again = solve_least_energy(params, grid, warm=solved_02.u.interior_values)
+    again = solve_least_energy(params, grid, warm=solved_02.u)
     assert again.c_d == pytest.approx(solved_02.c_d, rel=1e-10)
     assert again.iterations <= 5
 
@@ -310,8 +436,8 @@ def test_default_grid_policy_tracks_the_intrinsic_scale():
 
 def test_record_carries_raw_integrals(solved_02, domain_02):
     params, grid, _ = domain_02
-    record = record_from_result(solved_02, params, grid)
-    ui = solved_02.u.interior_values
+    record = record_from_result(solved_02, params)
+    ui = solved_02.u
     assert record.lr_norms["L1"] == pytest.approx(
         grid.h * float(np.sum(ui)), rel=1e-14
     )
@@ -363,13 +489,13 @@ def test_sweep_warm_start_is_the_stretched_previous_solution(monkeypatch):
     sweep([0.2, 0.1363], Params(), keep_results=results)
     first, second = results
     assert warms[0] is None and not first.constant_branch
-    g0, g1 = first.u.grid, second.u.grid
+    g0, g1 = first.grid, second.grid
     assert first.argmax_x - g0.a < g0.b - first.argmax_x  # anchor at a
     ratio = 0.2 ** 2.0 / 0.1363 ** 2.0  # eps = d^(1/2s) at s = 1/4
     want = np.interp(
         g1.a + (g1.interior_nodes - g1.a) * ratio,
         g0.interior_nodes,
-        first.u.interior_values,
+        first.u,
     )
     assert np.array_equal(warms[1], want)
 
@@ -382,14 +508,14 @@ def test_stretched_start_anchors_at_the_nearer_end(solved_02, domain_02):
     # the mirror image of the solution peaks at b and is stretched about b
     mirrored = replace(
         solved_02,
-        u=ExtendedField(solved_02.u.values[::-1], grid),
+        u=solved_02.u[::-1],
         argmax_x=grid.a + grid.b - solved_02.argmax_x,
     )
     at_b = _stretched_start(mirrored, prev_scale, xs, scale)
     want = np.interp(
         grid.b + (xs - grid.b) * (prev_scale / scale),
         grid.interior_nodes,
-        solved_02.u.interior_values[::-1],
+        solved_02.u[::-1],
     )
     assert np.array_equal(at_b, want)
     assert np.max(np.abs(at_b - at_a[::-1])) <= 1e-12 * np.max(at_a)
@@ -469,7 +595,7 @@ def test_transplant_nehari_factor_approaches_one(ground):
 
 
 def test_snapshot_round_trip_is_bit_exact(tmp_path, solved_02, domain_02):
-    params, grid, _ = domain_02
+    params, grid, table = domain_02
     path = str(tmp_path / "solution.txt")
     save_snapshot(path, solved_02, params)
     header, xs, vs = load_snapshot(path)
@@ -479,7 +605,8 @@ def test_snapshot_round_trip_is_bit_exact(tmp_path, solved_02, domain_02):
     assert header["c_d"] == solved_02.c_d
     assert header["M_d"] == solved_02.M_d
     assert np.array_equal(xs, grid.nodes)
-    assert np.array_equal(vs, solved_02.u.values)
+    # the collar rows are the fresh extension of the interior, bit for bit
+    assert np.array_equal(vs, extend(solved_02.u, table).values)
     assert glob.glob(str(tmp_path / "*.tmp")) == []
     assert os.path.exists(path)
 
@@ -493,7 +620,7 @@ def _cli_ground(path):
 WRITERS = {
     "save_snapshot": save_snapshot,
     "write_sweep_csv": lambda path, solved, params: write_sweep_csv(
-        path, [record_from_result(solved, params, solved.u.grid)]
+        path, [record_from_result(solved, params)]
     ),
     "cli-ground": lambda path, solved, params: _cli_ground(path),
 }
