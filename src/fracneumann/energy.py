@@ -15,12 +15,10 @@ quadrature:
 Each double sum costs at most one Toeplitz product through the table's
 FFT engine.  The Neumann form gets its interior and cross pairs from
 the one product W[:, I] v_I, using the symmetry of the weights, with v
-the field minus its interior mean.  ``_seminorm_form`` is the bilinear
-form S(a, b) of two such centred fields, each given with its own
-product; ``seminorm_T`` is S(v, v) and makes that product itself.  It
-is the numerator product of the Neumann extension, so the least-energy
-solver, which keeps the products ``_extension`` returns, evaluates the
-form of a field it extended without making one.
+the field minus its interior mean.  In the interior values alone the
+form is reduced: with A = d c ``_neumann_operator`` applied to the
+Neumann extension, the quadratic part of J_d is h (u.Au + u.u), and
+the gradient ``_neumann_residual`` is h times Au + u - u^p.
 
 Each form is assembled in one place.  ``_neumann`` returns
 (J_d, Q, int |u|^(p+1)) for ``J_d``, ``nehari_scale``, ``peak_energy``
@@ -51,44 +49,6 @@ __all__ = [
 ]
 
 
-def _seminorm_form(
-    a: np.ndarray, qa: np.ndarray, b: np.ndarray, qb: np.ndarray, table: KernelTable
-) -> float:
-    """Bilinear form S(a, b) of two centred full-grid fields, unclamped.
-
-    ``a`` and ``b`` are fields minus their interior means and ``qa``,
-    ``qb`` their products W[:, I] a_I and W[:, I] b_I; S(v, v) is the
-    seminorm of v.  No product is made.  Rows I of the products pair the
-    domain with itself, and by symmetry b_E . W_EI a_I on the collar
-    rows equals a_I . W_IE b_E.
-    """
-    grid = table.grid
-    lo, hi = grid.interior_range
-    n = grid.n_nodes
-    ai, bi = a[lo:hi], b[lo:hi]
-    abi = ai * bi
-    rs = table.row_sums(0, n, lo, hi)
-
-    # domain x domain: sum_{i,j in I, i != j} W (a_i - a_j)(b_i - b_j)
-    part_ii = 2.0 * (float(abi @ rs[lo:hi]) - float(ai @ qb[lo:hi]))
-
-    # domain x collar, both orders; the two cross terms are added before
-    # they are subtracted, so S(v, v) has the bits of 2 (v_E . W_EI v_I)
-    part_ie = 0.0
-    for c0, c1 in ((0, lo), (hi, n)):
-        if c0 == c1:
-            continue
-        ae, be = a[c0:c1], b[c0:c1]
-        part_ie += (
-            float(abi @ table.row_sums(lo, hi, c0, c1))
-            + float((ae * be) @ rs[c0:c1])
-            - (float(ae @ qb[c0:c1]) + float(be @ qa[c0:c1]))
-        )
-
-    tail_part = float(abi @ table.tail[lo:hi])
-    return grid.h * (part_ii + 2.0 * part_ie + 2.0 * tail_part)
-
-
 def seminorm_T(u: ExtendedField, table: KernelTable) -> float:
     """Double integral of |u(x)-u(y)|^2 over the cross set, unscaled.
 
@@ -103,9 +63,33 @@ def seminorm_T(u: ExtendedField, table: KernelTable) -> float:
     if not isinstance(table.grid, Grid) or table.grid.n_nodes != grid.n_nodes:
         raise ValueError("field and table grids do not match")
     lo, hi = grid.interior_range
+    n = grid.n_nodes
     v = u.values - _exact_mean(u.values[lo:hi])
-    conv = table.matvec(v[lo:hi], 0, grid.n_nodes, lo, hi)
-    return max(_seminorm_form(v, conv, v, conv, table), 0.0)
+    vi = v[lo:hi]
+    vi2 = vi * vi
+
+    # rows I of W[:, I] v_I pair the domain with itself, and by symmetry
+    # v_E . W_EI v_I on the collar rows equals v_I . W_IE v_E
+    conv = table.matvec(vi, 0, n, lo, hi)
+    rs = table.row_sums(0, n, lo, hi)
+
+    # domain x domain: sum_{i,j in I, i != j} W (v_i - v_j)^2
+    part_ii = 2.0 * (float(vi2 @ rs[lo:hi]) - float(vi @ conv[lo:hi]))
+
+    # domain x collar, both orders
+    part_ie = 0.0
+    for c0, c1 in ((0, lo), (hi, n)):
+        if c0 == c1:
+            continue
+        ve = v[c0:c1]
+        part_ie += (
+            float(vi2 @ table.row_sums(lo, hi, c0, c1))
+            + float((ve * ve) @ rs[c0:c1])
+            - 2.0 * float(ve @ conv[c0:c1])
+        )
+
+    tail_part = float(vi2 @ table.tail[lo:hi])
+    return max(grid.h * (part_ii + 2.0 * part_ie + 2.0 * tail_part), 0.0)
 
 
 def _neumann(
@@ -129,29 +113,38 @@ def J_d(u: ExtendedField, params: Params, table: KernelTable) -> float:
     return _neumann(u, params, table)[0]
 
 
-def _neumann_residual(
-    u_int: np.ndarray, ext: ExtendedField, params: Params, table: KernelTable
+def _neumann_operator(
+    u_int: np.ndarray, full: np.ndarray, table: KernelTable
 ) -> np.ndarray:
-    """Pointwise Euler-Lagrange residual at u_int, given its extension.
+    """Reduced Neumann operator at u_int, given the full values of its extension.
 
-    The residual of the reduced problem is
-    d c (sum_j W_kj (u_k - u_j) + T_k v_k - mean_I(T v)) + u_k - u_k^p
-    with v the extension centred at the interior mean; the gradient of
-    J_d in the interior unknowns is h times this vector.
+    sum_j W_kj (u_k - u_j) + T_k v_k - mean_I(T v) over every node j,
+    with v the field centred at its interior mean; d c times it is the
+    operator A of the reduced form, so seminorm_T = 2h u.op(u) on the
+    extension.  One product, W[I, :] full.
     """
     grid = table.grid
     lo, hi = grid.interior_range
     n = grid.n_nodes
-    conv = table.matvec(ext.values, lo, hi, 0, n)
+    conv = table.matvec(full, lo, hi, 0, n)
     rs = table.row_sums(lo, hi, 0, n)
     pair = u_int * rs - conv
 
     mean = float(np.mean(u_int))
     tv = table.tail[lo:hi] * (u_int - mean)
-    centered_tail = tv - float(np.mean(tv))
+    return pair + (tv - float(np.mean(tv)))
 
+
+def _neumann_residual(
+    u_int: np.ndarray, ext: ExtendedField, params: Params, table: KernelTable
+) -> np.ndarray:
+    """Pointwise Euler-Lagrange residual d c op(u) + u - u^p at u_int.
+
+    ``ext`` is the extension of u_int; the gradient of J_d in the
+    interior unknowns is h times this vector.
+    """
     dc = params.d * table.c_ns
-    return dc * (pair + centered_tail) + u_int - u_int**params.p
+    return dc * _neumann_operator(u_int, ext.values, table) + u_int - u_int**params.p
 
 
 def _nehari_ray(quad: float, pot: float, p: float) -> tuple[float, float]:

@@ -10,13 +10,8 @@ field.
 The average is taken of the data minus its interior mean m, then m is
 added back, so a constant interior field extends to exactly the same
 constant (bitwise) at every grid size, and re-extending an extended
-field is a no-op.
-
-The numerator is one Toeplitz product W[:, I](u_I - m), the product
-the seminorm of the extended field is assembled from.  ``_extension``
-returns it beside the values and the mean, so the least-energy solver
-can assemble the seminorm of a field it extended without making the
-product again; ``extend`` keeps only the read-only values.
+field is a no-op.  The numerator is one Toeplitz product
+W[:, I](u_I - m).
 """
 
 from __future__ import annotations
@@ -73,13 +68,10 @@ def neumann_derivative(u: ExtendedField | np.ndarray, table: KernelTable, x: int
     return float(table.c_ns * (row @ (v[x] - v[lo:hi])))
 
 
-def _extension(
-    v: np.ndarray, table: KernelTable
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """(full values, W[:, I](v - m), m) of the extension of interior data v.
+def _extension(v: np.ndarray, table: KernelTable) -> np.ndarray:
+    """Full values of the extension of interior data ``v``, which they hold.
 
-    m is the exact interior mean and the full values hold ``v`` itself
-    on the interior.  One product; ``v`` is taken as checked.
+    One product; ``v`` is taken as checked.
     """
     grid = table.grid
     lo, hi = grid.interior_range
@@ -91,7 +83,7 @@ def _extension(
     full[lo:hi] = v
     for r0, r1 in ((0, lo), (hi, n)):
         full[r0:r1] = m + num[r0:r1] / den[r0:r1]
-    return full, num, m
+    return full
 
 
 def extend(u_int: np.ndarray, table: KernelTable) -> ExtendedField:
@@ -114,6 +106,6 @@ def extend(u_int: np.ndarray, table: KernelTable) -> ExtendedField:
     if not np.all(np.isfinite(v)):
         raise ValueError("interior values must be finite")
 
-    full = _extension(v, table)[0]
+    full = _extension(v, table)
     full.flags.writeable = False
     return ExtendedField(full, grid)

@@ -7,24 +7,19 @@ the ray-sup energy M[u] = sup_t J(tu).  Critical points are detected
 through the Euler-Lagrange residual of the discrete equations, not
 through iterate stagnation.
 
-For the Neumann problem the unknowns are interior values only; every
-iterate carries the Neumann extension of its interior values, which
-keeps the boundary condition exact and makes the reduced gradient equal
-the partial gradient of J_d (the extension is stationary in the
-exterior values, so no chain-rule term survives).  The extension is
-linear, so along a trial ray u - alpha r of nonnegative values the
-seminorm is the quadratic S_u - 2 alpha S_ur + alpha^2 S_r: one
-extension of r per iteration serves every backtracking trial, and only
-a trial that the absolute value clips is extended afresh.  The energy,
-its Nehari pair and the gradient come from the Neumann form in
-``energy``; each solver builds its own weight table from its grid and
+For the Neumann problem the unknowns are interior values only.  The
+Neumann extension is stationary in the exterior values, so J_d reduces
+to the interior with quadratic part h (u.Au + u.u), A the reduced
+operator of ``energy``, and gradient h (Au + u - u^p).  Every iterate
+carries A u; along a trial ray u - alpha r the quadratic part expands
+from A r, made once per iteration, so a backtracking trial makes no
+product.  Each solver builds its own weight table from its grid and
 parameters.  Results keep the interior values only; ``extend`` rebuilds
 the collar where an output needs it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -35,13 +30,13 @@ from .energy import (
     _line_integrals,
     _nehari_ray,
     _neumann,
+    _neumann_operator,
     _neumann_residual,
-    _seminorm_form,
     _whole_space,
 )
 from .grids import Grid, LineGrid, Params, build_grid
 from .kernel import frac_laplacian_apply, kernel_weights
-from .neumann import ExtendedField, _extension, extend
+from .neumann import _extension, extend
 
 __all__ = [
     "SolverConfig",
@@ -324,13 +319,13 @@ def solve_least_energy(
 ) -> LeastEnergyResult:
     """Least-energy critical point of J_d on the Neumann problem.
 
-    Unknowns are the interior values; each iterate is made nonnegative,
-    extended to the collar and Nehari-scaled, and backtracking keeps the
-    ray-sup energy non-increasing.  A converged iterate whose relative
-    variance is below 1e-10 is snapped to the exact constant branch
-    u = 1.  If the found nonconstant critical point sits above the
-    constant's energy J_d(1), the constant branch is reported instead:
-    the least energy is the smaller of the two.
+    Unknowns are the interior values; each iterate is made nonnegative
+    and Nehari-scaled, and backtracking keeps the ray-sup energy
+    non-increasing.  A converged iterate whose relative variance is
+    below 1e-10 is snapped to the exact constant branch u = 1.  If the
+    found nonconstant critical point sits above the constant's energy
+    J_d(1), the constant branch is reported instead: the least energy
+    is the smaller of the two.
 
     The start is ``warm`` (interior values) when given, else a bump of
     width max(2h, d^(1/2s)) at the left boundary; pass
@@ -338,9 +333,9 @@ def solve_least_energy(
     ``warm`` to start from a whole-space ground state.  The weight
     table is built here from ``grid`` and ``params``.
 
-    Each iteration makes two Toeplitz products, the residual and the
-    extension of the residual direction, however often the step
-    halves; a trial that the absolute value clips makes one more.  The
+    Each iteration makes two Toeplitz products, for A r of the residual
+    direction r, however often the step halves; a trial that the
+    absolute value clips is projected afresh, at two more.  The
     reported figures are those of the returned interior values: c_d,
     the Nehari pair and ``el_residual`` come from ``_neumann`` and
     ``_neumann_residual`` of their fresh extension, three products.
@@ -360,79 +355,54 @@ def solve_least_energy(
         u = np.asarray(warm, dtype=np.float64)
         if u.shape != xs.shape:
             raise ValueError("warm field length does not match the interior")
+        if not np.all(np.isfinite(u)):
+            raise ValueError("warm field must be finite")
     else:
         sigma = max(2.0 * h, params.intrinsic_scale)
         u = np.exp(-(((xs - grid.a) / sigma) ** 2))
 
     history: list[float] = []
-    lo, hi = grid.interior_range
-    dc2 = params.d * table.c_ns / 2.0
+    dc = params.d * table.c_ns
 
-    def scaled(v, quad, pot, parts, semi):
-        """Nehari scaling t0 v of nonnegative interior values ``v``.
+    def apply(v: np.ndarray) -> np.ndarray:
+        return dc * _neumann_operator(v, _extension(v, table), table)
 
-        (quad, pot) is the Nehari pair of ``v`` and ``semi`` its
-        seminorm; ``parts()`` gives its extension, product and mean.  The
-        state of t0 v is a function that returns (extension, product,
-        mean, seminorm), each scaled by t0 (the seminorm by t0^2), with
-        the interior values exactly those of the iterate.  It is built
-        on first use, so a rejected trial never builds it.
-        """
+    def scaled(v: np.ndarray, av: np.ndarray, quad: float):
+        """t0 v, its ray-sup energy and t0 Av, for nonnegative ``v``."""
+        pot = grid.integrate(v ** (p + 1.0))
         if pot <= 0.0 or not math.isfinite(pot):
             raise ConvergenceError("iterate collapsed to the trivial limit", history)
         t0, peak = _nehari_ray(quad, pot, p)
-        u = t0 * v
-
-        @functools.cache
-        def state():
-            full, q, m = parts()
-            full = t0 * full
-            full[lo:hi] = u
-            return ExtendedField(full, grid), t0 * q, t0 * m, t0 * t0 * semi
-
-        return u, peak, state
+        return t0 * v, peak, t0 * av
 
     def project(v: np.ndarray):
         v = np.abs(v)
-        full, q, m = _extension(v, table)
-        a = full - m
-        semi = max(_seminorm_form(a, q, a, q, table), 0.0)
-        quad = dc2 * semi + grid.integrate(v * v)
-        pot = grid.integrate(v ** (p + 1.0))
-        return scaled(v, quad, pot, lambda: (full, q, m), semi)
+        av = apply(v)
+        return scaled(v, av, grid.integrate(v * av) + grid.integrate(v * v))
 
-    def ray(u: np.ndarray, state, r: np.ndarray):
-        ext, q, m, semi = state()
-        full_r, q_r, m_r = _extension(r, table)
-        a, a_r = ext.values - m, full_r - m_r
-        s_ur = _seminorm_form(a, q, a_r, q_r, table)
-        s_rr = _seminorm_form(a_r, q_r, a_r, q_r, table)
-        uu, ur, rr = h * float(u @ u), h * float(u @ r), h * float(r @ r)
+    def ray(u: np.ndarray, au: np.ndarray, r: np.ndarray):
+        # the quadratic part of u - alpha r is q0 - 2 alpha q1 + alpha^2 q2,
+        # with u.Ar = r.Au by the symmetry of A
+        ar = apply(r)
+        q0 = grid.integrate(u * au) + grid.integrate(u * u)
+        q1 = grid.integrate(u * ar) + grid.integrate(u * r)
+        q2 = grid.integrate(r * ar) + grid.integrate(r * r)
 
         def along(alpha: float):
             v = u - alpha * r
             if float(np.min(v)) < 0.0:
                 return project(v)
-            # nonnegative: the projection is linear in alpha up to t0
-            semi_v = max(semi - 2.0 * alpha * s_ur + alpha * alpha * s_rr, 0.0)
-            quad = dc2 * semi_v + (uu - 2.0 * alpha * ur + alpha * alpha * rr)
-            pot = grid.integrate(v ** (p + 1.0))
-
-            def parts():
-                return ext.values - alpha * full_r, q - alpha * q_r, m - alpha * m_r
-
-            return scaled(v, quad, pot, parts, semi_v)
+            quad = q0 - 2.0 * alpha * q1 + alpha * alpha * q2
+            return scaled(v, au - alpha * ar, quad)
 
         return along
 
-    def el_residual(u: np.ndarray, ext: ExtendedField) -> tuple[np.ndarray, float]:
-        r = _neumann_residual(u, ext, params, table)
-        return r, float(np.max(np.abs(r))) / max(1.0, float(np.max(u)))
-
-    def residual(u: np.ndarray, state) -> tuple[np.ndarray, float, bool]:
-        r, res = el_residual(u, state()[0])
+    def residual(u: np.ndarray, au: np.ndarray) -> tuple[np.ndarray, float, bool]:
+        up = u**p
+        r = au + u - up
+        res = float(np.max(np.abs(r))) / max(1.0, float(np.max(u)))
         total_u = float(np.sum(u))
-        flux = abs(float(np.sum(u - u**p))) / total_u if total_u > 0 else math.inf
+        flux = abs(float(np.sum(u - up))) / total_u if total_u > 0 else math.inf
         history.append(res)
         return r, res, res <= config.tol_residual and flux <= _FLUX_TOL
 
@@ -454,7 +424,8 @@ def solve_least_energy(
     if constant:
         u = np.ones_like(u)
         ext, c_d, quad, pot = figures(u)
-    res = el_residual(u, ext)[1]
+    r = _neumann_residual(u, ext, params, table)
+    res = float(np.max(np.abs(r))) / max(1.0, float(np.max(u)))
     u.flags.writeable = False
 
     imax = int(np.argmax(u))
@@ -562,7 +533,6 @@ def sweep(
     grid_policy=default_grid_policy,
     config: SolverConfig = SolverConfig(),
     ground: GroundStateResult | None = None,
-    keep_results: list[LeastEnergyResult] | None = None,
 ) -> list[SweepRecord]:
     """Continuation in decreasing d with warm starts.
 
@@ -595,8 +565,6 @@ def sweep(
         except (ConvergenceError, ValueError) as exc:
             raise SweepAborted(f"sweep failed at d = {d}: {exc}", records) from exc
         records.append(record_from_result(result, pd))
-        if keep_results is not None:
-            keep_results.append(result)
         if not result.constant_branch:
             prev = (result, pd.intrinsic_scale)
     return records

@@ -34,10 +34,12 @@ from fracneumann import (
     profile_compare,
     scaling_fit,
     solve_ground_state,
+    solve_least_energy,
     sweep,
     transplant_ground_state,
     write_sweep_csv,
 )
+from fracneumann import solvers
 from test_grid_kernel import truncated_operator
 
 
@@ -62,7 +64,14 @@ def default_sweep(ground_states):
     start = time.monotonic()
     d_values = list(np.geomspace(2.0, 0.02, 13))
     results = []
-    records = sweep(d_values, Params(), ground=coarse, keep_results=results)
+
+    def keep(*args, **kwargs):
+        results.append(solve_least_energy(*args, **kwargs))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "solve_least_energy", keep)
+        records = sweep(d_values, Params(), ground=coarse)
     return records, results, time.monotonic() - start
 
 

@@ -23,7 +23,8 @@ from fracneumann import (
     pohozaev,
     seminorm_T,
 )
-from fracneumann.energy import _neumann, _neumann_residual
+from fracneumann.energy import _neumann, _neumann_operator, _neumann_residual
+from fracneumann.neumann import _extension
 
 
 def brute_force_cross_seminorm(values, grid, table):
@@ -142,8 +143,8 @@ def _seminorm_with_doubled_cross_term(ext, table):
 
 
 def test_seminorm_of_a_fresh_extension_makes_one_product(monkeypatch):
-    # the bilinear form's two cross terms x + x are 2x in IEEE arithmetic,
-    # so S(v, v) keeps the bits of the doubled-term assembly
+    # seminorm_T keeps the bits of the doubled-term assembly, and every
+    # call makes its own product
     g = build_grid(0.0, 1.0, 0.05, 2.0)
     t = kernel_weights(g, Params())
     ext = random_extended(g, t, 4)
@@ -265,6 +266,36 @@ def test_residual_is_the_gradient_of_the_reduced_energy(n, s, bounds, d, p_frac,
         down = J_d(extend(u - e, t), params, t)
         fd = (up - down) / (2.0 * eps)
         assert abs(fd - grad[j]) <= 1e-6 * np.max(np.abs(grad)), j
+
+
+@pytest.mark.parametrize("n_interior", [50, 250, 5384, 25000])
+def test_reduced_operator_gives_the_form_at_production_size(n_interior):
+    # on grids of 250, 1 250, 26 920 and 125 000 nodes: 2h u.op(u) is the
+    # seminorm of the extension and u.op(r) = r.op(u), each to round-off
+    # of the form's absolute terms (the value itself can cancel)
+    g = build_grid(0.0, 1.0, 1.0 / n_interior, 2.0)
+    t = kernel_weights(g, Params())
+    lo, hi = g.interior_range
+    rs = t.row_sums(lo, hi, 0, g.n_nodes)
+    tail = t.tail[lo:hi]
+
+    def op(v):
+        return _neumann_operator(v, _extension(v, t), t)
+
+    def terms(a, b):
+        # h |a|.(|b| rs + W[I, :] ext|b| + T |b|): the size of h a.op(b)'s terms
+        ab = np.abs(b)
+        conv = t.matvec(_extension(ab, t), lo, hi, 0, g.n_nodes)
+        return g.h * float(np.abs(a) @ (ab * rs + conv + tail * ab))
+
+    rng = np.random.default_rng(11)
+    u = 0.5 + rng.uniform(0.0, 1.0, g.n_interior)
+    r = rng.standard_normal(g.n_interior)
+    ou, o_r = op(u), op(r)
+    semi = seminorm_T(extend(u, t), t)
+    assert abs(2.0 * g.h * float(u @ ou) - semi) <= 1e-13 * 2.0 * terms(u, u)
+    gap = abs(g.h * float(u @ o_r) - g.h * float(r @ ou))
+    assert gap <= 1e-13 * (terms(u, r) + terms(r, u))
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,14 @@ from fracneumann import (
 )
 from fracneumann import solvers
 from fracneumann.cli import main as cli_main
-from fracneumann.energy import _line_integrals, _neumann, _neumann_residual
+from fracneumann.energy import (
+    _line_integrals,
+    _neumann,
+    _neumann_operator,
+    _neumann_residual,
+)
 from fracneumann.kernel import KernelTable
+from fracneumann.neumann import _extension
 from fracneumann.solvers import _stretched_start
 
 # Relative slack for "the ray-sup energy never increased": acceptance
@@ -268,37 +274,39 @@ def _counting_products(monkeypatch):
     return calls
 
 
+def _apply(params, table, v):
+    """A v from a fresh extension: the solver's own operator."""
+    return params.d * table.c_ns * _neumann_operator(v, _extension(v, table), table)
+
+
 @pytest.mark.parametrize("d", [0.2, 0.04308869380063769])
 def test_unclipped_trials_match_the_full_projection(monkeypatch, d):
-    # along a ray of nonnegative values the seminorm is the quadratic
-    # S_u - 2 alpha S_ur + alpha^2 S_r, so a trial makes no product and
-    # lands on the full projection's t0 and peak to round-off
+    # A is linear, so along a ray of nonnegative values a trial takes its
+    # quadratic part from A u and A r and makes no product; it lands on
+    # the full projection's t0 and peak to round-off, and the A u it
+    # carries is that of the trial iterate
     params = Params(d=d)
     grid = default_grid_policy(params)
+    table = kernel_weights(grid, params)
     warm = 0.5 + np.random.default_rng(3).uniform(0.0, 1.0, grid.n_interior)
     project, ray, residual = _descent_closures(monkeypatch, params, grid, warm)
-    u, _, state = project(warm)
-    r = residual(u, state)[0]
-    along = ray(u, state, r)
+    u, _, au = project(warm)
+    r = residual(u, au)[0]
+    along = ray(u, au, r)
     reach = float(np.min(u[r > 0.0] / r[r > 0.0]))
     for alpha in (1e-3 * reach, 0.1 * reach, 0.9 * reach):
         v = u - alpha * r
         assert np.min(v) >= 0.0
         calls = _counting_products(monkeypatch)
-        trial, peak, trial_state = along(alpha)
-        ext, _, _, semi = trial_state()
+        trial, peak, trial_au = along(alpha)
         assert calls == []
         monkeypatch.undo()
-        want, want_peak, want_state = project(v)
-        want_ext, _, _, want_semi = want_state()
+        want, want_peak, _ = project(v)
         # both are t0 v for one v, so their ratio is the ratio of the t0s
         assert np.max(np.abs(trial - want)) <= 1e-13 * np.max(want)
         assert abs(peak - want_peak) <= 1e-13 * want_peak
-        assert abs(semi - want_semi) <= 1e-12 * want_semi
-        lo, hi = grid.interior_range
-        assert np.array_equal(ext.values[lo:hi], trial)
-        scale = np.max(want_ext.values)
-        assert np.max(np.abs(ext.values - want_ext.values)) <= 1e-12 * scale
+        fresh = _apply(params, table, trial)
+        assert np.max(np.abs(trial_au - fresh)) <= 1e-13 * np.max(np.abs(fresh))
 
 
 def test_a_clipped_trial_takes_the_full_projection(monkeypatch, domain_02):
@@ -306,35 +314,32 @@ def test_a_clipped_trial_takes_the_full_projection(monkeypatch, domain_02):
     warm = 0.5 + np.random.default_rng(5).uniform(0.0, 1.0, grid.n_interior)
     warm[10] = 0.0
     project, ray, residual = _descent_closures(monkeypatch, params, grid, warm)
-    u, _, state = project(warm)
+    u, _, au = project(warm)
     assert u[10] == 0.0
-    r = residual(u, state)[0].copy()
+    r = residual(u, au)[0].copy()
     r[10] = 1.0  # u - alpha r < 0 there for every alpha > 0
-    along = ray(u, state, r)
+    along = ray(u, au, r)
     calls = _counting_products(monkeypatch)
-    trial, peak, trial_state = along(1e-3)
-    ext, q, m, semi = trial_state()
-    assert len(calls) == 1
+    trial, peak, trial_au = along(1e-3)
+    assert len(calls) == 2
     monkeypatch.undo()
-    want, want_peak, want_state = project(u - 1e-3 * r)
-    want_ext, want_q, want_m, want_semi = want_state()
+    want, want_peak, want_au = project(u - 1e-3 * r)
     assert np.array_equal(trial, want) and peak == want_peak
-    assert np.array_equal(ext.values, want_ext.values)
-    assert np.array_equal(q, want_q) and (m, semi) == (want_m, want_semi)
+    assert np.array_equal(trial_au, want_au)
 
 
 def test_each_descent_iteration_makes_two_products(monkeypatch, domain_02):
-    # one product for the residual and one for the extension of its
-    # direction, however often the step halves; one more per trial that
-    # the absolute value clips, one for the first projection, and three
-    # for the figures: extend, its seminorm and the residual
+    # two products for A r of the residual direction, however often the
+    # step halves, and none for the residual A u + u - u^p; two more per
+    # trial that the absolute value clips, two for the first projection,
+    # and three for the figures: extend, its seminorm and the residual
     params, grid, _ = domain_02
     clipped = []
     descent = solvers._nehari_descent
 
     def counted(u0, project, ray, residual, config, h, history):
-        def counting_ray(u, state, r):
-            along = ray(u, state, r)
+        def counting_ray(u, au, r):
+            along = ray(u, au, r)
 
             def counting_along(alpha):
                 clipped.append(bool(np.min(u - alpha * r) < 0.0))
@@ -350,7 +355,7 @@ def test_each_descent_iteration_makes_two_products(monkeypatch, domain_02):
     assert not result.constant_branch
     assert len(clipped) > result.iterations  # some steps halved
     it = result.iterations
-    assert len(calls) == 2 * it + 1 + 1 + sum(clipped) + 3
+    assert len(calls) == 2 * it + 2 + 2 * sum(clipped) + 3
 
 
 def test_ground_state_figures_are_those_of_the_returned_field(ground):
@@ -403,6 +408,21 @@ def test_initializer_preconditions(domain_02):
     params, grid, _ = domain_02
     with pytest.raises(ValueError, match="warm field length"):
         solve_least_energy(params, grid, warm=np.ones(grid.n_interior - 1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_warm_start_is_refused(ground, domain_02, bad):
+    # refused before any work, by the library and by a sweep whose
+    # transplanted ground state carries the bad value
+    params, grid, _ = domain_02
+    warm = np.ones(grid.n_interior)
+    warm[7] = bad
+    with pytest.raises(ValueError, match="^warm field must be finite"):
+        solve_least_energy(params, grid, warm=warm)
+    broken = replace(ground, w=np.full_like(ground.w, bad))
+    with pytest.raises(SweepAborted, match="warm field must be finite") as err:
+        sweep([0.2], Params(), ground=broken)
+    assert err.value.records == []
 
 
 def test_the_solver_builds_its_own_table(domain_02):
@@ -478,15 +498,15 @@ def test_aborted_sweep_preserves_finished_records():
 
 
 def test_sweep_warm_start_is_the_stretched_previous_solution(monkeypatch):
-    warms = []
+    warms, results = [], []
 
     def spy(*args, warm=None, **kwargs):
         warms.append(warm)
-        return solve_least_energy(*args, warm=warm, **kwargs)
+        results.append(solve_least_energy(*args, warm=warm, **kwargs))
+        return results[-1]
 
     monkeypatch.setattr(solvers, "solve_least_energy", spy)
-    results = []
-    sweep([0.2, 0.1363], Params(), keep_results=results)
+    sweep([0.2, 0.1363], Params())
     first, second = results
     assert warms[0] is None and not first.constant_branch
     g0, g1 = first.grid, second.grid
