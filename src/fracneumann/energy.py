@@ -26,9 +26,7 @@ and the least-energy solver, beside its gradient ``_neumann_residual``.
 On the line, ``_line_integrals`` returns ([v]^2, int v^2,
 int |v|^(p+1)) from one product, and ``_whole_space`` forms F, the
 Pohozaev value and the scale of its terms from that triple for
-``F_energy``, ``pohozaev`` and the ground-state report.  Its pair and
-edge sums come from ``_pair_and_edges``, which the Moser module's
-interior form shares.
+``F_energy``, ``pohozaev`` and the ground-state report.
 """
 
 from __future__ import annotations
@@ -189,22 +187,6 @@ def peak_energy(u: ExtendedField, params: Params, table: KernelTable) -> float:
     return direct
 
 
-def _pair_and_edges(
-    v: np.ndarray, table: KernelTable, lo: int, hi: int
-) -> tuple[float, float]:
-    """Pair and edge sums of ``v`` on the block [lo, hi) x [lo, hi).
-
-    pair = sum_{i != j} W (v_i - v_j)^2 with one product, and edges =
-    sum (v_{i+1} - v_i)^2, the quadratic form of the operator's
-    second-difference rule.
-    """
-    conv = table.matvec(v, lo, hi, lo, hi)
-    rs = table.row_sums(lo, hi, lo, hi)
-    pair = 2.0 * (float((v * v) @ rs) - float(v @ conv))
-    dv = np.diff(v)
-    return pair, float(dv @ dv)
-
-
 def _line_integrals(
     v: np.ndarray, p: float, table: KernelTable
 ) -> tuple[float, float, float]:
@@ -215,10 +197,16 @@ def _line_integrals(
     h * v . frac_laplacian_apply(v) = c/2 [v]^2.  One product.
     """
     grid = table.grid
-    pair, edges = _pair_and_edges(v, table, 0, v.shape[0])
-    tail = float((v * v) @ table.tail)
-    gag = grid.h * (pair + 2.0 * table.pv_coeff * edges + 2.0 * tail)
-    return gag, grid.integrate(v * v), grid.integrate(np.abs(v) ** (p + 1.0))
+    n = v.shape[0]
+    v2 = v * v
+    # sum_{i != j} W (v_i - v_j)^2 from one product, and the edge sums
+    # (v_{i+1} - v_i)^2 of the operator's second-difference rule
+    conv = table.matvec(v, 0, n, 0, n)
+    pair = 2.0 * (float(v2 @ table.row_sums(0, n, 0, n)) - float(v @ conv))
+    dv = np.diff(v)
+    tail = float(v2 @ table.tail)
+    gag = grid.h * (pair + 2.0 * table.pv_coeff * float(dv @ dv) + 2.0 * tail)
+    return gag, grid.integrate(v2), grid.integrate(np.abs(v) ** (p + 1.0))
 
 
 def _whole_space(u: np.ndarray, p: float, table: KernelTable) -> tuple[float, ...]:

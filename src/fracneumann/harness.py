@@ -133,6 +133,12 @@ def scaling_fit(records: list[SweepRecord], quantity: str) -> FitResult:
     (the latter sits next to the transition and pollutes the asymptotic
     window).  Requires at least four nonconstant records spanning at
     least one decade of d.
+
+    An integral int u^r scales like d^(n/2s) only above the tail
+    threshold r > n/(n+2s) (2/3 at n = 1, s = 1/4).  Below it the tail
+    u ~ (eps/x)^(n+2s), eps = d^(1/2s), dominates and the exponent is
+    (n+2s) r/2s, which is 1.5 for ``L0.5`` at s = 1/4.  At the threshold
+    itself a log enters.
     """
     if quantity not in _QUANTITIES:
         raise ValueError(
@@ -301,11 +307,18 @@ def verify_suite(params: Params) -> list[VerifyItem]:
     try:
         solved = solve_least_energy(domain_params, domain)
         neh, flux = solved.nehari_residual, solved.flux_residual
+        passed = neh <= 1e-6 and flux <= 1e-6
+        # a pass prints the bound alone: the residuals' round-off digits
+        # move with every change of the descent path
         items.append(
             VerifyItem(
                 name="nehari-flux-identities",
-                passed=neh <= 1e-6 and flux <= 1e-6,
-                detail=f"nehari {neh:.3e}, flux {flux:.3e} (tol 1e-6)",
+                passed=passed,
+                detail=(
+                    "nehari, flux <= 1e-6"
+                    if passed
+                    else f"nehari {neh:.3e}, flux {flux:.3e} (tol 1e-6)"
+                ),
             )
         )
     except (ValueError, RuntimeError) as exc:

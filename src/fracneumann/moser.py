@@ -9,8 +9,7 @@ sup u <= exp(m L_j) stabilises.  Everything is tracked in log space
 because M_j itself overflows double precision near j = 25.
 
 The module also provides the elementary pointwise inequality that makes
-the truncated test functions admissible, and an empirical estimate of
-the Sobolev embedding constant on a bounded domain.
+the truncated test functions admissible.
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _pair_and_edges
-from .grids import Grid, Params, _check_dimension
-from .kernel import KernelTable
+from .grids import _check_dimension
 
 __all__ = [
     "MoserParams",
@@ -34,17 +31,11 @@ __all__ = [
     "c_star",
     "moser_bound_constant",
     "elementary_inequality_margin",
-    "sobolev_constant_estimate",
 ]
 
 # The empirical growth constant C* is the maximum of lambda_j / (j + 1)
 # over this working range of iteration indices.
 _CSTAR_WINDOW = 30
-
-# Fourier modes per random trial field in the embedding estimate; one
-# trial always consumes 2 * _TRIAL_MODES + 1 draws so that enlarging
-# `trials` extends the same sample stream.
-_TRIAL_MODES = 5
 
 
 @dataclass(frozen=True)
@@ -207,49 +198,3 @@ def elementary_inequality_margin(x, y, k):
     if margin.ndim == 0:
         return float(margin)
     return margin
-
-
-def _interior_quadratic(v: np.ndarray, table: KernelTable, d: float) -> float:
-    """d (c/2) double-integral over the domain square plus the mass term.
-
-    Only interior-interior kernel pairs enter; the adjacent-cell
-    quadrature defect is corrected exactly as in the full seminorm.
-    """
-    grid = table.grid
-    pair, edges = _pair_and_edges(v, table, *grid.interior_range)
-    seminorm = grid.h * (pair + 2.0 * table.pv_coeff * edges)
-    return d * (table.c_ns / 2.0) * seminorm + grid.integrate(v * v)
-
-
-def sobolev_constant_estimate(table: KernelTable, trials: int) -> float:
-    """Empirical lower estimate of the embedding constant on the domain.
-
-    Maximises ||v||_{L^{2*}}**2 * d / (d (c/2) [v]**2 + ||v||_2**2) over
-    random smooth trial fields and d in {1, 0.1, 0.01}, where the
-    seminorm pairs interior points only.  The domain is that of the
-    table's grid.  The trial fields come from a fixed seed, so the
-    estimate is a running maximum, hence non-decreasing in ``trials``.
-    """
-    if trials < 100:
-        raise ValueError(f"need at least 100 trial fields, got {trials}")
-    grid = table.grid
-    if not isinstance(grid, Grid):
-        raise ValueError("the embedding estimate needs a bounded-domain grid")
-    xs = grid.interior_nodes
-    span = grid.b - grid.a
-    ts = Params(s=table.s).two_star
-    rng = np.random.default_rng(0)
-    best = 0.0
-    phases = np.pi * (xs - grid.a) / span
-    for _ in range(trials):
-        coeffs = rng.standard_normal(2 * _TRIAL_MODES + 1)
-        v = np.full(xs.size, coeffs[0])
-        for m in range(1, _TRIAL_MODES + 1):
-            v = v + coeffs[2 * m - 1] * np.cos(m * phases)
-            v = v + coeffs[2 * m] * np.sin(m * phases)
-        num = grid.integrate(np.abs(v) ** ts) ** (2.0 / ts)
-        for d in (1.0, 0.1, 0.01):
-            ratio = num * d / _interior_quadratic(v, table, d)
-            if ratio > best:
-                best = ratio
-    return best

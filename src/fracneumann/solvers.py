@@ -1,21 +1,27 @@
 """Ground-state and least-energy solvers, continuation sweep, snapshots.
 
-Both solvers are Nehari-projected gradient descents: every accepted
-iterate is nonnegative, (for the whole-space problem) even, and scaled
-onto the Nehari manifold, so the objective that backtracking monitors is
-the ray-sup energy M[u] = sup_t J(tu).  Critical points are detected
+Both solvers are Nehari-projected gradient descents through the one
+loop ``_nehari_descent``: every accepted iterate is folded (made
+nonnegative, and even for the whole-space problem) and scaled onto the
+Nehari manifold, so the objective that backtracking monitors is the
+ray-sup energy M[u] = sup_t J(tu).  Critical points are detected
 through the Euler-Lagrange residual of the discrete equations, not
 through iterate stagnation.
 
-For the Neumann problem the unknowns are interior values only.  The
-Neumann extension is stationary in the exterior values, so J_d reduces
-to the interior with quadratic part h (u.Au + u.u), A the reduced
-operator of ``energy``, and gradient h (Au + u - u^p).  Every iterate
-carries A u; along a trial ray u - alpha r the quadratic part expands
-from A r, made once per iteration, so a backtracking trial makes no
-product.  Each solver builds its own weight table from its grid and
-parameters.  Results keep the interior values only; ``extend`` rebuilds
-the collar where an output needs it.
+Each solver hands the loop a symmetric operator A, its fold and its
+grid's ``integrate``; the quadratic part of the energy is
+integrate(u Au) + integrate(u u), and its gradient in the metric of
+``integrate`` is Au + u - u^p.  Every iterate carries A u, so the residual
+makes no product; along a trial ray u - alpha r the quadratic part
+expands from A r, made once per iteration, so a trial that the fold
+leaves unchanged makes no product either.  On the line A is
+``frac_laplacian_apply``.  For the Neumann problem the unknowns are
+interior values only: the Neumann extension is stationary in the
+exterior values, so J_d reduces to the interior with A the reduced
+operator d c ``_neumann_operator`` of the extension.  Each solver builds
+its own weight table from its grid and parameters.  Results keep the
+interior values only; ``extend`` rebuilds the collar where an output
+needs it.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .energy import (
-    _line_integrals,
     _nehari_ray,
     _neumann,
     _neumann_operator,
@@ -67,7 +72,10 @@ _FIRST_STEP = 0.1
 # The integrals int u^r a sweep record keeps, as (label, r) with None
 # standing for r = p + 1.  The sweep CSV columns, the quantities
 # ``scaling_fit`` accepts and the CLI's ``fit --quantity r:...`` names
-# all follow from this one table.
+# all follow from this one table.  int u^r ~ d^(n/2s) holds only above
+# the tail threshold r > n/(n+2s); below it the tail u ~ (eps/x)^(n+2s)
+# dominates and int u^r ~ d^((n+2s) r/2s), which is 1.5 for L0.5 at
+# n = 1, s = 1/4.
 _LR_COLUMNS = (("L0.5", 0.5), ("L1", 1.0), ("L2", 2.0), ("Lp1", None), ("L4", 4.0))
 
 
@@ -164,54 +172,85 @@ class SweepRecord:
 # whole-space ground state
 
 
-def _nehari_descent(u0, project, ray, residual, config, h, history):
+def _nehari_descent(u0, apply, fold, integrate, p, residual, config, history):
     """Nehari-projected descent shared by both solvers.
 
-    ``project(v)`` returns the projected iterate, its ray-sup energy and
-    a solver-specific state; ``ray(u, state, r)`` returns the map
-    alpha -> the same triple for the projection of u - alpha r, which
-    may reuse work done once per iteration; ``residual(u, state)``
-    returns the Euler-Lagrange residual, its size and whether the
-    iterate converged, and appends to ``history`` itself.  Steps start
-    from a Barzilai-Borwein guess and halve until the Armijo condition
-    (or the round-off band) holds on the ray-sup energy.  Returns the
-    converged iterate, its state, the iteration count, the residual
-    size and the ray-sup energy of every iteration.
+    ``apply(v)`` is the symmetric operator A of the quadratic part
+    integrate(v Av) + integrate(v v), ``fold(v)`` maps a field to the
+    admissible cone (nonnegative, and even on the line), ``integrate``
+    is the grid's quadrature and ``p`` the exponent.  Every iterate is
+    a folded field scaled onto the Nehari manifold and carries A u.
+    ``residual(u, au)`` returns the Euler-Lagrange residual, its size
+    and whether the iterate converged, and appends to ``history``
+    itself.  Returns the converged iterate, its A u, the iteration
+    count, the residual size and the ray-sup energy of every iteration.
+
+    Each iteration makes A r once.  Along u - alpha r the quadratic part
+    expands from A u and A r, so a trial that ``fold`` leaves unchanged
+    makes no product; a trial that it changes is projected in full.
+    Steps start from a Barzilai-Borwein guess and halve until the
+    Armijo condition (or the round-off band) holds on the ray-sup
+    energy; both are taken in the metric of ``integrate``.
 
     A step that halves to its floor without being accepted raises
     ``ConvergenceError`` at once: it leaves the iterate, the residual
     and the Barzilai-Borwein step unchanged, so every later iteration
     would repeat the same rejected search.
     """
-    u, peak, state = project(u0)
+
+    def scaled(v, av, quad):
+        """t0 v, t0 Av and the ray-sup energy of the folded field ``v``."""
+        pot = integrate(v ** (p + 1.0))
+        if pot <= 0.0 or not math.isfinite(pot):
+            raise ConvergenceError("iterate collapsed to the trivial limit", history)
+        t0, peak = _nehari_ray(quad, pot, p)
+        return t0 * v, t0 * av, peak
+
+    def project(v):
+        av = apply(v)
+        return scaled(v, av, integrate(v * av) + integrate(v * v))
+
+    u, au, peak = project(fold(u0))
     peaks = [peak]
     prev_u: np.ndarray | None = None
     prev_r: np.ndarray | None = None
     step = _FIRST_STEP
 
     for it in range(config.max_iters):
-        r, size, converged = residual(u, state)
+        r, size, converged = residual(u, au)
         if converged:
-            return u, state, it, size, np.array(peaks)
+            return u, au, it, size, np.array(peaks)
 
         if prev_u is not None:
             du, dr = u - prev_u, r - prev_r
-            denom = float(du @ dr)
+            denom = integrate(du * dr)
             if denom > 0.0:
-                step = min(max(float(du @ du) / denom, 1e-6), 1e3)
+                step = min(max(integrate(du * du) / denom, 1e-6), 1e3)
         prev_u, prev_r = u, r
 
-        along = ray(u, state, r)
+        # the quadratic part of u - alpha r is q0 - 2 alpha q1 + alpha^2 q2,
+        # with u.Ar = r.Au by the symmetry of A
+        ar = apply(r)
+        rr = integrate(r * r)
+        q0 = integrate(u * au) + integrate(u * u)
+        q1 = integrate(u * ar) + integrate(u * r)
+        q2 = integrate(r * ar) + rr
         alpha = step
         while alpha > 1e-14 * step:
-            trial, tpeak, tstate = along(alpha)
-            armijo = peak - 1e-4 * alpha * float(r @ r) * h
+            v = u - alpha * r
+            w = fold(v)
+            if np.array_equal(w, v):
+                quad = q0 - 2.0 * alpha * q1 + alpha * alpha * q2
+                trial = scaled(v, au - alpha * ar, quad)
+            else:
+                trial = project(w)
             # near the energy's round-off floor descent cannot be
             # strict; a one-round-off band lets the step polish the
             # residual while staying non-increasing to within 1e-14
-            if tpeak <= armijo or tpeak <= peak * (1.0 + 1e-14):
-                u, peak, state = trial, tpeak, tstate
-                peaks.append(tpeak)
+            tpeak = trial[2]
+            if tpeak <= peak - 1e-4 * alpha * rr or tpeak <= peak * (1.0 + 1e-14):
+                u, au, peak = trial
+                peaks.append(peak)
                 break
             alpha *= 0.5
         else:
@@ -235,10 +274,15 @@ def solve_ground_state(
 
     Projected descent: each iterate is replaced by its absolute value,
     symmetrized by averaging with its reflection, and scaled onto the
-    Nehari manifold; steps follow the negative Euler-Lagrange residual
-    with a Barzilai-Borwein guess and backtracking on the ray-sup
-    energy.  Convergence is declared when the residual drops below
-    ``tol_residual`` in sup norm over the inner half of the window.
+    Nehari manifold; steps follow the negative Euler-Lagrange residual,
+    symmetrized too, with a Barzilai-Borwein guess and backtracking on
+    the ray-sup energy.  Convergence is declared when the residual drops
+    below ``tol_residual`` in sup norm over the inner half of the window.
+
+    Each iteration makes one Toeplitz product, A r of the residual
+    direction r, however often the step halves; a trial that the fold
+    changes is projected afresh, at one more.  F and the Pohozaev ratio
+    of the returned profile take one product of their own.
 
     Raises
     ------
@@ -261,21 +305,17 @@ def solve_ground_state(
 
     history: list[float] = []
 
-    def project(v: np.ndarray) -> tuple[np.ndarray, float, None]:
+    def apply(v: np.ndarray) -> np.ndarray:
+        return frac_laplacian_apply(v, table)
+
+    def fold(v: np.ndarray) -> np.ndarray:
         v = np.abs(v)
-        v = 0.5 * (v + v[::-1])
-        gag, mass, pot = _line_integrals(v, p, table)
-        quad = table.c_ns / 2.0 * gag + mass
-        if pot <= 0.0 or not math.isfinite(pot):
-            raise ConvergenceError("iterate collapsed to the trivial limit", history)
-        t0, peak = _nehari_ray(quad, pot, p)
-        return t0 * v, peak, None
+        return 0.5 * (v + v[::-1])
 
-    def ray(u: np.ndarray, _, r: np.ndarray):
-        return lambda alpha: project(u - alpha * r)
-
-    def residual(u: np.ndarray, _) -> tuple[np.ndarray, float, bool]:
-        r = frac_laplacian_apply(u, table) + u - u**p
+    def residual(u: np.ndarray, au: np.ndarray) -> tuple[np.ndarray, float, bool]:
+        # an even residual keeps every unclipped trial bitwise even
+        r = au + u - u**p
+        r = 0.5 * (r + r[::-1])
         res = float(np.max(np.abs(r[inner])))
         history.append(res)
         if float(np.max(np.abs(u))) < 1e-10:
@@ -283,7 +323,7 @@ def solve_ground_state(
         return r, res, res <= config.tol_residual
 
     u, _, iterations, res, peaks = _nehari_descent(
-        np.exp(-0.5 * x * x), project, ray, residual, config, grid.h, history
+        np.exp(-0.5 * x * x), apply, fold, grid.integrate, p, residual, config, history
     )
     return _package_ground_state(u, grid, table, params, res, iterations, peaks)
 
@@ -348,7 +388,6 @@ def solve_least_energy(
         )
     table = kernel_weights(grid, params)
     p = params.p
-    h = grid.h
     xs = grid.interior_nodes
 
     if warm is not None:
@@ -358,7 +397,7 @@ def solve_least_energy(
         if not np.all(np.isfinite(u)):
             raise ValueError("warm field must be finite")
     else:
-        sigma = max(2.0 * h, params.intrinsic_scale)
+        sigma = max(2.0 * grid.h, params.intrinsic_scale)
         u = np.exp(-(((xs - grid.a) / sigma) ** 2))
 
     history: list[float] = []
@@ -367,55 +406,28 @@ def solve_least_energy(
     def apply(v: np.ndarray) -> np.ndarray:
         return dc * _neumann_operator(v, _extension(v, table), table)
 
-    def scaled(v: np.ndarray, av: np.ndarray, quad: float):
-        """t0 v, its ray-sup energy and t0 Av, for nonnegative ``v``."""
-        pot = grid.integrate(v ** (p + 1.0))
-        if pot <= 0.0 or not math.isfinite(pot):
-            raise ConvergenceError("iterate collapsed to the trivial limit", history)
-        t0, peak = _nehari_ray(quad, pot, p)
-        return t0 * v, peak, t0 * av
-
-    def project(v: np.ndarray):
-        v = np.abs(v)
-        av = apply(v)
-        return scaled(v, av, grid.integrate(v * av) + grid.integrate(v * v))
-
-    def ray(u: np.ndarray, au: np.ndarray, r: np.ndarray):
-        # the quadratic part of u - alpha r is q0 - 2 alpha q1 + alpha^2 q2,
-        # with u.Ar = r.Au by the symmetry of A
-        ar = apply(r)
-        q0 = grid.integrate(u * au) + grid.integrate(u * u)
-        q1 = grid.integrate(u * ar) + grid.integrate(u * r)
-        q2 = grid.integrate(r * ar) + grid.integrate(r * r)
-
-        def along(alpha: float):
-            v = u - alpha * r
-            if float(np.min(v)) < 0.0:
-                return project(v)
-            quad = q0 - 2.0 * alpha * q1 + alpha * alpha * q2
-            return scaled(v, au - alpha * ar, quad)
-
-        return along
-
     def residual(u: np.ndarray, au: np.ndarray) -> tuple[np.ndarray, float, bool]:
         up = u**p
         r = au + u - up
-        res = float(np.max(np.abs(r))) / max(1.0, float(np.max(u)))
-        total_u = float(np.sum(u))
-        flux = abs(float(np.sum(u - up))) / total_u if total_u > 0 else math.inf
+        res, flux = _residual_sizes(u, r, up, grid.integrate)
         history.append(res)
         return r, res, res <= config.tol_residual and flux <= _FLUX_TOL
 
     u, _, iterations, _, peaks = _nehari_descent(
-        u, project, ray, residual, config, h, history
+        u, apply, np.abs, grid.integrate, p, residual, config, history
     )
 
     def figures(u: np.ndarray):
         ext = extend(u, table)
         return (ext, *_neumann(ext, params, table))
 
-    mean = float(np.mean(u))
-    rel_var = float(np.var(u)) / (mean * mean) if mean != 0.0 else math.inf
+    size = grid.integrate(np.ones_like(u))
+    mean = grid.integrate(u) / size
+    rel_var = (
+        grid.integrate((u - mean) ** 2) / (size * mean * mean)
+        if mean != 0.0
+        else math.inf
+    )
     constant = rel_var < 1e-10
     if not constant:
         ext, c_d, quad, pot = figures(u)
@@ -425,7 +437,7 @@ def solve_least_energy(
         u = np.ones_like(u)
         ext, c_d, quad, pot = figures(u)
     r = _neumann_residual(u, ext, params, table)
-    res = float(np.max(np.abs(r))) / max(1.0, float(np.max(u)))
+    res, flux = _residual_sizes(u, r, u**p, grid.integrate)
     u.flags.writeable = False
 
     imax = int(np.argmax(u))
@@ -436,12 +448,24 @@ def solve_least_energy(
         M_d=float(np.max(u)),
         argmax_x=float(xs[imax]),
         nehari_residual=float(abs(quad - pot) / quad),
-        flux_residual=float(abs(float(np.sum(u - u**p))) / float(np.sum(u))),
+        flux_residual=flux,
         iterations=iterations,
         constant_branch=constant,
         el_residual=res,
         peak_history=peaks,
     )
+
+
+def _residual_sizes(u, r, up, integrate) -> tuple[float, float]:
+    """Size of the Neumann residual ``r`` at ``u`` and the flux residual.
+
+    The first is sup |r| / max(1, sup u); the second is the volume
+    identity |int (u - u^p)| / int u, with ``up`` = u^p.
+    """
+    res = float(np.max(np.abs(r))) / max(1.0, float(np.max(u)))
+    total = integrate(u)
+    flux = abs(integrate(u - up)) / total if total > 0.0 else math.inf
+    return res, flux
 
 
 def J_d_constant(grid: Grid, params: Params) -> float:

@@ -271,6 +271,27 @@ def test_scaling_laws_over_the_default_sweep(capsys, default_sweep):
     assert elapsed < 1800.0
 
 
+def test_sub_threshold_integral_follows_the_tail_law(capsys, default_sweep):
+    # int u^r ~ d^(n/2s) needs r > n/(n+2s); below it the tail
+    # u ~ (eps/x)^(n+2s) dominates and int u^r ~ d^((n+2s) r/2s)
+    records, _, _ = default_sweep
+    params = Params()
+    n, s, r = params.n, params.s, 0.5
+    assert r < n / (n + 2.0 * s)
+    tail_law = (n + 2.0 * s) * r / (2.0 * s)
+    bulk_law = n / (2.0 * s)
+    slope = scaling_fit(records, "L0.5").slope
+    ok = abs(slope - tail_law) < abs(slope - bulk_law)
+    report(
+        capsys,
+        "sub-threshold integral law",
+        ok,
+        f"L0.5 slope {slope:.3f}, nearer the tail law {tail_law:g} than "
+        f"the bulk law {bulk_law:g}",
+    )
+    assert ok
+
+
 # ---------------------------------------------------------------------------
 # peak location at small diffusion
 

@@ -294,7 +294,7 @@ def test_rejected_step_is_an_error_not_a_long_run(tmp_path, capsys):
     cfg.write_text("solver.max_iters = 2000\n")
     code, out, err = run(
         capsys, "--config", str(cfg), "ground",
-        "--s", "0.45", "--p", "1.1", "--L", "40", "--h", "0.1",
+        "--s", "0.45", "--p", "1.02", "--L", "40", "--h", "0.1",
     )
     assert code == 1
     assert out == ""
@@ -325,7 +325,7 @@ def test_solve_honours_the_collar_without_a_spacing(tmp_path, capsys):
 def test_sweep_goes_on_when_the_ground_state_fails(tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
     code, out, err = run(
-        capsys, "sweep", "--s", "0.45", "--p", "1.2455", "--points", "3",
+        capsys, "sweep", "--s", "0.3", "--p", "1.02", "--points", "3",
         "--d-min", "0.2", "--out", str(csv_path),
     )
     assert code == 0

@@ -1,6 +1,7 @@
 """Scaling fits, migration verdicts, profile match, self-checks, CSV."""
 
 import glob
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,6 +161,20 @@ def test_suite_reports_the_known_state_of_the_laboratory():
     # the transplanted profile's ray-sup energy measurably exceeds
     # d^(n/2s)/2 F at desk scales; the suite must say so honestly
     assert not by_name["transplant-energy-bound"].passed
+    # a pass states the bound, not round-off digits of the descent
+    assert by_name["nehari-flux-identities"].detail == "nehari, flux <= 1e-6"
+
+
+def test_a_failed_identity_check_prints_its_residuals(monkeypatch):
+    def loose(params, grid):
+        return replace(solve_least_energy(params, grid), flux_residual=2.5e-3)
+
+    monkeypatch.setattr(harness, "solve_least_energy", loose)
+    item = {item.name: item for item in verify_suite(Params())}[
+        "nehari-flux-identities"
+    ]
+    assert not item.passed
+    assert "flux 2.500e-03 (tol 1e-6)" in item.detail
 
 
 def test_suite_flags_a_tampered_kernel(monkeypatch):

@@ -1,4 +1,4 @@
-"""Iteration ladder arithmetic, pointwise inequality, embedding estimate."""
+"""Iteration ladder arithmetic and the pointwise inequality."""
 
 import math
 
@@ -9,15 +9,11 @@ from fracneumann import (
     L_closed_form,
     M_sequence,
     MoserParams,
-    Params,
-    build_grid,
     c_star,
     elementary_inequality_margin,
     gamma_majorant,
-    kernel_weights,
     lambda_term,
     moser_bound_constant,
-    sobolev_constant_estimate,
 )
 
 
@@ -199,38 +195,3 @@ def test_margin_fuzz_is_nonnegative():
     y = rng.uniform(0.0, 100.0, 100_000)
     k = rng.uniform(1.0, 20.0, 100_000)
     assert float(np.min(elementary_inequality_margin(x, y, k))) >= -1e-12
-
-
-# ---------------------------------------------------------------------------
-# embedding constant estimate
-
-
-@pytest.fixture(scope="module")
-def unit_domain():
-    params = Params()
-    grid = build_grid(0.0, 1.0, 0.02, 2.0)
-    return kernel_weights(grid, params)
-
-
-def test_estimate_requires_enough_trials(unit_domain):
-    with pytest.raises(ValueError):
-        sobolev_constant_estimate(unit_domain, 50)
-
-
-def test_estimate_beats_the_constant_field_ratio(unit_domain):
-    # v = 1 with d = 1 realises ratio 1 exactly, so the max over random
-    # trials must land at or above it
-    assert sobolev_constant_estimate(unit_domain, 100) >= 1.0 - 1e-12
-
-
-def test_estimate_is_monotone_in_trials(unit_domain):
-    a100 = sobolev_constant_estimate(unit_domain, 100)
-    a250 = sobolev_constant_estimate(unit_domain, 250)
-    assert a250 >= a100
-
-
-def test_estimate_is_deterministic(unit_domain):
-    value = sobolev_constant_estimate(unit_domain, 120)
-    assert sobolev_constant_estimate(unit_domain, 120) == value
-    # the bits of the estimate with its former d0 = 1.0, seed = 0 arguments
-    assert value == float.fromhex("0x1.333c372869e3dp+0")

@@ -149,11 +149,28 @@ def test_rejected_step_fails_at_once():
     # then stay put and repeat the same rejected search until max_iters
     with pytest.raises(ConvergenceError, match="rejected") as err:
         solve_ground_state(
-            Params(s=0.45, p=1.1),
+            Params(s=0.45, p=1.02),
             build_line_grid(40.0, 0.1),
             SolverConfig(max_iters=2000),
         )
     assert len(err.value.history) < 2000
+
+
+@pytest.mark.parametrize(
+    "s, p, half_width, h", [(0.45, 1.1, 40.0, 0.1), (0.45, 1.2455, 60.0, 0.05)]
+)
+def test_ground_states_near_p_one_converge(s, p, half_width, h):
+    # both cases once ended in a rejected step
+    result = solve_ground_state(
+        Params(s=s, p=p),
+        build_line_grid(half_width, h),
+        SolverConfig(max_iters=2000),
+    )
+    w = result.w
+    assert result.el_residual <= 1e-8
+    assert np.array_equal(w, w[::-1])
+    assert np.all(np.diff(w[result.grid.nodes > 0.0]) < 0.0)
+    assert history_non_increasing(result.peak_history)
 
 
 def test_least_energy_iteration_cap_raises_with_history(domain_02):
@@ -240,26 +257,26 @@ def test_reported_figures_are_those_of_the_returned_field(solved_02, domain_02):
 
 
 # ---------------------------------------------------------------------------
-# Neumann descent: line-search trials without Toeplitz products
+# Nehari descent: line-search trials without Toeplitz products
 
 
 class _Captured(Exception):
     pass
 
 
-def _descent_closures(monkeypatch, params, grid, warm):
-    """(project, ray, residual) that a least-energy solve hands its descent."""
-    seen = {}
+def _descent_parts(monkeypatch, params, grid, warm):
+    """(apply, fold, integrate, p, residual) a least-energy solve hands its descent."""
+    seen = []
 
-    def capture(u0, project, ray, residual, config, h, history):
-        seen.update(project=project, ray=ray, residual=residual)
+    def capture(u0, apply, fold, integrate, p, residual, config, history):
+        seen.extend((apply, fold, integrate, p, residual))
         raise _Captured
 
     monkeypatch.setattr(solvers, "_nehari_descent", capture)
     with pytest.raises(_Captured):
         solve_least_energy(params, grid, warm=warm)
     monkeypatch.undo()
-    return seen["project"], seen["ray"], seen["residual"]
+    return seen
 
 
 def _counting_products(monkeypatch):
@@ -274,6 +291,67 @@ def _counting_products(monkeypatch):
     return calls
 
 
+def _counting_folds(monkeypatch):
+    """Record, per ``fold`` call of every descent, whether it changed its input."""
+    changed = []
+    descent = solvers._nehari_descent
+
+    def counted(u0, apply, fold, integrate, p, residual, config, history):
+        def counting_fold(v):
+            w = fold(v)
+            changed.append(not np.array_equal(w, v))
+            return w
+
+        return descent(
+            u0, apply, counting_fold, integrate, p, residual, config, history
+        )
+
+    monkeypatch.setattr(solvers, "_nehari_descent", counted)
+    return changed
+
+
+def _projection(parts, v):
+    """(u, A u, peak) of the folded, Nehari-scaled ``v``: a descent's start."""
+    apply, fold, integrate, p, _ = parts
+    def stop(u, au):
+        return None, 0.0, True
+
+    u, au, _, _, peaks = solvers._nehari_descent(
+        v, apply, fold, integrate, p, stop, SolverConfig(), []
+    )
+    return u, au, peaks[-1]
+
+
+def _one_step(monkeypatch, parts, u0, r):
+    """One descent iteration from ``u0`` along ``r``.
+
+    Returns the accepted (u, A u, peak), the fields u - alpha r of its
+    trials and the number of products the run made.
+    """
+    apply, fold, integrate, p, _ = parts
+    trials = []
+
+    def recording_fold(v):
+        trials.append(v)
+        return fold(v)
+
+    script = iter([(r, 1.0, False)])
+    calls = _counting_products(monkeypatch)
+    u, au, it, _, peaks = solvers._nehari_descent(
+        u0,
+        apply,
+        recording_fold,
+        integrate,
+        p,
+        lambda u, au: next(script, (None, 0.0, True)),
+        SolverConfig(),
+        [],
+    )
+    monkeypatch.undo()
+    assert it == 1
+    return (u, au, peaks[-1]), trials[1:], len(calls)
+
+
 def _apply(params, table, v):
     """A v from a fresh extension: the solver's own operator."""
     return params.d * table.c_ns * _neumann_operator(v, _extension(v, table), table)
@@ -284,24 +362,25 @@ def test_unclipped_trials_match_the_full_projection(monkeypatch, d):
     # A is linear, so along a ray of nonnegative values a trial takes its
     # quadratic part from A u and A r and makes no product; it lands on
     # the full projection's t0 and peak to round-off, and the A u it
-    # carries is that of the trial iterate
+    # carries is that of the trial iterate.  Each run's four products are
+    # the start's A u and the iteration's A r.
     params = Params(d=d)
     grid = default_grid_policy(params)
     table = kernel_weights(grid, params)
     warm = 0.5 + np.random.default_rng(3).uniform(0.0, 1.0, grid.n_interior)
-    project, ray, residual = _descent_closures(monkeypatch, params, grid, warm)
-    u, _, au = project(warm)
-    r = residual(u, au)[0]
-    along = ray(u, au, r)
+    parts = _descent_parts(monkeypatch, params, grid, warm)
+    u, au, _ = _projection(parts, warm)
+    r = parts[4](u, au)[0]
     reach = float(np.min(u[r > 0.0] / r[r > 0.0]))
-    for alpha in (1e-3 * reach, 0.1 * reach, 0.9 * reach):
-        v = u - alpha * r
-        assert np.min(v) >= 0.0
-        calls = _counting_products(monkeypatch)
-        trial, peak, trial_au = along(alpha)
-        assert calls == []
-        monkeypatch.undo()
-        want, want_peak, _ = project(v)
+    for frac in (1e-3, 0.1, 0.9):
+        # the first trial steps by _FIRST_STEP: it lands at frac * reach
+        scaled_r = r * (frac * reach / solvers._FIRST_STEP)
+        (trial, trial_au, peak), trials, products = _one_step(
+            monkeypatch, parts, u, scaled_r
+        )
+        assert products == 4
+        assert all(np.min(v) >= 0.0 for v in trials)
+        want, _, want_peak = _projection(parts, trials[-1])
         # both are t0 v for one v, so their ratio is the ratio of the t0s
         assert np.max(np.abs(trial - want)) <= 1e-13 * np.max(want)
         assert abs(peak - want_peak) <= 1e-13 * want_peak
@@ -313,17 +392,17 @@ def test_a_clipped_trial_takes_the_full_projection(monkeypatch, domain_02):
     params, grid, _ = domain_02
     warm = 0.5 + np.random.default_rng(5).uniform(0.0, 1.0, grid.n_interior)
     warm[10] = 0.0
-    project, ray, residual = _descent_closures(monkeypatch, params, grid, warm)
-    u, _, au = project(warm)
+    parts = _descent_parts(monkeypatch, params, grid, warm)
+    u, au, _ = _projection(parts, warm)
     assert u[10] == 0.0
-    r = residual(u, au)[0].copy()
+    r = parts[4](u, au)[0].copy()
     r[10] = 1.0  # u - alpha r < 0 there for every alpha > 0
-    along = ray(u, au, r)
-    calls = _counting_products(monkeypatch)
-    trial, peak, trial_au = along(1e-3)
-    assert len(calls) == 2
-    monkeypatch.undo()
-    want, want_peak, want_au = project(u - 1e-3 * r)
+    # the first trial steps by _FIRST_STEP, so it lands at alpha = 1e-3
+    r *= 1e-3 / solvers._FIRST_STEP
+    (trial, trial_au, peak), trials, products = _one_step(monkeypatch, parts, u, r)
+    assert all(v[10] < 0.0 for v in trials)
+    assert products == 4 + 2 * len(trials)
+    want, want_au, want_peak = _projection(parts, trials[-1])
     assert np.array_equal(trial, want) and peak == want_peak
     assert np.array_equal(trial_au, want_au)
 
@@ -334,28 +413,25 @@ def test_each_descent_iteration_makes_two_products(monkeypatch, domain_02):
     # trial that the absolute value clips, two for the first projection,
     # and three for the figures: extend, its seminorm and the residual
     params, grid, _ = domain_02
-    clipped = []
-    descent = solvers._nehari_descent
-
-    def counted(u0, project, ray, residual, config, h, history):
-        def counting_ray(u, au, r):
-            along = ray(u, au, r)
-
-            def counting_along(alpha):
-                clipped.append(bool(np.min(u - alpha * r) < 0.0))
-                return along(alpha)
-
-            return counting_along
-
-        return descent(u0, project, counting_ray, residual, config, h, history)
-
-    monkeypatch.setattr(solvers, "_nehari_descent", counted)
+    clipped = _counting_folds(monkeypatch)
     calls = _counting_products(monkeypatch)
     result = solve_least_energy(params, grid)
     assert not result.constant_branch
-    assert len(clipped) > result.iterations  # some steps halved
+    assert not clipped[0]  # the start is the nonnegative bump
+    assert len(clipped) - 1 > result.iterations  # some steps halved
     it = result.iterations
     assert len(calls) == 2 * it + 2 + 2 * sum(clipped) + 3
+
+
+def test_each_ground_state_iteration_makes_one_product(monkeypatch):
+    # the whole-space twin: one product for A r, none for the residual,
+    # one more per trial that |.| and the reflection change, one for the
+    # first projection and one for the figures
+    clipped = _counting_folds(monkeypatch)
+    calls = _counting_products(monkeypatch)
+    result = solve_ground_state(Params(d=1.0), build_line_grid(40.0, 0.1))
+    assert len(clipped) - 1 > result.iterations
+    assert len(calls) == result.iterations + 1 + sum(clipped) + 1
 
 
 def test_ground_state_figures_are_those_of_the_returned_field(ground):
