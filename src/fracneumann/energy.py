@@ -128,9 +128,9 @@ def _neumann_operator(
     rs = table.row_sums(lo, hi, 0, n)
     pair = u_int * rs - conv
 
-    mean = float(np.mean(u_int))
+    mean = float(u_int.sum()) / u_int.size
     tv = table.tail[lo:hi] * (u_int - mean)
-    return pair + (tv - float(np.mean(tv)))
+    return pair + (tv - float(tv.sum()) / tv.size)
 
 
 def _neumann_residual(

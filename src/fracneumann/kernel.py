@@ -88,6 +88,7 @@ def normalizing_constant(n: int, s: float) -> float:
     )
 
 
+@lru_cache(maxsize=256)
 def _curvature_defect(s: float) -> float:
     """Second-order defect constant of the cell rule, unit spacing.
 
@@ -269,10 +270,10 @@ def _nodal(u: np.ndarray, n: int) -> np.ndarray:
 
 def _exact_mean(v: np.ndarray) -> float:
     """Mean of ``v``; exactly v[0] when every entry equals it."""
-    if np.all(v == v[0]):
+    if (v == v[0]).all():
         # keep constants exact instead of picking up mean round-off
         return float(v[0])
-    return float(np.mean(v))
+    return float(v.sum()) / v.size
 
 
 @dataclass(frozen=True)
@@ -433,9 +434,12 @@ def frac_laplacian_apply(u: np.ndarray, table: KernelTable) -> np.ndarray:
     anything else raises ValueError.  Returns the c_ns-scaled operator
     values, one per node.
     """
-    n = table.n_nodes
-    v = _nodal(u, n)
+    return _frac_laplacian(_nodal(u, table.n_nodes), table)
 
+
+def _frac_laplacian(v: np.ndarray, table: KernelTable) -> np.ndarray:
+    """``frac_laplacian_apply`` of a checked nodal array ``v``."""
+    n = v.size
     conv = table.matvec(v, 0, n, 0, n)
     sums = table.row_sums(0, n, 0, n)
     full = v * sums - conv + table.tail * v

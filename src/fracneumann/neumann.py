@@ -53,12 +53,14 @@ def neumann_derivative(u: ExtendedField | np.ndarray, table: KernelTable, x: int
     The defining integral runs over the domain only, so the value is
     c_ns * sum over interior j of W[x][j] * (u(x) - u(x_j)); neither the
     kernel tail nor other exterior nodes enter.  A bare array must hold
-    one finite value per node.
+    one finite value per node, and a field must live on the table's grid.
     """
     grid = table.grid
     if not isinstance(grid, Grid):
         raise ValueError("Neumann derivative needs a bounded-domain grid")
     v = u.values if isinstance(u, ExtendedField) else _nodal(u, grid.n_nodes)
+    if v.size != grid.n_nodes:
+        raise ValueError("field and table grids do not match")
     if not 0 <= x < grid.n_nodes:
         raise ValueError(f"node index {x} outside the grid")
     lo, hi = grid.interior_range

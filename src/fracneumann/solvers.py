@@ -40,7 +40,7 @@ from .energy import (
     _whole_space,
 )
 from .grids import Grid, LineGrid, Params, build_grid
-from .kernel import frac_laplacian_apply, kernel_weights
+from .kernel import _frac_laplacian, kernel_weights
 from .neumann import _extension, extend
 
 __all__ = [
@@ -188,6 +188,7 @@ def _nehari_descent(u0, apply, fold, integrate, p, residual, config, history):
     Each iteration makes A r once.  Along u - alpha r the quadratic part
     expands from A u and A r, so a trial that ``fold`` leaves unchanged
     makes no product; a trial that it changes is projected in full.
+    Only an accepted trial forms its scaled t0 v and t0 Av.
     Steps start from a Barzilai-Borwein guess and halve until the
     Armijo condition (or the round-off band) holds on the ray-sup
     energy; both are taken in the metric of ``integrate``.
@@ -198,19 +199,19 @@ def _nehari_descent(u0, apply, fold, integrate, p, residual, config, history):
     would repeat the same rejected search.
     """
 
-    def scaled(v, av, quad):
-        """t0 v, t0 Av and the ray-sup energy of the folded field ``v``."""
+    def ray(v, quad):
+        """Nehari scale t0 and ray-sup energy of the folded field ``v``."""
         pot = integrate(v ** (p + 1.0))
         if pot <= 0.0 or not math.isfinite(pot):
             raise ConvergenceError("iterate collapsed to the trivial limit", history)
-        t0, peak = _nehari_ray(quad, pot, p)
-        return t0 * v, t0 * av, peak
+        return _nehari_ray(quad, pot, p)
 
     def project(v):
         av = apply(v)
-        return scaled(v, av, integrate(v * av) + integrate(v * v))
+        return (v, av, *ray(v, integrate(v * av) + integrate(v * v)))
 
-    u, au, peak = project(fold(u0))
+    v, av, t0, peak = project(fold(u0))
+    u, au = t0 * v, t0 * av
     peaks = [peak]
     prev_u: np.ndarray | None = None
     prev_r: np.ndarray | None = None
@@ -239,17 +240,18 @@ def _nehari_descent(u0, apply, fold, integrate, p, residual, config, history):
         while alpha > 1e-14 * step:
             v = u - alpha * r
             w = fold(v)
-            if np.array_equal(w, v):
-                quad = q0 - 2.0 * alpha * q1 + alpha * alpha * q2
-                trial = scaled(v, au - alpha * ar, quad)
+            if (w == v).all():
+                av = None
+                t0, tpeak = ray(v, q0 - 2.0 * alpha * q1 + alpha * alpha * q2)
             else:
-                trial = project(w)
+                v, av, t0, tpeak = project(w)
             # near the energy's round-off floor descent cannot be
             # strict; a one-round-off band lets the step polish the
             # residual while staying non-increasing to within 1e-14
-            tpeak = trial[2]
             if tpeak <= peak - 1e-4 * alpha * rr or tpeak <= peak * (1.0 + 1e-14):
-                u, au, peak = trial
+                if av is None:
+                    av = au - alpha * ar
+                u, au, peak = t0 * v, t0 * av, tpeak
                 peaks.append(peak)
                 break
             alpha *= 0.5
@@ -301,12 +303,13 @@ def solve_ground_state(
     table = kernel_weights(grid, params)
     p = params.p
     x = grid.nodes
-    inner = np.abs(x) <= grid.half_width / 2.0
+    lo, hi = np.flatnonzero(np.abs(x) <= grid.half_width / 2.0)[[0, -1]]
+    inner = slice(lo, hi + 1)
 
     history: list[float] = []
 
     def apply(v: np.ndarray) -> np.ndarray:
-        return frac_laplacian_apply(v, table)
+        return _frac_laplacian(v, table)
 
     def fold(v: np.ndarray) -> np.ndarray:
         v = np.abs(v)
@@ -316,9 +319,9 @@ def solve_ground_state(
         # an even residual keeps every unclipped trial bitwise even
         r = au + u - u**p
         r = 0.5 * (r + r[::-1])
-        res = float(np.max(np.abs(r[inner])))
+        res = float(np.abs(r[inner]).max())
         history.append(res)
-        if float(np.max(np.abs(u))) < 1e-10:
+        if float(np.abs(u).max()) < 1e-10:
             raise ConvergenceError("iterate collapsed to the trivial limit", history)
         return r, res, res <= config.tol_residual
 
@@ -462,7 +465,7 @@ def _residual_sizes(u, r, up, integrate) -> tuple[float, float]:
     The first is sup |r| / max(1, sup u); the second is the volume
     identity |int (u - u^p)| / int u, with ``up`` = u^p.
     """
-    res = float(np.max(np.abs(r))) / max(1.0, float(np.max(u)))
+    res = float(np.abs(r).max()) / max(1.0, float(u.max()))
     total = integrate(u)
     flux = abs(integrate(u - up)) / total if total > 0.0 else math.inf
     return res, flux

@@ -23,7 +23,7 @@ from fracneumann import (
     kernel_weights,
     normalizing_constant,
 )
-from fracneumann.kernel import _fast_len, _zeta
+from fracneumann.kernel import _exact_mean, _fast_len, _zeta
 
 
 def gamma_constant(n, s):
@@ -185,6 +185,40 @@ def test_integrate_is_the_midpoint_rule_bitwise(n, seed):
         got = grid.integrate(f)
         assert type(got) is float
         assert got == grid.h * float(np.sum(f)) == float(grid.h * np.sum(f))
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+# numpy sums float64 runs pairwise in blocks of 128, unrolled by 8; the
+# lengths around those edges are where a different reduction would show
+_BLOCK_EDGES = [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 1025]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from(_BLOCK_EDGES), st.integers(1, 20_000)),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.integers(0, 300),
+)
+def test_reductions_keep_numpys_bits(n, seed, spread):
+    # Grid.integrate reduces with np.add.reduce and the descent's means
+    # divide a .sum() by the size, both to skip numpy's Python-level
+    # dispatch; each must give the bits of np.sum and np.mean
+    rng = np.random.default_rng(seed)
+    exponents = rng.integers(-spread, spread + 1, n).clip(-300, 290)
+    f = rng.standard_normal(n) * 10.0**exponents
+    h = float(rng.uniform(1e-3, 1.0))
+    g = Grid(a=0.0, b=h, h=h, r_ext=h, nodes=np.array([-0.5, 0.5, 1.5]) * h)
+    got = g.integrate(f)
+    assert type(got) is float
+    assert _bits(got) == _bits(h * float(np.sum(f)))
+    head = f[:50].tolist()
+    assert _bits(g.integrate(head)) == _bits(h * float(np.sum(head)))
+    assert _bits(float(f.sum()) / f.size) == _bits(float(np.mean(f)))
+    assert _bits(_exact_mean(f)) == _bits(f[0] if n == 1 else float(np.mean(f)))
+    assert _bits(_exact_mean(np.full(n, f[0]))) == _bits(f[0])
 
 
 def test_build_grid_fine_example():

@@ -64,6 +64,19 @@ def test_derivative_rejects_interior_nodes():
         neumann_derivative(np.zeros(3), t, 0)
 
 
+def test_derivative_rejects_a_field_from_another_grid():
+    # a field carries its grid; one of another size is refused like
+    # seminorm_T and J_d refuse it, not read against the wrong weights
+    coarse, fine = build_grid(0.0, 1.0, 0.05), build_grid(0.0, 1.0, 0.025)
+    t = kernel_weights(coarse, Params())
+    u = extend(np.linspace(1.0, 2.0, fine.n_interior), kernel_weights(fine, Params()))
+    assert u.grid.n_nodes != coarse.n_nodes
+    with pytest.raises(ValueError, match="field and table grids do not match"):
+        neumann_derivative(u, t, 0)
+    own = extend(np.linspace(1.0, 2.0, coarse.n_interior), t)
+    assert abs(neumann_derivative(own, t, 0)) <= 1e-12
+
+
 def test_extension_formula_for_unit_bump():
     g = toy_grid()
     t = kernel_weights(g, Params())

@@ -21,6 +21,7 @@ from fracneumann import (
     build_line_grid,
     default_grid_policy,
     extend,
+    frac_laplacian_apply,
     kernel_weights,
     load_snapshot,
     nehari_scale,
@@ -38,6 +39,7 @@ from fracneumann import solvers
 from fracneumann.cli import main as cli_main
 from fracneumann.energy import (
     _line_integrals,
+    _nehari_ray,
     _neumann,
     _neumann_operator,
     _neumann_residual,
@@ -432,6 +434,154 @@ def test_each_ground_state_iteration_makes_one_product(monkeypatch):
     result = solve_ground_state(Params(d=1.0), build_line_grid(40.0, 0.1))
     assert len(clipped) - 1 > result.iterations
     assert len(calls) == result.iterations + 1 + sum(clipped) + 1
+
+
+def _reference_descent(u0, apply, fold, integrate, p, residual, config, history):
+    """The descent loop before its trials turned lazy: the bitwise oracle.
+
+    A copy of the earlier ``solvers._nehari_descent`` body, which forms
+    t0 v and t0 Av for every trial and reads ``fold``'s result through
+    ``np.array_equal``; the test hands it the quadrature
+    h * float(np.sum(f)).
+    """
+
+    def scaled(v, av, quad):
+        """t0 v, t0 Av and the ray-sup energy of the folded field ``v``."""
+        pot = integrate(v ** (p + 1.0))
+        if pot <= 0.0 or not math.isfinite(pot):
+            raise ConvergenceError("iterate collapsed to the trivial limit", history)
+        t0, peak = _nehari_ray(quad, pot, p)
+        return t0 * v, t0 * av, peak
+
+    def project(v):
+        av = apply(v)
+        return scaled(v, av, integrate(v * av) + integrate(v * v))
+
+    u, au, peak = project(fold(u0))
+    peaks = [peak]
+    prev_u: np.ndarray | None = None
+    prev_r: np.ndarray | None = None
+    step = solvers._FIRST_STEP
+
+    for it in range(config.max_iters):
+        r, size, converged = residual(u, au)
+        if converged:
+            return u, au, it, size, np.array(peaks)
+
+        if prev_u is not None:
+            du, dr = u - prev_u, r - prev_r
+            denom = integrate(du * dr)
+            if denom > 0.0:
+                step = min(max(integrate(du * du) / denom, 1e-6), 1e3)
+        prev_u, prev_r = u, r
+
+        # the quadratic part of u - alpha r is q0 - 2 alpha q1 + alpha^2 q2,
+        # with u.Ar = r.Au by the symmetry of A
+        ar = apply(r)
+        rr = integrate(r * r)
+        q0 = integrate(u * au) + integrate(u * u)
+        q1 = integrate(u * ar) + integrate(u * r)
+        q2 = integrate(r * ar) + rr
+        alpha = step
+        while alpha > 1e-14 * step:
+            v = u - alpha * r
+            w = fold(v)
+            if np.array_equal(w, v):
+                quad = q0 - 2.0 * alpha * q1 + alpha * alpha * q2
+                trial = scaled(v, au - alpha * ar, quad)
+            else:
+                trial = project(w)
+            # near the energy's round-off floor descent cannot be
+            # strict; a one-round-off band lets the step polish the
+            # residual while staying non-increasing to within 1e-14
+            tpeak = trial[2]
+            if tpeak <= peak - 1e-4 * alpha * rr or tpeak <= peak * (1.0 + 1e-14):
+                u, au, peak = trial
+                peaks.append(peak)
+                break
+            alpha *= 0.5
+        else:
+            raise ConvergenceError(
+                f"step rejected at iteration {it} (residual {size:.3e})", history
+            )
+
+    raise ConvergenceError(
+        f"no convergence after {config.max_iters} iterations "
+        f"(last residual {history[-1]:.3e})",
+        history,
+    )
+
+
+def _bitwise(a, b) -> bool:
+    bits = (np.asarray(x, dtype=np.float64).tobytes() for x in (a, b))
+    return next(bits) == next(bits)
+
+
+def _reference_operator(u_int, full, table):
+    """``_neumann_operator`` with its interior means taken by ``np.mean``."""
+    lo, hi = table.grid.interior_range
+    n = table.grid.n_nodes
+    pair = u_int * table.row_sums(lo, hi, 0, n) - table.matvec(full, lo, hi, 0, n)
+    tv = table.tail[lo:hi] * (u_int - float(np.mean(u_int)))
+    return pair + (tv - float(np.mean(tv)))
+
+
+@pytest.mark.parametrize("case", ["bump", "clipping warm start", "line"])
+def test_descent_keeps_the_bits_of_the_reference_loop(monkeypatch, case):
+    # every descent of the solve also runs through the oracle, on the
+    # reference operator and quadrature, the same fold and the solve's
+    # residual; (u, A u, iterations, size, peaks) must agree bit for
+    # bit, clipped trials included
+    if case == "line":
+        params, grid = Params(d=1.0), build_line_grid(40.0, 0.1)
+        table = kernel_weights(grid, params)
+
+        def reference_apply(v):
+            return frac_laplacian_apply(v, table)
+
+    else:
+        params = Params(d=0.2)
+        grid = default_grid_policy(params)
+        table = kernel_weights(grid, params)
+        dc = params.d * table.c_ns
+
+        def reference_apply(v):
+            return dc * _reference_operator(v, _extension(v, table), table)
+
+    runs = []
+    descent = solvers._nehari_descent
+
+    def both(u0, apply, fold, integrate, p, residual, config, history):
+        clipped = []
+
+        def counting_fold(v):
+            w = fold(v)
+            clipped.append(not np.array_equal(w, v))
+            return w
+
+        want = _reference_descent(
+            u0, reference_apply, counting_fold, lambda f: grid.h * float(np.sum(f)),
+            p, residual, config, [],
+        )
+        got = descent(u0, apply, fold, integrate, p, residual, config, history)
+        runs.append((got, want, sum(clipped)))
+        return got
+
+    monkeypatch.setattr(solvers, "_nehari_descent", both)
+    if case == "line":
+        solve_ground_state(params, grid)
+    else:
+        warm = None
+        if case == "clipping warm start":
+            warm = 0.5 + np.random.default_rng(5).uniform(0.0, 1.0, grid.n_interior)
+            warm[10] = 0.0
+        solve_least_energy(params, grid, warm=warm)
+    [(got, want, clipped)] = runs
+    assert clipped > 0
+    u, au, iterations, size, peaks = got
+    assert iterations == want[2] and _bitwise(size, want[3])
+    for a, b in ((u, want[0]), (au, want[1]), (peaks, want[4])):
+        assert a.shape == b.shape and _bitwise(a, b)
 
 
 def test_ground_state_figures_are_those_of_the_returned_field(ground):
