@@ -18,24 +18,25 @@ the one product W[:, I] v_I, using the symmetry of the weights, with v
 the field minus its interior mean.  In the interior values alone the
 form is reduced: with A = d c ``_neumann_operator`` applied to the
 Neumann extension, the quadratic part of J_d is h (u.Au + u.u), and
-the gradient ``_neumann_residual`` is h times Au + u - u^p.
+its gradient is h times Au + u - u^p.
 
 Each form is assembled in one place.  ``_neumann`` returns
 (J_d, Q, int |u|^(p+1)) for ``J_d``, ``nehari_scale``, ``peak_energy``
-and the least-energy solver, beside its gradient ``_neumann_residual``.
-On the line, ``_line_integrals`` returns ([v]^2, int v^2,
-int |v|^(p+1)) from one product, and ``_whole_space`` forms F, the
-Pohozaev value and the scale of its terms from that triple for
-``F_energy``, ``pohozaev`` and the ground-state report.
+and the least-energy solver.  On the line the form is
+integrate(u Lu) with L the operator ``_frac_laplacian`` itself, which
+by summation by parts is c/2 times the pair sums with the
+second-difference rule; ``_whole_space`` forms F, the Pohozaev value
+and the scale of its terms from it for ``F_energy``, ``pohozaev`` and
+the ground-state report.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grids import Grid, LineGrid, Params
-from .kernel import KernelTable, _exact_mean, _nodal
-from .neumann import ExtendedField
+from .grids import LineGrid, Params
+from .kernel import KernelTable, _exact_mean, _frac_laplacian, _nodal
+from .neumann import ExtendedField, _check_same_grid
 
 __all__ = [
     "seminorm_T",
@@ -58,8 +59,7 @@ def seminorm_T(u: ExtendedField, table: KernelTable) -> float:
     reproduces the Neumann extension.  One product, W[:, I] v_I.
     """
     grid = u.grid
-    if not isinstance(table.grid, Grid) or table.grid.n_nodes != grid.n_nodes:
-        raise ValueError("field and table grids do not match")
+    _check_same_grid(grid, table.grid)
     lo, hi = grid.interior_range
     n = grid.n_nodes
     v = u.values - _exact_mean(u.values[lo:hi])
@@ -133,18 +133,6 @@ def _neumann_operator(
     return pair + (tv - float(tv.sum()) / tv.size)
 
 
-def _neumann_residual(
-    u_int: np.ndarray, ext: ExtendedField, params: Params, table: KernelTable
-) -> np.ndarray:
-    """Pointwise Euler-Lagrange residual d c op(u) + u - u^p at u_int.
-
-    ``ext`` is the extension of u_int; the gradient of J_d in the
-    interior unknowns is h times this vector.
-    """
-    dc = params.d * table.c_ns
-    return dc * _neumann_operator(u_int, ext.values, table) + u_int - u_int**params.p
-
-
 def _nehari_ray(quad: float, pot: float, p: float) -> tuple[float, float]:
     """Maximizer t0 and peak of t -> (t^2/2) quad - (t^(p+1)/(p+1)) pot.
 
@@ -187,36 +175,20 @@ def peak_energy(u: ExtendedField, params: Params, table: KernelTable) -> float:
     return direct
 
 
-def _line_integrals(
-    v: np.ndarray, p: float, table: KernelTable
-) -> tuple[float, float, float]:
-    """([v]^2, int v^2, int |v|^(p+1)) of a whole-space field.
+def _whole_space(u: np.ndarray, p: float, table: KernelTable) -> tuple[float, ...]:
+    """F(u), the Pohozaev value P(u) and the largest of P's three terms.
 
-    [v]^2 is the double integral of |v(x)-v(y)|^2 |x-y|^(-1-2s) with the
-    operator's second-difference rule and analytic tails, so
-    h * v . frac_laplacian_apply(v) = c/2 [v]^2.  One product.
+    The seminorm term c/2 [u]^2 is integrate(u Lu), one product.
     """
     grid = table.grid
-    n = v.shape[0]
-    v2 = v * v
-    # sum_{i != j} W (v_i - v_j)^2 from one product, and the edge sums
-    # (v_{i+1} - v_i)^2 of the operator's second-difference rule
-    conv = table.matvec(v, 0, n, 0, n)
-    pair = 2.0 * (float(v2 @ table.row_sums(0, n, 0, n)) - float(v @ conv))
-    dv = np.diff(v)
-    tail = float(v2 @ table.tail)
-    gag = grid.h * (pair + 2.0 * table.pv_coeff * float(dv @ dv) + 2.0 * tail)
-    return gag, grid.integrate(v2), grid.integrate(np.abs(v) ** (p + 1.0))
-
-
-def _whole_space(u: np.ndarray, p: float, table: KernelTable) -> tuple[float, ...]:
-    """F(u), the Pohozaev value P(u) and the largest of P's three terms."""
-    if not isinstance(table.grid, LineGrid):
+    if not isinstance(grid, LineGrid):
         raise ValueError("whole-space energies need a symmetric line grid")
-    gag, mass, pot = _line_integrals(_nodal(u, table.n_nodes), p, table)
-    mass, pot = 0.5 * mass, pot / (p + 1.0)
-    semi = (1.0 - 2.0 * table.s) * table.c_ns / 4.0 * gag
-    f_val = table.c_ns / 4.0 * gag + mass - pot
+    v = _nodal(u, table.n_nodes)
+    form = grid.integrate(v * _frac_laplacian(v, table))
+    mass = 0.5 * grid.integrate(v * v)
+    pot = grid.integrate(np.abs(v) ** (p + 1.0)) / (p + 1.0)
+    semi = (0.5 - table.s) * form
+    f_val = 0.5 * form + mass - pot
     return f_val, semi + mass - pot, max(abs(semi), abs(mass), abs(pot))
 
 

@@ -50,6 +50,9 @@ class Params:
     ``n`` is the ambient dimension (the lab is exercised at n = 1, but
     the pure formulas keep n symbolic), ``s`` the fractional order,
     ``p`` the nonlinearity exponent and ``d`` the diffusion coefficient.
+    The paper assumes n > max{1, 2s}, so every run at n = 1 lies outside
+    its hypothesis; the strict xfails listed in README "Known expected
+    failures" record where the measured small-d picture departs from it.
     """
 
     n: int = 1
@@ -163,11 +166,16 @@ class Grid:
 
     @property
     def n_interior(self) -> int:
-        return int(np.count_nonzero(self.interior))
+        lo, hi = self.interior_range
+        return hi - lo
 
     @property
     def interior_nodes(self) -> np.ndarray:
-        return self.nodes[self.interior]
+        """Read-only view of the nodes inside (a, b)."""
+        lo, hi = self.interior_range
+        view = self.nodes[lo:hi]
+        view.flags.writeable = False
+        return view
 
     @property
     def window(self) -> tuple[float, float]:
@@ -194,15 +202,9 @@ class LineGrid:
         if abs(self.nodes[0] + self.nodes[-1]) > _SPACING_RTOL * self.half_width:
             raise ValueError("window nodes must be symmetric about the origin")
 
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.size
-
+    n_nodes = Grid.n_nodes
     integrate = Grid.integrate
-
-    @property
-    def window(self) -> tuple[float, float]:
-        return float(self.nodes[0] - 0.5 * self.h), float(self.nodes[-1] + 0.5 * self.h)
+    window = Grid.window
 
 
 def _cell_count(length: float, h: float, what: str) -> int:

@@ -47,6 +47,16 @@ class ExtendedField:
         return self.values[lo:hi]
 
 
+def _check_same_grid(grid: Grid, other) -> None:
+    """Raise unless ``other`` is ``grid`` or a grid of equal (a, b) and nodes."""
+    if grid is not other and not (
+        isinstance(other, Grid)
+        and (grid.a, grid.b) == (other.a, other.b)
+        and np.array_equal(grid.nodes, other.nodes)
+    ):
+        raise ValueError("field and table grids do not match")
+
+
 def neumann_derivative(u: ExtendedField | np.ndarray, table: KernelTable, x: int) -> float:
     """Discrete Neumann derivative N_s u at the exterior node ``x``.
 
@@ -58,9 +68,11 @@ def neumann_derivative(u: ExtendedField | np.ndarray, table: KernelTable, x: int
     grid = table.grid
     if not isinstance(grid, Grid):
         raise ValueError("Neumann derivative needs a bounded-domain grid")
-    v = u.values if isinstance(u, ExtendedField) else _nodal(u, grid.n_nodes)
-    if v.size != grid.n_nodes:
-        raise ValueError("field and table grids do not match")
+    if isinstance(u, ExtendedField):
+        _check_same_grid(u.grid, grid)
+        v = u.values
+    else:
+        v = _nodal(u, grid.n_nodes)
     if not 0 <= x < grid.n_nodes:
         raise ValueError(f"node index {x} outside the grid")
     lo, hi = grid.interior_range

@@ -32,13 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .energy import (
-    _nehari_ray,
-    _neumann,
-    _neumann_operator,
-    _neumann_residual,
-    _whole_space,
-)
+from .energy import _nehari_ray, _neumann, _neumann_operator, _whole_space
 from .grids import Grid, LineGrid, Params, build_grid
 from .kernel import _frac_laplacian, kernel_weights
 from .neumann import _extension, extend
@@ -284,7 +278,8 @@ def solve_ground_state(
     Each iteration makes one Toeplitz product, A r of the residual
     direction r, however often the step halves; a trial that the fold
     changes is projected afresh, at one more.  F and the Pohozaev ratio
-    of the returned profile take one product of their own.
+    of the returned profile come from integrate(w Lw), one product of
+    their own.
 
     Raises
     ------
@@ -328,12 +323,7 @@ def solve_ground_state(
     u, _, iterations, res, peaks = _nehari_descent(
         np.exp(-0.5 * x * x), apply, fold, grid.integrate, p, residual, config, history
     )
-    return _package_ground_state(u, grid, table, params, res, iterations, peaks)
-
-
-def _package_ground_state(u, grid, table, params, res, iters, peaks):
-    x = grid.nodes
-    f_val, poh, poh_scale = _whole_space(u, params.p, table)
+    f_val, poh, poh_scale = _whole_space(u, p, table)
 
     window = (np.abs(x) >= 10.0) & (np.abs(x) <= 30.0) & (u > 0.0)
     slope = np.polyfit(np.log(np.abs(x[window])), np.log(u[window]), 1)[0]
@@ -344,7 +334,7 @@ def _package_ground_state(u, grid, table, params, res, iters, peaks):
         pohozaev_residual=float(abs(poh) / poh_scale),
         decay_exponent_fit=float(-slope),
         el_residual=res,
-        iterations=iters,
+        iterations=iterations,
         peak_history=peaks,
     )
 
@@ -379,9 +369,10 @@ def solve_least_energy(
     Each iteration makes two Toeplitz products, for A r of the residual
     direction r, however often the step halves; a trial that the
     absolute value clips is projected afresh, at two more.  The
-    reported figures are those of the returned interior values: c_d,
-    the Nehari pair and ``el_residual`` come from ``_neumann`` and
-    ``_neumann_residual`` of their fresh extension, three products.
+    reported figures are those of the returned interior values: c_d
+    and the Nehari pair come from ``_neumann`` of their fresh
+    extension, and ``el_residual`` from ``_residual`` with A u of that
+    same extension, three products.
     """
     params.require_neumann_exponent()
     if grid.h > params.intrinsic_scale / 10.0 * (1.0 + 1e-12):
@@ -410,9 +401,7 @@ def solve_least_energy(
         return dc * _neumann_operator(v, _extension(v, table), table)
 
     def residual(u: np.ndarray, au: np.ndarray) -> tuple[np.ndarray, float, bool]:
-        up = u**p
-        r = au + u - up
-        res, flux = _residual_sizes(u, r, up, grid.integrate)
+        r, res, flux = _residual(u, au, p, grid.integrate)
         history.append(res)
         return r, res, res <= config.tol_residual and flux <= _FLUX_TOL
 
@@ -439,8 +428,8 @@ def solve_least_energy(
     if constant:
         u = np.ones_like(u)
         ext, c_d, quad, pot = figures(u)
-    r = _neumann_residual(u, ext, params, table)
-    res, flux = _residual_sizes(u, r, u**p, grid.integrate)
+    au = dc * _neumann_operator(u, ext.values, table)
+    _, res, flux = _residual(u, au, p, grid.integrate)
     u.flags.writeable = False
 
     imax = int(np.argmax(u))
@@ -459,16 +448,18 @@ def solve_least_energy(
     )
 
 
-def _residual_sizes(u, r, up, integrate) -> tuple[float, float]:
-    """Size of the Neumann residual ``r`` at ``u`` and the flux residual.
+def _residual(u, au, p, integrate) -> tuple[np.ndarray, float, float]:
+    """Neumann residual r = Au + u - u^p at ``u``, its size and the flux residual.
 
-    The first is sup |r| / max(1, sup u); the second is the volume
-    identity |int (u - u^p)| / int u, with ``up`` = u^p.
+    The size is sup |r| / max(1, sup u); the flux residual is the
+    volume identity |int (u - u^p)| / int u.
     """
+    up = u**p
+    r = au + u - up
     res = float(np.abs(r).max()) / max(1.0, float(u.max()))
     total = integrate(u)
     flux = abs(integrate(u - up)) / total if total > 0.0 else math.inf
-    return res, flux
+    return r, res, flux
 
 
 def J_d_constant(grid: Grid, params: Params) -> float:

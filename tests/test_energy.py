@@ -23,7 +23,7 @@ from fracneumann import (
     pohozaev,
     seminorm_T,
 )
-from fracneumann.energy import _neumann, _neumann_operator, _neumann_residual
+from fracneumann.energy import _neumann, _neumann_operator
 from fracneumann.neumann import _extension
 
 
@@ -255,7 +255,8 @@ def test_residual_is_the_gradient_of_the_reduced_energy(n, s, bounds, d, p_frac,
     t = kernel_weights(g, params)
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.1, 2.0, hi - lo)
-    grad = h * _neumann_residual(u, extend(u, t), params, t)
+    op = _neumann_operator(u, extend(u, t).values, t)
+    grad = h * (params.d * t.c_ns * op + u - u**params.p)
 
     eps = 1e-6
     m = hi - lo
@@ -443,19 +444,23 @@ def test_whole_space_energy_zero_and_positive_cases():
     assert pohozaev(small, p.p, t) > 0.0
 
 
-def test_whole_space_energy_brute_force_small_grid():
+@pytest.mark.parametrize("s", [0.15, 0.25, 0.45])
+def test_whole_space_energy_brute_force_small_grid(s):
+    # the pair sums with the one-sided end rows of the second-difference
+    # rule, against F and P taken from the operator's own form
     lg = build_line_grid(6.0, 0.1)
-    t = kernel_weights(lg, Params())
-    p = Params()
+    p = Params(s=s)
+    t = kernel_weights(lg, p)
     rng = np.random.default_rng(14)
     v = rng.standard_normal(lg.n_nodes) * np.exp(-np.abs(lg.nodes))
     h = lg.h
+    form = brute_force_line_form(v, t)
     expected = 0.5 * (
-        t.c_ns / 2.0 * brute_force_line_form(v, t) + h * float(np.sum(v * v))
+        t.c_ns / 2.0 * form + h * float(np.sum(v * v))
     ) - h * float(np.sum(np.abs(v) ** 2.5)) / 2.5
     assert F_energy(v, p.p, t) == pytest.approx(expected, rel=1e-11)
     expected_p = (
-        0.5 * t.c_ns / 4.0 * brute_force_line_form(v, t)
+        (1.0 - 2.0 * s) * t.c_ns / 4.0 * form
         + 0.5 * h * float(np.sum(v * v))
         - h * float(np.sum(np.abs(v) ** 2.5)) / 2.5
     )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fracneumann import (
     ExtendedField,
     Grid,
+    J_d,
     Params,
     build_grid,
     build_line_grid,
@@ -15,6 +16,7 @@ from fracneumann import (
     extend,
     kernel_weights,
     neumann_derivative,
+    seminorm_T,
 )
 
 
@@ -75,6 +77,39 @@ def test_derivative_rejects_a_field_from_another_grid():
         neumann_derivative(u, t, 0)
     own = extend(np.linspace(1.0, 2.0, coarse.n_interior), t)
     assert abs(neumann_derivative(own, t, 0)) <= 1e-12
+
+
+def _read_against(table, params):
+    """The three readers of a full field, each against ``table``."""
+    return {
+        "seminorm_T": lambda u: seminorm_T(u, table),
+        "J_d": lambda u: J_d(u, params, table),
+        "neumann_derivative": lambda u: neumann_derivative(u, table, 0),
+    }
+
+
+@pytest.mark.parametrize("entry", ["seminorm_T", "J_d", "neumann_derivative"])
+def test_a_field_from_a_grid_of_equal_size_is_refused(entry):
+    # both grids have 100 nodes and interior range (40, 60) but another
+    # spacing, so a node count check alone would pass the wrong weights
+    first, second = build_grid(0.0, 1.0, 0.05), build_grid(0.0, 2.0, 0.1)
+    assert (first.n_nodes, first.interior_range) == (second.n_nodes, second.interior_range)
+    params = Params(d=0.5)
+    u = extend(np.linspace(1.0, 2.0, second.n_interior), kernel_weights(second, params))
+    read = _read_against(kernel_weights(first, params), params)[entry]
+    with pytest.raises(ValueError, match="field and table grids do not match"):
+        read(u)
+
+
+def test_an_equal_hand_built_grid_reads_the_field():
+    grid = build_grid(0.0, 1.0, 0.05)
+    twin = Grid(a=grid.a, b=grid.b, h=grid.h, r_ext=grid.r_ext, nodes=grid.nodes.copy())
+    params = Params(d=0.5)
+    own = kernel_weights(grid, params)
+    u = extend(np.linspace(1.0, 2.0, grid.n_interior), own)
+    theirs = _read_against(kernel_weights(twin, params), params)
+    for entry, read in _read_against(own, params).items():
+        assert theirs[entry](u) == read(u), entry
 
 
 def test_extension_formula_for_unit_bump():
