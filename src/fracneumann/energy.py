@@ -18,7 +18,11 @@ the one product W[:, I] v_I, using the symmetry of the weights, with v
 the field minus its interior mean.  In the interior values alone the
 form is reduced: with A = d c ``_neumann_operator`` applied to the
 Neumann extension, the quadratic part of J_d is h (u.Au + u.u), and
-its gradient is h times Au + u - u^p.
+its gradient is h times Au + u - u^p.  Every exterior value being a
+kernel-weighted average of interior values, the reduced operator is
+one symmetric matrix on the interior, R = diag(rs_I) - W_II -
+W_IE D_E^-1 W_EI + C diag(T_I) C (``_neumann_matrix``), which small
+interiors assemble instead of making two products per application.
 
 Each form is assembled in one place.  ``_neumann`` returns
 (J_d, Q, int |u|^(p+1)) for ``J_d``, ``nehari_scale``, ``peak_energy``
@@ -131,6 +135,39 @@ def _neumann_operator(
     mean = float(u_int.sum()) / u_int.size
     tv = table.tail[lo:hi] * (u_int - mean)
     return pair + (tv - float(tv.sum()) / tv.size)
+
+
+def _neumann_matrix(table: KernelTable) -> np.ndarray:
+    """Matrix R of ``_neumann_operator`` on the interior, exactly symmetric.
+
+    R = diag(rs_I) - W_II - W_IE D_E^-1 W_EI + C diag(T_I) C, with rs_I
+    the interior rows' sums over every node, D_E the collar rows' sums
+    over the interior and C = I - 11^T / n_I.  The extension's mean
+    terms cancel because W_EI 1 = D_E, so R v is
+    ``_neumann_operator(v, _extension(v, table), table)`` to round-off,
+    and R 1 = 0.  Assembled from ``omega`` by indexing and, for each
+    collar side, one product M M^T with M = W_IE D_E^(-1/2); meant for
+    small interiors, where its n_I^2 n_E multiply-adds cost less than
+    the products it saves.
+    """
+    grid = table.grid
+    lo, hi = grid.interior_range
+    n = grid.n_nodes
+    k = hi - lo
+    inner = np.arange(lo, hi)
+    den = table.row_sums(0, n, lo, hi)
+    # every term is symmetric entry by entry, M M^T too (numpy's syrk)
+    r = -table.omega[np.abs(inner[:, None] - inner)]
+    for c0, c1 in ((0, lo), (hi, n)):
+        if c0 < c1:
+            m = table.omega[np.abs(inner[:, None] - np.arange(c0, c1))]
+            m /= np.sqrt(den[c0:c1])
+            r -= m @ m.T
+    tail = table.tail[lo:hi]
+    r -= np.add.outer(tail, tail) / k
+    r += float(tail.sum()) / (k * k)
+    r[np.diag_indices(k)] += table.row_sums(lo, hi, 0, n) + tail
+    return r
 
 
 def _nehari_ray(quad: float, pot: float, p: float) -> tuple[float, float]:

@@ -18,7 +18,8 @@ leaves unchanged makes no product either.  On the line A is
 ``frac_laplacian_apply``.  For the Neumann problem the unknowns are
 interior values only: the Neumann extension is stationary in the
 exterior values, so J_d reduces to the interior with A the reduced
-operator d c ``_neumann_operator`` of the extension.  Each solver builds
+operator d c ``_neumann_operator`` of the extension, or on a small
+interior its dense matrix d c ``_neumann_matrix``.  Each solver builds
 its own weight table from its grid and parameters.  Results keep the
 interior values only; ``extend`` rebuilds the collar where an output
 needs it.
@@ -32,7 +33,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .energy import _nehari_ray, _neumann, _neumann_operator, _whole_space
+from .energy import (
+    _nehari_ray,
+    _neumann,
+    _neumann_matrix,
+    _neumann_operator,
+    _whole_space,
+)
 from .grids import Grid, LineGrid, Params, build_grid
 from .kernel import _frac_laplacian, kernel_weights
 from .neumann import _extension, extend
@@ -58,6 +65,14 @@ __all__ = [
 # Internal gate on the volume (flux) identity, an order below what the
 # identity checks downstream ask for.
 _FLUX_TOL = 1e-7
+
+# Interior size up to which the Neumann descent applies A as the dense
+# matrix d c ``_neumann_matrix`` instead of two Toeplitz products.
+# Assembly grows as n_I^3: at 128 interior nodes it costs what 15 to 17
+# iterations save (about 1 ms against 60 to 85 us per product pair and
+# 3 us per matvec, one BLAS thread), at 249 what 37 to 50 save.  The
+# shortest default-ladder solve below the threshold takes 22.
+_DENSE_INTERIOR = 128
 
 # Step of the first descent iteration; Barzilai-Borwein replaces it as
 # soon as two iterates give a positive curvature du . dr.
@@ -95,7 +110,6 @@ class SolverConfig:
     max_iters: int = 50000
 
     def __post_init__(self) -> None:
-        # an infinite tolerance switches the residual test off
         value = self.tol_residual
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"tol_residual must be positive and finite, got {value}")
@@ -184,8 +198,11 @@ def _nehari_descent(u0, apply, fold, integrate, p, residual, config, history):
     makes no product; a trial that it changes is projected in full.
     Only an accepted trial forms its scaled t0 v and t0 Av.
     Steps start from a Barzilai-Borwein guess and halve until the
-    Armijo condition (or the round-off band) holds on the ray-sup
-    energy; both are taken in the metric of ``integrate``.
+    Armijo condition holds on the ray-sup energy, in the metric of
+    ``integrate``, or the energy stays within a round-off band of its
+    last value: 1e-14 relative, widened by (p+1)/(5(p-1)) below p = 1.5,
+    where the ray amplifies the round-off of the quadratic part more
+    than fivefold.
 
     A step that halves to its floor without being accepted raises
     ``ConvergenceError`` at once: it leaves the iterate, the residual
@@ -203,6 +220,10 @@ def _nehari_descent(u0, apply, fold, integrate, p, residual, config, history):
     def project(v):
         av = apply(v)
         return (v, av, *ray(v, integrate(v * av) + integrate(v * v)))
+
+    # the ray amplifies the quadratic part's relative round-off by
+    # (p+1)/(p-1): 5 at p = 1.5, 101 at p = 1.02
+    band = 1e-14 * max(1.0, (p + 1.0) / (5.0 * (p - 1.0)))
 
     v, av, t0, peak = project(fold(u0))
     u, au = t0 * v, t0 * av
@@ -241,8 +262,8 @@ def _nehari_descent(u0, apply, fold, integrate, p, residual, config, history):
                 v, av, t0, tpeak = project(w)
             # near the energy's round-off floor descent cannot be
             # strict; a one-round-off band lets the step polish the
-            # residual while staying non-increasing to within 1e-14
-            if tpeak <= peak - 1e-4 * alpha * rr or tpeak <= peak * (1.0 + 1e-14):
+            # residual while staying non-increasing to within the band
+            if tpeak <= peak - 1e-4 * alpha * rr or tpeak <= peak * (1.0 + band):
                 if av is None:
                     av = au - alpha * ar
                 u, au, peak = t0 * v, t0 * av, tpeak
@@ -366,13 +387,17 @@ def solve_least_energy(
     ``warm`` to start from a whole-space ground state.  The weight
     table is built here from ``grid`` and ``params``.
 
-    Each iteration makes two Toeplitz products, for A r of the residual
-    direction r, however often the step halves; a trial that the
-    absolute value clips is projected afresh, at two more.  The
-    reported figures are those of the returned interior values: c_d
-    and the Nehari pair come from ``_neumann`` of their fresh
-    extension, and ``el_residual`` from ``_residual`` with A u of that
-    same extension, three products.
+    On a grid of at most ``_DENSE_INTERIOR`` interior nodes A is the
+    dense matrix d c ``_neumann_matrix``, assembled once per solve, and
+    the descent makes no Toeplitz product: A r, and A of a trial that
+    the absolute value clips, are one matrix-vector product each.  On
+    larger grids each iteration makes two Toeplitz products for A r of
+    the residual direction r, however often the step halves, and a
+    clipped trial is projected afresh at two more.  On every grid the
+    reported figures are those of the returned interior values, taken
+    on the Toeplitz path: c_d and the Nehari pair come from
+    ``_neumann`` of their fresh extension, and ``el_residual`` from
+    ``_residual`` with A u of that same extension, three products.
     """
     params.require_neumann_exponent()
     if grid.h > params.intrinsic_scale / 10.0 * (1.0 + 1e-12):
@@ -397,8 +422,16 @@ def solve_least_energy(
     history: list[float] = []
     dc = params.d * table.c_ns
 
-    def apply(v: np.ndarray) -> np.ndarray:
-        return dc * _neumann_operator(v, _extension(v, table), table)
+    if grid.n_interior <= _DENSE_INTERIOR:
+        dense = dc * _neumann_matrix(table)
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            return dense @ v
+
+    else:
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            return dc * _neumann_operator(v, _extension(v, table), table)
 
     def residual(u: np.ndarray, au: np.ndarray) -> tuple[np.ndarray, float, bool]:
         r, res, flux = _residual(u, au, p, grid.integrate)

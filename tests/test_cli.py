@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 import fracneumann
 from fracneumann import Params, read_sweep_csv, verify_suite, write_sweep_csv
+from fracneumann import cli, solvers
 from fracneumann.cli import load_config, main
 from fracneumann.solvers import _LR_COLUMNS, load_snapshot
 
@@ -289,12 +291,22 @@ def test_ground_writes_a_profile(tmp_path, capsys):
     assert len(data) == 800
 
 
-def test_rejected_step_is_an_error_not_a_long_run(tmp_path, capsys):
+def test_rejected_step_is_an_error_not_a_long_run(tmp_path, capsys, monkeypatch):
+    # every trial after the start peaks higher, so the first search
+    # halves to its floor
+    ray = solvers._nehari_ray
+    calls = []
+
+    def higher(quad, pot, p):
+        t0, peak = ray(quad, pot, p)
+        calls.append(peak)
+        return t0, peak if len(calls) == 1 else 2.0 * peak
+
+    monkeypatch.setattr(solvers, "_nehari_ray", higher)
     cfg = tmp_path / "lab.cfg"
     cfg.write_text("solver.max_iters = 2000\n")
     code, out, err = run(
-        capsys, "--config", str(cfg), "ground",
-        "--s", "0.45", "--p", "1.02", "--L", "40", "--h", "0.1",
+        capsys, "--config", str(cfg), "ground", "--L", "40", "--h", "0.1"
     )
     assert code == 1
     assert out == ""
@@ -322,14 +334,20 @@ def test_solve_honours_the_collar_without_a_spacing(tmp_path, capsys):
     assert xs[0] < -3.9 and xs[-1] > 4.9
 
 
-def test_sweep_goes_on_when_the_ground_state_fails(tmp_path, capsys):
+def test_sweep_goes_on_when_the_ground_state_fails(tmp_path, capsys, monkeypatch):
+    # the ground state gets three iterations, the Neumann solves their
+    # default cap
+    def capped(params, grid, config):
+        return solvers.solve_ground_state(params, grid, replace(config, max_iters=3))
+
+    monkeypatch.setattr(cli, "solve_ground_state", capped)
     csv_path = tmp_path / "sweep.csv"
     code, out, err = run(
         capsys, "sweep", "--s", "0.3", "--p", "1.02", "--points", "3",
         "--d-min", "0.2", "--out", str(csv_path),
     )
     assert code == 0
-    assert err.startswith("warning: ground state failed: step rejected at ")
+    assert err.startswith("warning: ground state failed: no convergence after 3 ")
     assert err.count("\n") == 1
     assert len(read_sweep_csv(str(csv_path))) == 3
     assert len(out.splitlines()) == 3

@@ -23,7 +23,7 @@ from fracneumann import (
     pohozaev,
     seminorm_T,
 )
-from fracneumann.energy import _neumann, _neumann_operator
+from fracneumann.energy import _neumann, _neumann_matrix, _neumann_operator
 from fracneumann.neumann import _extension
 
 
@@ -267,6 +267,25 @@ def test_residual_is_the_gradient_of_the_reduced_energy(n, s, bounds, d, p_frac,
         down = J_d(extend(u - e, t), params, t)
         fd = (up - down) / (2.0 * eps)
         assert abs(fd - grad[j]) <= 1e-6 * np.max(np.abs(grad)), j
+
+
+@pytest.mark.parametrize("a", [0.0, 3.0 / 64.0])
+@pytest.mark.parametrize("n_interior", [50, 117])
+def test_neumann_matrix_is_the_reduced_operator(a, n_interior):
+    # exactly symmetric, annihilates constants to round-off and applies
+    # as the operator of the extension, also on a translated domain
+    g = build_grid(a, a + 1.0, 1.0 / n_interior, 2.0)
+    t = kernel_weights(g, Params())
+    assert g.n_interior == n_interior
+    R = _neumann_matrix(t)
+    assert R.shape == (n_interior, n_interior)
+    assert np.array_equal(R, R.T)
+    scale = np.max(np.abs(R))
+    assert np.max(np.abs(R @ np.ones(n_interior))) <= 1e-13 * scale
+    rng = np.random.default_rng(n_interior)
+    for v in (rng.uniform(0.0, 1.0, n_interior), rng.standard_normal(n_interior)):
+        want = _neumann_operator(v, _extension(v, t), t)
+        assert np.max(np.abs(R @ v - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n_interior", [50, 250, 5384, 25000])

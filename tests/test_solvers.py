@@ -140,23 +140,42 @@ def test_ground_state_iteration_cap_raises_with_history():
     assert len(err.value.history) == 3
 
 
-def test_rejected_step_fails_at_once():
-    # near p = 1 the line search can reach its floor; the iterate would
-    # then stay put and repeat the same rejected search until max_iters
-    with pytest.raises(ConvergenceError, match="rejected") as err:
+def _every_trial_peaks_higher(monkeypatch):
+    """Double the ray-sup energy of every ray after a descent's start."""
+    ray = solvers._nehari_ray
+    calls = []
+
+    def higher(quad, pot, p):
+        t0, peak = ray(quad, pot, p)
+        calls.append(peak)
+        return t0, peak if len(calls) == 1 else 2.0 * peak
+
+    monkeypatch.setattr(solvers, "_nehari_ray", higher)
+
+
+def test_rejected_step_fails_at_once(monkeypatch):
+    # a search that halves to its floor leaves the iterate where it was,
+    # so every later iteration would repeat it until max_iters
+    _every_trial_peaks_higher(monkeypatch)
+    with pytest.raises(ConvergenceError, match="rejected at iteration 0") as err:
         solve_ground_state(
-            Params(s=0.45, p=1.02),
-            build_line_grid(40.0, 0.1),
-            SolverConfig(max_iters=2000),
+            Params(d=1.0), build_line_grid(40.0, 0.1), SolverConfig(max_iters=2000)
         )
-    assert len(err.value.history) < 2000
+    assert len(err.value.history) == 1
 
 
 @pytest.mark.parametrize(
-    "s, p, half_width, h", [(0.45, 1.1, 40.0, 0.1), (0.45, 1.2455, 60.0, 0.05)]
+    "s, p, half_width, h",
+    [
+        (0.45, 1.1, 40.0, 0.1),
+        (0.45, 1.2455, 60.0, 0.05),
+        (0.45, 1.02, 40.0, 0.1),
+        (0.3, 1.02, 60.0, 0.05),
+    ],
 )
 def test_ground_states_near_p_one_converge(s, p, half_width, h):
-    # both cases once ended in a rejected step
+    # every case once ended in a rejected step; the last two did until
+    # the round-off band grew with the ray's amplification (p+1)/(p-1)
     result = solve_ground_state(
         Params(s=s, p=p),
         build_line_grid(half_width, h),
@@ -417,6 +436,58 @@ def test_each_descent_iteration_makes_two_products(monkeypatch, domain_02):
     assert len(clipped) - 1 > result.iterations  # some steps halved
     it = result.iterations
     assert len(calls) == 2 * it + 2 + 2 * sum(clipped) + 3
+
+
+def test_small_interiors_descend_on_the_dense_matrix(monkeypatch):
+    # the descent applies d c R and makes no product; the three are the
+    # figures': extend, its seminorm and the residual
+    params = Params(d=0.2936)
+    grid = default_grid_policy(params)
+    assert grid.n_interior == 117 <= solvers._DENSE_INTERIOR
+    calls = _counting_products(monkeypatch)
+    result = solve_least_energy(params, grid)
+    assert result.iterations > 100
+    assert len(calls) == 3
+
+
+def test_domain_02_keeps_the_fft_path():
+    # so the product counts and the reference loop above pin that path
+    assert solvers._DENSE_INTERIOR < default_grid_policy(Params(d=0.2)).n_interior
+
+
+@pytest.mark.parametrize(
+    "params, constant",
+    [(Params(d=0.2936), True), (Params(s=0.4, p=2.0, d=0.2), False)],
+)
+def test_dense_and_fft_descents_agree(monkeypatch, params, constant):
+    # a threshold of 0 sends the same grid down the FFT path
+    grid = default_grid_policy(params)
+    assert grid.n_interior <= solvers._DENSE_INTERIOR
+    dense = record_from_result(solve_least_energy(params, grid), params)
+    monkeypatch.setattr(solvers, "_DENSE_INTERIOR", 0)
+    fft = record_from_result(solve_least_energy(params, grid), params)
+    assert dense.constant_branch == fft.constant_branch == constant
+    if constant:
+        assert dense == fft
+    else:
+        assert abs(dense.c_d - fft.c_d) <= 1e-12 * fft.c_d
+        assert abs(dense.sup_u - fft.sup_u) <= 1e-6 * fft.sup_u
+        assert dense.argmax_x == fft.argmax_x
+
+
+@pytest.mark.parametrize("fft", [False, True])
+@pytest.mark.parametrize("s, d", [(0.25, 0.2936), (0.3, 2.0), (0.4, 0.2), (0.45, 2.0)])
+def test_neumann_solves_near_p_one_converge(monkeypatch, fft, s, d):
+    # at p = 1.02 each case rejected a step on one path or both while
+    # the round-off band stayed at 1e-14, below the ray's amplified noise
+    params = Params(s=s, p=1.02, d=d)
+    grid = default_grid_policy(params)
+    assert grid.n_interior <= solvers._DENSE_INTERIOR
+    if fft:
+        monkeypatch.setattr(solvers, "_DENSE_INTERIOR", 0)
+    result = solve_least_energy(params, grid)
+    assert result.el_residual <= 1e-8
+    assert history_non_increasing(result.peak_history)
 
 
 def test_each_ground_state_iteration_makes_one_product(monkeypatch):
