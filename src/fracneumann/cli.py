@@ -71,8 +71,8 @@ _SOLVER_KEYS = {
 }
 
 # The config keys each subcommand reads; any other key would be ignored,
-# so it is rejected.
-_PARAM_KEYS = ("s", "p", "n")
+# so it is rejected.  Only ``moser`` reads a dimension n; solves run at n = 1.
+_PARAM_KEYS = ("s", "p")
 _COMMAND_KEYS = {
     "ground": (*_PARAM_KEYS, "grid.h", *_SOLVER_KEYS.values()),
     "solve": (
@@ -83,7 +83,7 @@ _COMMAND_KEYS = {
         *_PARAM_KEYS, "domain.a", "domain.b", *_SOLVER_KEYS.values(),
         "sweep.d_max", "sweep.d_min", "sweep.points",
     ),
-    "moser": _PARAM_KEYS,
+    "moser": (*_PARAM_KEYS, "n"),
     "verify": _PARAM_KEYS,
     "fit": (),
 }
@@ -158,7 +158,7 @@ def _solver_config(config: dict) -> SolverConfig:
 
 
 def _params(args, config: dict, **fixed) -> Params:
-    return Params(**_given(args, config, n="n", s="s", p="p"), **fixed)
+    return Params(**_given(args, config, s="s", p="p"), **fixed)
 
 
 def _cmd_ground(args, config: dict) -> int:

@@ -37,59 +37,41 @@ _SPACING_RTOL = 1e-12
 _DIVISIBILITY_RTOL = 1e-9
 
 
-def _check_dimension(n) -> None:
-    """Reject a dimension that is not a positive ``int`` (``bool`` included)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"dimension n must be a positive integer, got {n!r}")
-
-
 @dataclass(frozen=True)
 class Params:
     """Problem exponents and the diffusion parameter.
 
-    ``n`` is the ambient dimension (the lab is exercised at n = 1, but
-    the pure formulas keep n symbolic), ``s`` the fractional order,
+    The lab computes in dimension n = 1: ``s`` is the fractional order,
     ``p`` the nonlinearity exponent and ``d`` the diffusion coefficient.
-    The paper assumes n > max{1, 2s}, so every run at n = 1 lies outside
-    its hypothesis; the strict xfails listed in README "Known expected
+    The paper assumes n > max{1, 2s}, so every run lies outside its
+    hypothesis; the strict xfails listed in README "Known expected
     failures" record where the measured small-d picture departs from it.
     """
 
-    n: int = 1
     s: float = 0.25
     p: float = 1.5
     d: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_dimension(self.n)
         for name in ("s", "p", "d"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"parameter {name} must be finite")
-        if not 0.0 < self.s < 1.0:
-            raise ValueError(f"fractional order s must lie in (0, 1), got {self.s}")
-        if self.n <= 2.0 * self.s:
-            raise ValueError(
-                f"need n > 2s for the subcritical regime, got n={self.n}, s={self.s}"
-            )
+        if not 0.0 < self.s < 0.5:  # 2s < n at n = 1
+            raise ValueError(f"fractional order s must lie in (0, 1/2), got {self.s}")
         if self.p <= 1.0:
             raise ValueError(f"exponent p must exceed 1, got {self.p}")
         if self.d <= 0.0:
             raise ValueError(f"diffusion d must be positive, got {self.d}")
 
     @property
-    def two_star(self) -> float:
-        """Critical Sobolev exponent 2n/(n - 2s)."""
-        return 2.0 * self.n / (self.n - 2.0 * self.s)
-
-    @property
     def p_max_neumann(self) -> float:
-        """Upper exponent bound (n + s)/(n - s) for Neumann runs."""
-        return (self.n + self.s) / (self.n - self.s)
+        """Upper exponent bound (n + s)/(n - s) for Neumann runs, at n = 1."""
+        return (1.0 + self.s) / (1.0 - self.s)
 
     @property
     def p_max_whole_space(self) -> float:
-        """Upper exponent bound (n + 2s)/(n - 2s) for whole-space runs."""
-        return (self.n + 2.0 * self.s) / (self.n - 2.0 * self.s)
+        """Upper exponent bound (n + 2s)/(n - 2s) for whole-space runs, at n = 1."""
+        return (1.0 + 2.0 * self.s) / (1.0 - 2.0 * self.s)
 
     @property
     def intrinsic_scale(self) -> float:

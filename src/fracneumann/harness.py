@@ -244,7 +244,22 @@ def profile_compare(
 # self-verification suite
 
 
-def _check_symbol(table: KernelTable, grid) -> VerifyItem:
+def _attempt(step):
+    """``step()``, or the ValueError or RuntimeError it raised."""
+    try:
+        return step()
+    except (ValueError, RuntimeError) as exc:
+        return exc
+
+
+def _solved(outcome):
+    """A solve's result; a failed solve raises as ``solve failed: <error>``."""
+    if isinstance(outcome, Exception):
+        raise RuntimeError(f"solve failed: {outcome}")
+    return outcome
+
+
+def _check_symbol(table: KernelTable, grid) -> tuple[bool, str]:
     """Fourier symbol check: the operator's action on cos(kx) vs |k|^2s."""
     xs = grid.nodes
     inner = np.abs(xs) <= grid.half_width / 2.0
@@ -254,174 +269,127 @@ def _check_symbol(table: KernelTable, grid) -> VerifyItem:
         want = abs(k) ** (2.0 * table.s) * np.cos(k * xs[inner])
         err = float(np.max(np.abs(got - want))) / abs(k) ** (2.0 * table.s)
         worst = max(worst, err)
-    return VerifyItem(
-        name="kernel-symbol",
-        passed=worst <= _SYMBOL_TOL,
-        detail=f"max relative symbol error {worst:.3e} (tol {_SYMBOL_TOL:g})",
+    return worst <= _SYMBOL_TOL, (
+        f"max relative symbol error {worst:.3e} (tol {_SYMBOL_TOL:g})"
     )
 
 
-def _check_extension(table: KernelTable, grid: Grid) -> VerifyItem:
+def _check_extension(table: KernelTable, grid: Grid) -> tuple[bool, str]:
     rng = np.random.default_rng(_VERIFY_SEED)
     u_int = 1.0 + rng.uniform(0.0, 1.0, grid.n_interior)
     ext = extend(u_int, table)
     lo, hi = grid.interior_range
-    scale = float(np.max(np.abs(ext.values)))
+    collar = [*range(lo), *range(hi, grid.n_nodes)]
+    worst = max(abs(neumann_derivative(ext, table, x)) for x in collar)
+    worst /= table.c_ns * float(np.max(np.abs(ext.values)))
+    return worst <= 1e-10, f"max relative Neumann derivative {worst:.3e} (tol 1e-10)"
+
+
+def _check_identities(solved) -> tuple[bool, str]:
+    result = _solved(solved)
+    neh, flux = result.nehari_residual, result.flux_residual
+    if neh <= 1e-6 and flux <= 1e-6:
+        # a pass prints the bound alone: the residuals' round-off digits
+        # move with every change of the descent path
+        return True, "nehari, flux <= 1e-6"
+    return False, f"nehari {neh:.3e}, flux {flux:.3e} (tol 1e-6)"
+
+
+def _check_pohozaev(ground) -> tuple[bool, str]:
+    residual = _solved(ground).pohozaev_residual
+    return residual <= 1e-3, f"relative Pohozaev residual {residual:.3e} (tol 1e-3)"
+
+
+def _check_iteration(params: Params) -> tuple[bool, str]:
+    mp = MoserParams(s=params.s, p=params.p)
+    ts = mp.two_star
     worst = 0.0
-    for x in range(grid.n_nodes):
-        if lo <= x < hi:
-            continue
-        worst = max(worst, abs(neumann_derivative(ext, table, x)))
-    worst /= table.c_ns * scale
-    return VerifyItem(
-        name="extension-stationarity",
-        passed=worst <= 1e-10,
-        detail=f"max relative Neumann derivative {worst:.3e} (tol 1e-10)",
+    level = L_closed_form(0, mp)
+    for j in range(50):
+        level = (ts * level - (mp.p - 1.0)) / 2.0
+        worst = max(worst, abs(level - L_closed_form(j + 1, mp)) / level)
+    majorised = all(
+        M_sequence(j, mp) <= gamma_majorant(j, mp) + 1e-12 for j in range(31)
+    )
+    return worst <= 1e-12 and majorised, (
+        f"recurrence vs closed form {worst:.3e} (tol 1e-12), "
+        f"majorant holds: {majorised}"
+    )
+
+
+def _check_fuzz() -> tuple[bool, str]:
+    rng = np.random.default_rng(_VERIFY_SEED)
+    x = rng.uniform(0.0, 100.0, 10_000)
+    y = rng.uniform(0.0, 100.0, 10_000)
+    k = rng.uniform(1.0, 20.0, 10_000)
+    min_margin = float(np.min(elementary_inequality_margin(x, y, k)))
+    return min_margin >= -1e-12, (
+        f"min margin {min_margin:.3e} over 10000 samples (tol -1e-12)"
+    )
+
+
+def _check_below_constant(solved, params: Params) -> tuple[bool, str]:
+    result = _solved(solved)
+    const = J_d_constant(result.grid, params)
+    return (not result.constant_branch) and result.c_d < const, (
+        f"c_d {result.c_d:.6g} vs constant energy {const:.6g}"
+    )
+
+
+def _check_transplant(
+    solved, ground, table: KernelTable, params: Params
+) -> tuple[bool, str]:
+    # the Neumann solve is read too: outside its exponent range the item fails
+    _solved(solved)
+    ground = _solved(ground)
+    grid = table.grid
+    prof = transplant_ground_state(ground, grid.interior_nodes, params)
+    peak = peak_energy(extend(prof, table), params, table)
+    bound = params.intrinsic_scale / 2.0 * ground.F_value
+    return peak < bound, (
+        f"ray-sup energy {peak:.6g} vs d^(n/2s)/2 F = "
+        f"{bound:.6g} (ratio {peak / bound:.3f})"
     )
 
 
 def verify_suite(params: Params) -> list[VerifyItem]:
     """Run the eight wiring checks and report pass/fail per item.
 
-    Needs ``params.n == 1``; any other dimension raises ValueError before
-    the first item, since the weight tables are one-dimensional.  Past
-    that, items never raise: a failed precondition (for example an
-    exponent outside the Neumann range) becomes a failed item whose
-    detail quotes the error, and the remaining items still run.
+    Items never raise.  The Neumann solve at d = 0.2 and the line ground
+    state run once each, before the first check.  A check that raises
+    ValueError or RuntimeError, itself or by reading a failed solve,
+    becomes a failed item whose detail quotes the error (``solve
+    failed: <error>`` for a solve), and the remaining items still run.
     """
-    items: list[VerifyItem] = []
-
     line = build_line_grid(*_VERIFY_LINE)
     line_params = replace(params, d=1.0)
     line_table = kernel_weights(line, line_params)
-
-    items.append(_check_symbol(line_table, line))
-
     domain_params = replace(params, d=_VERIFY_D)
     domain = default_grid_policy(domain_params)
     domain_table = kernel_weights(domain, domain_params)
 
-    items.append(_check_extension(domain_table, domain))
+    solved = _attempt(lambda: solve_least_energy(domain_params, domain))
+    ground = _attempt(lambda: solve_ground_state(line_params, line))
 
-    solved: LeastEnergyResult | None = None
-    try:
-        solved = solve_least_energy(domain_params, domain)
-        neh, flux = solved.nehari_residual, solved.flux_residual
-        passed = neh <= 1e-6 and flux <= 1e-6
-        # a pass prints the bound alone: the residuals' round-off digits
-        # move with every change of the descent path
-        items.append(
-            VerifyItem(
-                name="nehari-flux-identities",
-                passed=passed,
-                detail=(
-                    "nehari, flux <= 1e-6"
-                    if passed
-                    else f"nehari {neh:.3e}, flux {flux:.3e} (tol 1e-6)"
-                ),
-            )
-        )
-    except (ValueError, RuntimeError) as exc:
-        items.append(
-            VerifyItem("nehari-flux-identities", False, f"solve failed: {exc}")
-        )
-
-    ground: GroundStateResult | None = None
-    try:
-        ground = solve_ground_state(line_params, line)
-        items.append(
-            VerifyItem(
-                name="pohozaev-identity",
-                passed=ground.pohozaev_residual <= 1e-3,
-                detail=(
-                    f"relative Pohozaev residual "
-                    f"{ground.pohozaev_residual:.3e} (tol 1e-3)"
-                ),
-            )
-        )
-    except (ValueError, RuntimeError) as exc:
-        items.append(VerifyItem("pohozaev-identity", False, f"solve failed: {exc}"))
-
-    try:
-        mp = MoserParams(n=params.n, s=params.s, p=params.p)
-        ts = mp.two_star
-        worst = 0.0
-        level = L_closed_form(0, mp)
-        for j in range(50):
-            level = (ts * level - (mp.p - 1.0)) / 2.0
-            worst = max(worst, abs(level - L_closed_form(j + 1, mp)) / level)
-        majorised = all(
-            M_sequence(j, mp) <= gamma_majorant(j, mp) + 1e-12 for j in range(31)
-        )
-        items.append(
-            VerifyItem(
-                name="iteration-arithmetic",
-                passed=worst <= 1e-12 and majorised,
-                detail=(
-                    f"recurrence vs closed form {worst:.3e} (tol 1e-12), "
-                    f"majorant holds: {majorised}"
-                ),
-            )
-        )
-    except ValueError as exc:
-        items.append(VerifyItem("iteration-arithmetic", False, str(exc)))
-
-    rng = np.random.default_rng(_VERIFY_SEED)
-    x = rng.uniform(0.0, 100.0, 10_000)
-    y = rng.uniform(0.0, 100.0, 10_000)
-    k = rng.uniform(1.0, 20.0, 10_000)
-    min_margin = float(np.min(elementary_inequality_margin(x, y, k)))
-    items.append(
-        VerifyItem(
-            name="pointwise-inequality-fuzz",
-            passed=min_margin >= -1e-12,
-            detail=f"min margin {min_margin:.3e} over 10000 samples (tol -1e-12)",
-        )
+    checks = (
+        ("kernel-symbol", lambda: _check_symbol(line_table, line)),
+        ("extension-stationarity", lambda: _check_extension(domain_table, domain)),
+        ("nehari-flux-identities", lambda: _check_identities(solved)),
+        ("pohozaev-identity", lambda: _check_pohozaev(ground)),
+        ("iteration-arithmetic", lambda: _check_iteration(params)),
+        ("pointwise-inequality-fuzz", _check_fuzz),
+        ("below-constant-branch", lambda: _check_below_constant(solved, domain_params)),
+        (
+            "transplant-energy-bound",
+            lambda: _check_transplant(solved, ground, domain_table, domain_params),
+        ),
     )
-
-    if solved is not None:
-        const = J_d_constant(domain, domain_params)
-        items.append(
-            VerifyItem(
-                name="below-constant-branch",
-                passed=(not solved.constant_branch) and solved.c_d < const,
-                detail=f"c_d {solved.c_d:.6g} vs constant energy {const:.6g}",
-            )
-        )
-    else:
-        items.append(
-            VerifyItem("below-constant-branch", False, "no converged solve")
-        )
-
-    if ground is not None and solved is not None:
-        try:
-            prof = transplant_ground_state(
-                ground, domain.interior_nodes, domain_params
-            )
-            ext = extend(prof, domain_table)
-            peak = peak_energy(ext, domain_params, domain_table)
-            bound = (
-                domain_params.d ** (domain_params.n / (2.0 * domain_params.s))
-                / 2.0
-                * ground.F_value
-            )
-            items.append(
-                VerifyItem(
-                    name="transplant-energy-bound",
-                    passed=peak < bound,
-                    detail=(
-                        f"ray-sup energy {peak:.6g} vs d^(n/2s)/2 F = "
-                        f"{bound:.6g} (ratio {peak / bound:.3f})"
-                    ),
-                )
-            )
-        except ValueError as exc:
-            items.append(VerifyItem("transplant-energy-bound", False, str(exc)))
-    else:
-        items.append(
-            VerifyItem("transplant-energy-bound", False, "missing prerequisites")
-        )
-
+    items = []
+    for name, check in checks:
+        outcome = _attempt(check)
+        if isinstance(outcome, Exception):
+            outcome = (False, str(outcome))
+        items.append(VerifyItem(name, *outcome))
     return items
 
 

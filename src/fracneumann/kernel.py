@@ -50,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import Grid, LineGrid, Params, _check_dimension
+from .grids import Grid, LineGrid, Params
 
 __all__ = [
     "KernelTable",
@@ -58,6 +58,12 @@ __all__ = [
     "kernel_weights",
     "frac_laplacian_apply",
 ]
+
+
+def _check_dimension(n) -> None:
+    """Reject a dimension that is not a positive ``int`` (``bool`` included)."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"dimension n must be a positive integer, got {n!r}")
 
 
 def normalizing_constant(n: int, s: float) -> float:
@@ -402,8 +408,6 @@ def kernel_weights(grid: Grid | LineGrid, params: Params) -> KernelTable:
     coefficients close the window with the analytic complement on both
     sides, measured from each node to the respective window edge.
     """
-    if params.n != 1:
-        raise ValueError("weight tables are one-dimensional; need params.n == 1")
     s = params.s
     h = grid.h
     omega, derived, tail = _shared_arrays(grid.n_nodes, h, s)
@@ -415,7 +419,7 @@ def kernel_weights(grid: Grid | LineGrid, params: Params) -> KernelTable:
     return KernelTable(
         grid=grid,
         s=s,
-        c_ns=normalizing_constant(params.n, s),
+        c_ns=normalizing_constant(1, s),
         omega=omega,
         tail=tail,
         pv_coeff=pv,

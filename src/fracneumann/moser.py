@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import _check_dimension
+from .kernel import _check_dimension
 
 __all__ = [
     "MoserParams",

@@ -530,9 +530,13 @@ def transplant_ground_state(
 
 
 def default_grid_policy(params: Params, a: float = 0.0, b: float = 1.0) -> Grid:
-    """Domain grid resolving the intrinsic scale: h <= min(0.02, d^(1/2s)/10)."""
-    target = min(0.02, params.intrinsic_scale / 10.0)
-    n_int = int(math.ceil((b - a) / target - 1e-9))
+    """Domain grid resolving the intrinsic scale: h <= min(0.02, d^(1/2s)/10),
+    on at least the 9 cells that :func:`build_grid`'s h < (b - a)/8 needs."""
+    scale = params.intrinsic_scale
+    if not scale > 0.0:
+        raise ValueError(f"intrinsic scale d^(1/2s) underflows to 0 at d = {params.d}")
+    target = min(0.02, scale / 10.0)
+    n_int = max(9, int(math.ceil((b - a) / target - 1e-9)))
     h = (b - a) / n_int
     return build_grid(a, b, h)
 

@@ -276,8 +276,7 @@ def test_sub_threshold_integral_follows_the_tail_law(capsys, default_sweep):
     # int u^r ~ d^(n/2s) needs r > n/(n+2s); below it the tail
     # u ~ (eps/x)^(n+2s) dominates and int u^r ~ d^((n+2s) r/2s)
     records, _, _ = default_sweep
-    params = Params()
-    n, s, r = params.n, params.s, 0.5
+    n, s, r = 1, Params().s, 0.5
     assert r < n / (n + 2.0 * s)
     tail_law = (n + 2.0 * s) * r / (2.0 * s)
     bulk_law = n / (2.0 * s)
@@ -314,6 +313,7 @@ def test_peak_distance_scales_with_the_intrinsic_width(capsys, default_sweep):
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="the discrete least-energy peak converges to about 0.47 intrinsic "
     "widths inside the domain (refinement-stable), not to the boundary "
     'cell; see README "Known expected failures"',
@@ -372,6 +372,7 @@ def test_least_energy_sits_below_constant_and_transplant(
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="the measured transplant ray-sup energy approaches 1.88 times "
     "d^(n/2s)/2 F as d shrinks (interface cross-term), violating the "
     'ten-percent margin; see README "Known expected failures"',
@@ -389,9 +390,7 @@ def test_transplant_energy_matches_the_halved_ground_state(
     table = kernel_weights(grid, params)
     profile = transplant_ground_state(coarse, grid.interior_nodes, params)
     transplant_peak = peak_energy(extend(profile, table), params, table)
-    bound = (
-        params.d ** (params.n / (2.0 * params.s)) / 2.0 * coarse.F_value
-    )
+    bound = params.intrinsic_scale / 2.0 * coarse.F_value
     ok = transplant_peak < 1.1 * bound
     report(
         capsys,

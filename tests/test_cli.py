@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 import fracneumann
-from fracneumann import Params, read_sweep_csv, verify_suite, write_sweep_csv
+from fracneumann import (
+    L_closed_form,
+    MoserParams,
+    read_sweep_csv,
+    write_sweep_csv,
+)
 from fracneumann import cli, solvers
 from fracneumann.cli import load_config, main
 from fracneumann.solvers import _LR_COLUMNS, load_snapshot
@@ -160,6 +165,8 @@ def test_bad_config_exits_cleanly_through_main(capsys, tmp_path):
         (("sweep", "--points", "2"), "grid.h"),
         (("ground", "--L", "40", "--h", "0.1"), "domain.a"),
         (("verify",), "solver.tol"),
+        (("solve", "--d", "0.5"), "n"),
+        (("verify",), "n"),
     ],
 )
 def test_config_key_the_command_does_not_read_is_an_error(
@@ -262,16 +269,15 @@ def test_verify_exit_code_reflects_failures(capsys):
     assert "7/8 checks passed" in out
 
 
-def test_verify_needs_one_dimension(capsys, tmp_path):
-    # the suite's weight tables are one-dimensional, so n = 2 raises
-    # before the first item instead of becoming a failed item
-    message = "weight tables are one-dimensional; need params.n == 1"
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        verify_suite(Params(n=2))
+def test_moser_reads_the_dimension_from_the_config(capsys, tmp_path):
+    # the ladder is the paper's formula for any n; solves run at n = 1
     path = tmp_path / "lab.cfg"
     path.write_text("n = 2\n")
-    code, out, err = run(capsys, "--config", str(path), "verify")
-    assert (code, out, err) == (1, "", f"error: {message}\n")
+    code, out, err = run(capsys, "--config", str(path), "moser", "--jmax", "1")
+    assert (code, err) == (0, "")
+    level = float(out.splitlines()[1].split(",")[1])
+    assert level == L_closed_form(0, MoserParams(n=2))
+    assert level != L_closed_form(0, MoserParams(n=1))
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +338,29 @@ def test_solve_honours_the_collar_without_a_spacing(tmp_path, capsys):
     header, xs, _ = load_snapshot(str(out_path))
     assert header["R_ext"] == 4.0
     assert xs[0] < -3.9 and xs[-1] > 4.9
+
+
+def test_solve_and_sweep_take_a_domain_shorter_than_eight_default_cells(
+    tmp_path, capsys
+):
+    # h = 0.02 is too coarse for b - a = 0.1; the policy takes 9 cells
+    code, out, err = run(capsys, "solve", "--d", "2", "--b", "0.1")
+    assert (code, err) == (0, "")
+    assert "branch = constant" in out
+    path = tmp_path / "short.cfg"
+    path.write_text("domain.b = 0.1\n")
+    code, _, err = run(
+        capsys, "--config", str(path), "sweep", "--d-max", "0.5",
+        "--d-min", "0.05", "--points", "2",
+    )
+    assert (code, err) == (0, "")
+
+
+def test_solve_at_an_underflowing_scale_is_an_error_line(capsys):
+    # d^(1/2s) = (1e-300)^2 underflows to 0
+    code, out, err = run(capsys, "solve", "--d", "1e-300")
+    message = "error: intrinsic scale d^(1/2s) underflows to 0 at d = 1e-300\n"
+    assert (code, out, err) == (1, "", message)
 
 
 def test_sweep_goes_on_when_the_ground_state_fails(tmp_path, capsys, monkeypatch):

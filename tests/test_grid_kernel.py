@@ -115,8 +115,7 @@ def truncated_operator(x, k, s, half_width, c):
 
 def test_params_defaults_and_derived_exponents():
     p = Params()
-    assert p.n == 1 and p.s == 0.25 and p.p == 1.5 and p.d == 1.0
-    assert p.two_star == pytest.approx(4.0)
+    assert (p.s, p.p, p.d) == (0.25, 1.5, 1.0)
     assert p.p_max_neumann == pytest.approx(5.0 / 3.0)
     assert p.p_max_whole_space == pytest.approx(3.0)
     assert p.intrinsic_scale == pytest.approx(1.0)
@@ -128,16 +127,14 @@ def test_params_rejects_bad_values():
         Params(s=0.0)
     with pytest.raises(ValueError):
         Params(s=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"must lie in \(0, 1/2\), got 0.5"):
         Params(s=0.5)  # n > 2s fails at n = 1
     with pytest.raises(ValueError):
         Params(p=1.0)
     with pytest.raises(ValueError):
         Params(d=0.0)
-    with pytest.raises(ValueError):
-        Params(n=0)
-    with pytest.raises(ValueError, match="positive integer, got True"):
-        Params(n=True)
+    with pytest.raises(TypeError):
+        Params(n=1)  # every solve runs at n = 1; only MoserParams takes n
 
 
 def test_params_exponent_gates():
@@ -369,12 +366,6 @@ def test_row_sum_helper_matches_dense_slices():
     assert np.allclose(got, W[3:17, 5:30].sum(axis=1), rtol=1e-13)
     got_full = t.row_sums(0, g.n_nodes, 0, g.n_nodes)
     assert np.allclose(got_full, W.sum(axis=1), rtol=1e-13)
-
-
-def test_weights_require_one_dimension():
-    g = build_grid(0.0, 1.0, 0.1, 2.0)
-    with pytest.raises(ValueError):
-        kernel_weights(g, Params(n=3, s=0.25))
 
 
 # ---------------------------------------------------------------------------

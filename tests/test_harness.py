@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fracneumann import (
+    ConvergenceError,
     Params,
     SweepRecord,
     boundary_migration,
@@ -198,12 +199,46 @@ def test_suite_flags_a_tampered_kernel(monkeypatch):
 def test_suite_degrades_gracefully_outside_the_neumann_range():
     report = verify_suite(Params(p=1.7))
     by_name = {item.name: item for item in report}
-    assert not by_name["nehari-flux-identities"].passed
-    assert "p <" in by_name["nehari-flux-identities"].detail
+    # every item that reads the failed Neumann solve quotes its error
+    for name in (
+        "nehari-flux-identities",
+        "below-constant-branch",
+        "transplant-energy-bound",
+    ):
+        assert not by_name[name].passed
+        assert by_name[name].detail.startswith("solve failed: Neumann runs need p <")
     # whole-space items do not depend on the Neumann exponent window
     assert by_name["kernel-symbol"].passed
     assert by_name["extension-stationarity"].passed
     assert by_name["iteration-arithmetic"].passed
+
+
+def test_a_check_that_raises_becomes_a_failed_item(monkeypatch):
+    def broken(x, y, k):
+        raise ValueError("margin broke")
+
+    monkeypatch.setattr(harness, "elementary_inequality_margin", broken)
+    report = verify_suite(Params())
+    by_name = {item.name: item for item in report}
+    assert len(report) == 8
+    fuzz = by_name["pointwise-inequality-fuzz"]
+    assert (fuzz.passed, fuzz.detail) == (False, "margin broke")
+    # the items after it still run
+    assert by_name["below-constant-branch"].passed
+    assert by_name["transplant-energy-bound"].detail.startswith("ray-sup energy ")
+
+
+def test_a_failed_ground_state_fails_each_item_that_reads_it(monkeypatch):
+    def capped(params, grid):
+        raise ConvergenceError("no convergence in 3 iterations", [])
+
+    monkeypatch.setattr(harness, "solve_ground_state", capped)
+    by_name = {item.name: item for item in verify_suite(Params())}
+    message = "solve failed: no convergence in 3 iterations"
+    for name in ("pohozaev-identity", "transplant-energy-bound"):
+        assert (by_name[name].passed, by_name[name].detail) == (False, message)
+    assert by_name["nehari-flux-identities"].passed
+    assert by_name["below-constant-branch"].passed
 
 
 # ---------------------------------------------------------------------------

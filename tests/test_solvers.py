@@ -748,6 +748,21 @@ def test_default_grid_policy_tracks_the_intrinsic_scale():
     assert grid.r_ext == pytest.approx(2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("d, cells", [(2.0, 9), (0.5, 9), (0.05, 400)])
+def test_default_grid_policy_fills_a_short_domain(d, cells):
+    # h = 0.02 gives 5 cells on (0, 0.1), and build_grid needs more than 8
+    params = Params(d=d)
+    grid = default_grid_policy(params, 0.0, 0.1)
+    assert grid.n_interior == cells
+    result = solve_least_energy(params, grid)
+    assert result.nehari_residual <= 1e-6 and result.flux_residual <= 1e-6
+
+
+def test_default_grid_policy_names_a_d_whose_scale_underflows():
+    with pytest.raises(ValueError, match=r"underflows to 0 at d = 1e-300$"):
+        default_grid_policy(Params(d=1e-300))
+
+
 def test_record_carries_raw_integrals(solved_02, domain_02):
     params, grid, _ = domain_02
     record = record_from_result(solved_02, params)
@@ -888,6 +903,7 @@ def test_transplant_keeps_half_mass_at_the_boundary(ground):
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="the interface cross-term keeps the transplanted Nehari factor "
     "near 1.29 instead of 1, so |t0 - 1| grows as d shrinks; see README "
     '"Known expected failures"',
