@@ -4,9 +4,10 @@ Subcommands mirror the workflow: ``ground`` solves the whole-space
 profile, ``solve`` one Neumann problem, ``sweep`` a diffusion
 continuation written as CSV, ``moser`` prints the iteration ladder,
 ``verify`` runs the self-checks and ``fit`` extracts power laws from a
-sweep CSV.  A plain ``key = value`` config file can seed any run;
-explicit flags override it, and a key the subcommand does not read is
-an error.
+sweep CSV.  Each subparser states every setting its subcommand reads:
+its flags, plus the config-only settings it declares with a default of
+None.  A plain ``key = value`` config file fills the settings no flag
+set, and a key whose setting the subcommand lacks is an error.
 """
 
 from __future__ import annotations
@@ -47,46 +48,28 @@ from .solvers import (
 
 __all__ = ["main"]
 
-# Recognised config keys and their parsers; anything else is a typo and
-# is rejected rather than silently ignored.
+# Recognised config keys: each key's value parser and the argument it
+# fills.  A subcommand reads a key exactly when its parser has that
+# argument, as a flag or as a config-only setting (a default of None);
+# any other key would be ignored, so it is rejected.
 _CONFIG_KEYS = {
-    "s": float,
-    "p": float,
-    "n": int,
-    "domain.a": float,
-    "domain.b": float,
-    "grid.h": float,
-    "grid.Rext": float,
-    "solver.tol": float,
-    "solver.max_iters": int,
-    "sweep.d_max": float,
-    "sweep.d_min": float,
-    "sweep.points": int,
+    "s": (float, "s"),
+    "p": (float, "p"),
+    "n": (int, "n"),
+    "domain.a": (float, "a"),
+    "domain.b": (float, "b"),
+    "grid.h": (float, "h"),
+    "grid.Rext": (float, "Rext"),
+    "solver.tol": (float, "tol_residual"),
+    "solver.max_iters": (int, "max_iters"),
+    "sweep.d_max": (float, "d_max"),
+    "sweep.d_min": (float, "d_min"),
+    "sweep.points": (int, "points"),
 }
 
-# SolverConfig fields and the config keys that set them; no flag does.
-_SOLVER_KEYS = {
-    "tol_residual": "solver.tol",
-    "max_iters": "solver.max_iters",
-}
-
-# The config keys each subcommand reads; any other key would be ignored,
-# so it is rejected.  Only ``moser`` reads a dimension n; solves run at n = 1.
-_PARAM_KEYS = ("s", "p")
-_COMMAND_KEYS = {
-    "ground": (*_PARAM_KEYS, "grid.h", *_SOLVER_KEYS.values()),
-    "solve": (
-        *_PARAM_KEYS, "domain.a", "domain.b", "grid.h", "grid.Rext",
-        *_SOLVER_KEYS.values(),
-    ),
-    "sweep": (
-        *_PARAM_KEYS, "domain.a", "domain.b", *_SOLVER_KEYS.values(),
-        "sweep.d_max", "sweep.d_min", "sweep.points",
-    ),
-    "moser": (*_PARAM_KEYS, "n"),
-    "verify": _PARAM_KEYS,
-    "fit": (),
-}
+# SolverConfig fields; only the config file sets them, on the subcommands
+# that solve.
+_SOLVER_FIELDS = ("tol_residual", "max_iters")
 
 # ``fit --quantity`` names: cd and sup as they are, integral "L<r>" as "r:<r>".
 _QUANTITY_FLAGS = {("r:" + q[1:] if q[0] == "L" else q): q for q in _QUANTITIES}
@@ -117,56 +100,36 @@ def load_config(path: str) -> dict:
             if key in values:
                 raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
             try:
-                values[key] = _CONFIG_KEYS[key](text.strip())
+                values[key] = _CONFIG_KEYS[key][0](text.strip())
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return values
 
 
-def _check_keys(path: str, config: dict, command: str) -> None:
-    """Reject the first config key that ``command`` does not read."""
-    for key in config:
-        if key not in _COMMAND_KEYS[command]:
-            raise ValueError(f"{path}: config key {key!r} has no effect on {command!r}")
+def _given(args, *names: str) -> dict:
+    """Keyword arguments that a flag or the config file set.
 
-
-def _resolve(flag, config: dict, key: str, default):
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
-
-
-def _given(args, config: dict, **keys) -> dict:
-    """Keyword arguments that a flag or the config file sets.
-
-    ``keys`` maps each keyword to its config key; the flag is the
-    attribute of ``args`` of the same name, if any.  Unset keywords are
-    left out, so the dataclass defaults are the only defaults.
+    Unset arguments are left out, so the dataclass defaults are the only
+    defaults.
     """
-    given = {}
-    for name, key in keys.items():
-        value = _resolve(getattr(args, name, None), config, key, None)
-        if value is not None:
-            given[name] = value
-    return given
+    given = {name: getattr(args, name) for name in names}
+    return {name: value for name, value in given.items() if value is not None}
 
 
-def _solver_config(config: dict) -> SolverConfig:
-    return SolverConfig(**_given(None, config, **_SOLVER_KEYS))
+def _solver_config(args) -> SolverConfig:
+    return SolverConfig(**_given(args, *_SOLVER_FIELDS))
 
 
-def _params(args, config: dict, **fixed) -> Params:
-    return Params(**_given(args, config, s="s", p="p"), **fixed)
+def _params(args, **fixed) -> Params:
+    return Params(**_given(args, "s", "p"), **fixed)
 
 
-def _cmd_ground(args, config: dict) -> int:
-    params = _params(args, config)
+def _cmd_ground(args) -> int:
+    params = _params(args)
     half_width = _GROUND_WINDOW[0] if args.L is None else args.L
-    h = _resolve(args.h, config, "grid.h", _GROUND_WINDOW[1])
+    h = _GROUND_WINDOW[1] if args.h is None else args.h
     grid = build_line_grid(half_width, h)
-    result = solve_ground_state(params, grid, _solver_config(config))
+    result = solve_ground_state(params, grid, _solver_config(args))
     print(
         f"F = {result.F_value:.10g}  pohozaev = {result.pohozaev_residual:.3e}  "
         f"decay = {result.decay_exponent_fit:.4f}  "
@@ -186,16 +149,16 @@ def _cmd_ground(args, config: dict) -> int:
     return 0
 
 
-def _cmd_solve(args, config: dict) -> int:
-    params = _params(args, config, d=args.d)
-    a = _resolve(args.a, config, "domain.a", 0.0)
-    b = _resolve(args.b, config, "domain.b", 1.0)
-    h = _resolve(args.h, config, "grid.h", None)
-    if h is None:
-        h = default_grid_policy(params, a, b).h
-    r_ext = _resolve(args.Rext, config, "grid.Rext", None)
-    grid = build_grid(a, b, h, r_ext)
-    result = solve_least_energy(params, grid, config=_solver_config(config))
+def _domain(args) -> tuple[float, float]:
+    return (0.0 if args.a is None else args.a, 1.0 if args.b is None else args.b)
+
+
+def _cmd_solve(args) -> int:
+    params = _params(args, d=args.d)
+    a, b = _domain(args)
+    h = default_grid_policy(params, a, b).h if args.h is None else args.h
+    grid = build_grid(a, b, h, args.Rext)
+    result = solve_least_energy(params, grid, config=_solver_config(args))
     branch = "constant" if result.constant_branch else "nonconstant"
     print(
         f"c_d = {result.c_d:.10g}  sup = {result.M_d:.10g}  "
@@ -207,18 +170,17 @@ def _cmd_solve(args, config: dict) -> int:
     return 0
 
 
-def _cmd_sweep(args, config: dict) -> int:
-    d_max = _resolve(args.d_max, config, "sweep.d_max", 2.0)
-    d_min = _resolve(args.d_min, config, "sweep.d_min", 0.02)
-    points = _resolve(args.points, config, "sweep.points", 13)
+def _cmd_sweep(args) -> int:
+    d_max = 2.0 if args.d_max is None else args.d_max
+    d_min = 0.02 if args.d_min is None else args.d_min
+    points = 13 if args.points is None else args.points
     if not 0.0 < d_min < d_max:
         raise ValueError(f"need 0 < d_min < d_max, got [{d_min}, {d_max}]")
     if points < 2:
         raise ValueError(f"need at least 2 sweep points, got {points}")
-    params = _params(args, config)
-    a = config.get("domain.a", 0.0)
-    b = config.get("domain.b", 1.0)
-    solver_config = _solver_config(config)
+    params = _params(args)
+    a, b = _domain(args)
+    solver_config = _solver_config(args)
     try:
         ground = solve_ground_state(
             params, build_line_grid(*_GROUND_WINDOW), solver_config
@@ -257,8 +219,8 @@ def _cmd_sweep(args, config: dict) -> int:
     return 0
 
 
-def _cmd_moser(args, config: dict) -> int:
-    mp = MoserParams(**_given(args, config, n="n", s="s", p="p", A=None, C0=None))
+def _cmd_moser(args) -> int:
+    mp = MoserParams(**_given(args, "n", "s", "p", "A", "C0"))
     if args.jmax < 0:
         raise ValueError(f"--jmax must be nonnegative, got {args.jmax}")
     # the whole ladder is built before anything is printed, so a level
@@ -281,8 +243,8 @@ def _cmd_moser(args, config: dict) -> int:
     return 0
 
 
-def _cmd_verify(args, config: dict) -> int:
-    params = _params(args, config)
+def _cmd_verify(args) -> int:
+    params = _params(args)
     report = verify_suite(params)
     failures = 0
     for item in report:
@@ -293,7 +255,7 @@ def _cmd_verify(args, config: dict) -> int:
     return 0 if failures == 0 else 1
 
 
-def _cmd_fit(args, config: dict) -> int:
+def _cmd_fit(args) -> int:
     records = read_sweep_csv(args.infile)
     quantity = _QUANTITY_FLAGS.get(args.quantity)
     if quantity is None:
@@ -317,6 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="key = value config file")
     sub = parser.add_subparsers(dest="command", required=True)
+    # config-only settings: arguments with no flag, filled from --config
+    solver_only = dict.fromkeys(_SOLVER_FIELDS)
 
     g = sub.add_parser("ground", help="whole-space ground-state profile")
     g.add_argument("--s", type=float)
@@ -324,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--L", type=float, help="window half-width (default 60)")
     g.add_argument("--h", type=float, help="grid spacing (default 0.05)")
     g.add_argument("--out", help="write the profile to this file")
-    g.set_defaults(func=_cmd_ground)
+    g.set_defaults(func=_cmd_ground, **solver_only)
 
     s = sub.add_parser("solve", help="one Neumann least-energy solve")
     s.add_argument("--d", type=float, required=True)
@@ -335,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--h", type=float, help="grid spacing (default: policy)")
     s.add_argument("--Rext", type=float, help="collar width (default 2(b-a))")
     s.add_argument("--out", help="write a solution snapshot to this file")
-    s.set_defaults(func=_cmd_solve)
+    s.set_defaults(func=_cmd_solve, **solver_only)
 
     w = sub.add_parser("sweep", help="geometric diffusion continuation")
     w.add_argument("--d-max", dest="d_max", type=float)
@@ -344,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--s", type=float)
     w.add_argument("--p", type=float)
     w.add_argument("--out", help="write records as CSV to this file")
-    w.set_defaults(func=_cmd_sweep)
+    w.set_defaults(func=_cmd_sweep, a=None, b=None, **solver_only)
 
     m = sub.add_parser("moser", help="print the iteration ladder as CSV")
     m.add_argument("--A", type=float)
@@ -352,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--jmax", type=int, default=30)
     m.add_argument("--s", type=float)
     m.add_argument("--p", type=float)
-    m.set_defaults(func=_cmd_moser)
+    m.set_defaults(func=_cmd_moser, n=None)
 
     v = sub.add_parser("verify", help="run the self-check suite")
     v.add_argument("--s", type=float)
@@ -373,11 +337,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = {}
-        if args.config:
-            config = load_config(args.config)
-            _check_keys(args.config, config, args.command)
-        return args.func(args, config)
+        config = load_config(args.config) if args.config else {}
+        for key, value in config.items():
+            dest = _CONFIG_KEYS[key][1]
+            if not hasattr(args, dest):
+                raise ValueError(
+                    f"{args.config}: config key {key!r} has no effect on "
+                    f"{args.command!r}"
+                )
+            if getattr(args, dest) is None:  # a flag wins over the file
+                setattr(args, dest, value)
+        return args.func(args)
     except (ValueError, ConvergenceError, SweepAborted, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

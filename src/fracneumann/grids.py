@@ -36,6 +36,12 @@ _SPACING_RTOL = 1e-12
 # Alignment slack when deciding whether h divides an interval length.
 _DIVISIBILITY_RTOL = 1e-9
 
+# Most nodes a grid may have.  A Neumann solve holds about 135 bytes a
+# node (66 MB above the interpreter's 31 MB at 500 000 nodes, d = 0.01),
+# so a grid at the cap needs about 0.6 GB; the default ladder's largest
+# grid, 125 000 nodes at d = 0.02, is a 33rd of it.
+_MAX_NODES = 2**22
+
 
 @dataclass(frozen=True)
 class Params:
@@ -159,11 +165,6 @@ class Grid:
         view.flags.writeable = False
         return view
 
-    @property
-    def window(self) -> tuple[float, float]:
-        """Outer edges of the represented cell union."""
-        return float(self.nodes[0] - 0.5 * self.h), float(self.nodes[-1] + 0.5 * self.h)
-
 
 @dataclass(frozen=True)
 class LineGrid:
@@ -186,7 +187,6 @@ class LineGrid:
 
     n_nodes = Grid.n_nodes
     integrate = Grid.integrate
-    window = Grid.window
 
 
 def _cell_count(length: float, h: float, what: str) -> int:
@@ -198,6 +198,16 @@ def _cell_count(length: float, h: float, what: str) -> int:
     return count
 
 
+def _check_node_count(width: float, h: float) -> None:
+    """Refuse a grid of spacing h across ``width`` above ``_MAX_NODES``."""
+    count = width / h
+    if count > _MAX_NODES:
+        raise ValueError(
+            f"spacing h = {h!r} across a window of width {width!r} asks for "
+            f"{count:.4g} nodes, above the cap of {_MAX_NODES}"
+        )
+
+
 def build_grid(a: float, b: float, h: float, r_ext: float | None = None) -> Grid:
     """Build the Neumann grid for domain (a, b) with collar half-width r_ext.
 
@@ -207,7 +217,8 @@ def build_grid(a: float, b: float, h: float, r_ext: float | None = None) -> Grid
         Domain endpoints, a < b.
     h:
         Cell width.  Must divide b - a and satisfy h < (b - a)/8 so the
-        domain is resolved by at least eight cells.
+        domain is resolved by at least eight cells, and the window may
+        hold at most ``_MAX_NODES`` (2^22) nodes.
     r_ext:
         Collar half-width; the represented window covers
         [a - r_ext, b + r_ext].  Must be at least 2(b - a), the default.
@@ -238,6 +249,7 @@ def build_grid(a: float, b: float, h: float, r_ext: float | None = None) -> Grid
             f"collar half-width r_ext = {r_ext} must be at least 2(b - a) = "
             f"{2.0 * (b - a)}"
         )
+    _check_node_count(b - a + 2.0 * r_ext, h)
     return _shared_grid(float(a), float(b), float(h), float(r_ext))
 
 
@@ -258,7 +270,8 @@ def _shared_grid(a: float, b: float, h: float, r_ext: float) -> Grid:
 def build_line_grid(half_width: float, h: float) -> LineGrid:
     """Build the symmetric whole-space window [-L, L] with spacing h.
 
-    h must evenly divide the half-width so the node set is symmetric.
+    h must evenly divide the half-width so the node set is symmetric,
+    and the window may hold at most ``_MAX_NODES`` (2^22) nodes.
     Equal arguments return one shared grid with read-only ``nodes``.
     """
     if not (math.isfinite(half_width) and math.isfinite(h)):
@@ -269,6 +282,7 @@ def build_line_grid(half_width: float, h: float) -> LineGrid:
         raise ValueError(
             f"h = {h} is too coarse for half-width {half_width}: need h < L/4"
         )
+    _check_node_count(2.0 * half_width, h)
     return _shared_line_grid(float(half_width), float(h))
 
 

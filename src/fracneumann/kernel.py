@@ -134,7 +134,6 @@ def _curvature_defect(s: float) -> float:
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 
 
-@lru_cache(maxsize=256)
 def _zeta(x: float) -> float:
     """Riemann zeta(x) for x > 1, by Euler-Maclaurin summation.
 

@@ -40,7 +40,7 @@ from .energy import (
     _neumann_operator,
     _whole_space,
 )
-from .grids import Grid, LineGrid, Params, build_grid
+from .grids import _MAX_NODES, Grid, LineGrid, Params, build_grid
 from .kernel import _frac_laplacian, kernel_weights
 from .neumann import _extension, extend
 
@@ -531,11 +531,20 @@ def transplant_ground_state(
 
 def default_grid_policy(params: Params, a: float = 0.0, b: float = 1.0) -> Grid:
     """Domain grid resolving the intrinsic scale: h <= min(0.02, d^(1/2s)/10),
-    on at least the 9 cells that :func:`build_grid`'s h < (b - a)/8 needs."""
+    on at least the 9 cells that :func:`build_grid`'s h < (b - a)/8 needs.
+
+    Raises ValueError naming d when that grid, with its default collar,
+    would have more than ``grids._MAX_NODES`` nodes."""
     scale = params.intrinsic_scale
     if not scale > 0.0:
         raise ValueError(f"intrinsic scale d^(1/2s) underflows to 0 at d = {params.d}")
     target = min(0.02, scale / 10.0)
+    # the interior and the default collars of 2(b - a) a side
+    if 5.0 * (b - a) / target > _MAX_NODES:
+        raise ValueError(
+            f"at d = {params.d} the spacing {target:.3g} needs more than the "
+            f"{_MAX_NODES} nodes a grid may have"
+        )
     n_int = max(9, int(math.ceil((b - a) / target - 1e-9)))
     h = (b - a) / n_int
     return build_grid(a, b, h)

@@ -158,26 +158,128 @@ def test_bad_config_exits_cleanly_through_main(capsys, tmp_path):
     assert "bogus.key" in err
 
 
-@pytest.mark.parametrize(
-    "command, key",
-    [
-        (("sweep", "--points", "2"), "grid.Rext"),
-        (("sweep", "--points", "2"), "grid.h"),
-        (("ground", "--L", "40", "--h", "0.1"), "domain.a"),
-        (("verify",), "solver.tol"),
-        (("solve", "--d", "0.5"), "n"),
-        (("verify",), "n"),
-    ],
-)
+# The subcommand x config key matrix.  The config keys each subcommand
+# reads, as README "Command line" lists them; every other pair is refused.
+_READS = {
+    "ground": ("s", "p", "grid.h", "solver.tol", "solver.max_iters"),
+    "solve": (
+        "s", "p", "domain.a", "domain.b", "grid.h", "grid.Rext",
+        "solver.tol", "solver.max_iters",
+    ),
+    "sweep": (
+        "s", "p", "domain.a", "domain.b", "solver.tol", "solver.max_iters",
+        "sweep.d_max", "sweep.d_min", "sweep.points",
+    ),
+    "moser": ("s", "p", "n"),
+    "verify": ("s", "p"),
+    "fit": (),
+}
+
+# Each key's argument, a config value for it, and the flag that sets the
+# argument with a different value (None where no subcommand has a flag).
+_KEY_CASES = {
+    "s": ("s", 0.3, ("--s", 0.35)),
+    "p": ("p", 1.4, ("--p", 1.3)),
+    "n": ("n", 2, None),
+    "domain.a": ("a", -1.0, ("--a", -0.5)),
+    "domain.b": ("b", 2.0, ("--b", 1.5)),
+    "grid.h": ("h", 0.01, ("--h", 0.02)),
+    "grid.Rext": ("Rext", 4.0, ("--Rext", 5.0)),
+    "solver.tol": ("tol_residual", 1e-9, None),
+    "solver.max_iters": ("max_iters", 77, None),
+    "sweep.d_max": ("d_max", 1.5, ("--d-max", 1.25)),
+    "sweep.d_min": ("d_min", 0.05, ("--d-min", 0.04)),
+    "sweep.points": ("points", 5, ("--points", 6)),
+}
+
+# Accepted pairs that only the config file sets.
+_CONFIG_ONLY = {
+    ("sweep", "domain.a"),
+    ("sweep", "domain.b"),
+    ("moser", "n"),
+    *(
+        (c, k)
+        for c in ("ground", "solve", "sweep")
+        for k in ("solver.tol", "solver.max_iters")
+    ),
+}
+
+# The least each subcommand needs on its command line.
+_ARGV = {
+    "ground": ("ground",),
+    "solve": ("solve", "--d", "0.5"),
+    "sweep": ("sweep",),
+    "moser": ("moser",),
+    "verify": ("verify",),
+    "fit": ("fit", "--in", "sweep.csv", "--quantity", "cd"),
+}
+
+_REFUSED_PINNED = [
+    (("sweep", "--points", "2"), "grid.Rext"),
+    (("sweep", "--points", "2"), "grid.h"),
+    (("ground", "--L", "40", "--h", "0.1"), "domain.a"),
+    (("verify",), "solver.tol"),
+    (("solve", "--d", "0.5"), "n"),
+    (("verify",), "n"),
+]
+_REFUSED = _REFUSED_PINNED + [
+    (_ARGV[command], key)
+    for command in _ARGV
+    for key in _KEY_CASES
+    if key not in _READS[command]
+    and (command, key) not in {(c[0], k) for c, k in _REFUSED_PINNED}
+]
+
+
+def _no_run(args):
+    raise AssertionError(f"{args.command} ran")
+
+
+def test_the_key_matrix_covers_every_pair():
+    assert set(_KEY_CASES) == set(cli._CONFIG_KEYS)
+    accepted = {(c, k) for c in _READS for k in _READS[c]}
+    refused = {(c[0], k) for c, k in _REFUSED}
+    assert (len(accepted), len(refused), len(_REFUSED)) == (27, 45, 45)
+    assert accepted | refused == {(c, k) for c in _ARGV for k in _KEY_CASES}
+    assert _CONFIG_ONLY <= accepted
+
+
+@pytest.mark.parametrize("command, key", _REFUSED)
 def test_config_key_the_command_does_not_read_is_an_error(
-    capsys, tmp_path, command, key
+    capsys, tmp_path, monkeypatch, command, key
 ):
-    # such a key used to be ignored without a word
+    # such a key used to be ignored without a word; it is refused before
+    # the subcommand runs, even after a key the subcommand reads
+    for name in _ARGV:
+        monkeypatch.setattr(cli, f"_cmd_{name}", _no_run)
     path = tmp_path / "lab.cfg"
-    path.write_text(f"s = 0.25\n{key} = 4\n")
+    prelude = "s = 0.25\n" if "s" in _READS[command[0]] else ""
+    path.write_text(f"{prelude}{key} = 4\n")
     code, out, err = run(capsys, "--config", str(path), *command)
     message = f"error: {path}: config key '{key}' has no effect on '{command[0]}'\n"
     assert (code, out, err) == (1, "", message)
+
+
+@pytest.mark.parametrize(
+    "command, key", [(c, k) for c in _READS for k in _READS[c]]
+)
+def test_config_key_the_command_reads_fills_its_argument(
+    capsys, tmp_path, monkeypatch, command, key
+):
+    # the config value reaches the argument no flag set, and a flag wins
+    seen = []
+    monkeypatch.setattr(cli, f"_cmd_{command}", lambda args: seen.append(args) or 0)
+    dest, value, flag = _KEY_CASES[key]
+    path = tmp_path / "lab.cfg"
+    path.write_text(f"{key} = {value!r}\n")
+    assert run(capsys, "--config", str(path), *_ARGV[command]) == (0, "", "")
+    assert getattr(seen[-1], dest) == value
+    if (command, key) in _CONFIG_ONLY:
+        return
+    name, flag_value = flag
+    argv = (*_ARGV[command], name, str(flag_value))
+    assert run(capsys, "--config", str(path), *argv) == (0, "", "")
+    assert getattr(seen[-1], dest) == flag_value
 
 
 def test_sweep_reads_the_domain_from_the_config(capsys, tmp_path):
@@ -354,6 +456,32 @@ def test_solve_and_sweep_take_a_domain_shorter_than_eight_default_cells(
         "--d-min", "0.05", "--points", "2",
     )
     assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("solve", "--d", "1e-160"),
+            "at d = 1e-160 the spacing 9.98e-322 needs more than the 4194304 "
+            "nodes a grid may have",
+        ),
+        (
+            ("solve", "--d", "0.2", "--h", "1e-7"),
+            "spacing h = 1e-07 across a window of width 5.0 asks for 5e+07 "
+            "nodes, above the cap of 4194304",
+        ),
+        (
+            ("ground", "--L", "1e300"),
+            "spacing h = 0.05 across a window of width 2e+300 asks for 4e+301 "
+            "nodes, above the cap of 4194304",
+        ),
+    ],
+)
+def test_a_grid_above_the_node_cap_is_an_error_line(capsys, argv, message):
+    # d^(1/2s) = 1e-320 is subnormal, and (b - a)/(scale/10) overflowed
+    # math.ceil; the other two asked for gigabytes
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def test_solve_at_an_underflowing_scale_is_an_error_line(capsys):

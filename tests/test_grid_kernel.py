@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,8 +153,9 @@ def test_params_exponent_gates():
 
 def test_build_grid_small_example():
     g = build_grid(0.0, 1.0, 0.1, 2.0)
+    # the collar of 2.0 a side: cell centres from -1.95 to 2.95
+    assert (g.nodes[0], g.nodes[-1]) == pytest.approx((-1.95, 2.95))
     assert g.n_interior == 10
-    assert g.window == pytest.approx((-2.0, 3.0))
     # cell-centered: domain endpoints fall midway between adjacent nodes
     assert not np.any(np.isclose(g.nodes, 0.0))
     assert not np.any(np.isclose(g.nodes, 1.0))
@@ -238,6 +240,27 @@ def test_build_grid_rejects_bad_inputs():
         build_grid(0.0, math.inf, 0.1, 2.0)
     with pytest.raises(ValueError):
         build_grid(0.0, 1.0, 0.013, 2.0)  # does not divide the interval
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (build_grid, (0.0, 1.0, 1e-7)),  # 5e7 nodes
+        (build_grid, (0.0, 1.0, 0.01, 3e5)),  # a collar of 6e7 nodes
+        (build_grid, (0.0, 1.0, 1e-320)),  # 1/h overflows to inf
+        (build_line_grid, (60.0, 1e-6)),  # 1.2e8 nodes
+        (build_line_grid, (1e300, 0.05)),
+    ],
+)
+def test_grid_above_the_node_cap_is_refused_before_any_array(build, args):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="nodes, above the cap of 4194304$"):
+            build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_grid_spacing_is_uniform():

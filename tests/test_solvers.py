@@ -3,6 +3,7 @@
 import glob
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -746,6 +747,20 @@ def test_default_grid_policy_tracks_the_intrinsic_scale():
     assert grid.a == 0.0 and grid.b == 1.0
     assert grid.h <= min(0.02, params.intrinsic_scale / 10.0) * (1.0 + 1e-12)
     assert grid.r_ext == pytest.approx(2.0, rel=1e-12)
+
+
+def test_default_grid_policy_refuses_a_grid_above_the_node_cap():
+    # the default ladder's finest grid is a 33rd of the cap; d = 1e-4
+    # would need 5e9 nodes and is refused before any array is made
+    assert default_grid_policy(Params(d=0.02)).n_nodes == 125_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^at d = 0\.0001 the spacing 1e-09 "):
+            default_grid_policy(Params(d=1e-4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 @pytest.mark.parametrize("d, cells", [(2.0, 9), (0.5, 9), (0.05, 400)])
