@@ -27,9 +27,9 @@ even circulant of that length.  A Neumann block W[:, I] or W[I, :]
 thus costs a transform of about 2 (n_ext + n_I) points instead of 2 n;
 the full product keeps the smallest 5-smooth length >= 2n - 1.
 Spectra (one per length) and row sums (one per block) are made on
-first use, and tables of equal (n, h, s) share one read-only copy of
-their arrays, spectra and row sums.  Results are bitwise reproducible
-from run to run.
+first use and kept read-only by the table that made them, and live
+no longer than it; tables of equal (n, h, s) hold bitwise-equal
+arrays.  Results are bitwise reproducible from run to run.
 
 The normalizing constant c_{n,s} is evaluated in closed form from the
 Gamma function, and the zeta values of the curvature defect by an
@@ -203,17 +203,16 @@ class _Derived:
 
     Circulant spectra, one per FFT length, and row sums, one per block
     (row_lo, row_hi, col_lo, col_hi), are each made on first use and
-    kept read-only.  Tables of equal (n, h, s) share one holder, so a
-    grid's spectra and row sums are made once however many tables and
-    solves use them; a Neumann solve needs one length and four blocks.
-    The holder also keeps each thread's FFT work arrays per length, so
-    a product allocates only its result.
+    kept read-only.  Each table builds its own holder, so a table's
+    spectra and row sums are made once however often its products run;
+    a Neumann solve needs one length and four blocks.  Row sums come
+    from prefix sums of omega, made afresh for each new block and not
+    kept.  The holder also keeps each thread's FFT work arrays per
+    length, so a product allocates only its result.
     """
 
     def __init__(self, omega: np.ndarray) -> None:
         self._omega = omega
-        self.prefix = _prefix(omega)
-        self.prefix.flags.writeable = False
         self._by_length: dict[int, np.ndarray] = {}
         self._by_block: dict[tuple[int, int, int, int], np.ndarray] = {}
         self._scratch = _Scratch()
@@ -224,14 +223,13 @@ class _Derived:
             spec = self._by_length[length] = _spectrum(self._omega, length)
         return spec
 
-    def scratch(self, length: int) -> tuple[np.ndarray, ...]:
-        """This thread's (signal, coefficients, result) arrays of one length."""
+    def scratch(self, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """This thread's (signal, coefficients) arrays of one length."""
         arrays = self._scratch.by_length.get(length)
         if arrays is None:
             arrays = self._scratch.by_length[length] = (
                 np.empty(length, dtype=np.float64),
                 np.empty(length // 2 + 1, dtype=np.complex128),
-                np.empty(length, dtype=np.float64),
             )
         return arrays
 
@@ -241,7 +239,7 @@ class _Derived:
         key = (row_lo, row_hi, col_lo, col_hi)
         sums = self._by_block.get(key)
         if sums is None:
-            sums = self._by_block[key] = _row_sums(self.prefix, *key)
+            sums = self._by_block[key] = _row_sums(_prefix(self._omega), *key)
             sums.flags.writeable = False
         return sums
 
@@ -299,12 +297,11 @@ class KernelTable:
     tail: np.ndarray = field(repr=False)
     pv_coeff: float
 
-    # Spectra and row sums of ``omega``; a hand-built table derives its own.
-    derived: _Derived = field(repr=False, default=None)
+    # Spectra and row sums of ``omega``, made by each table for itself.
+    derived: _Derived = field(repr=False, init=False)
 
     def __post_init__(self) -> None:
-        if self.derived is None:
-            object.__setattr__(self, "derived", _Derived(self.omega))
+        object.__setattr__(self, "derived", _Derived(self.omega))
 
     # -- element access -------------------------------------------------
 
@@ -353,13 +350,14 @@ class KernelTable:
         reach = max(row_hi - 1 - col_lo, col_hi - 1 - row_lo)
         size = _fast_len(2 * reach + 1)
         base = min(row_lo, col_lo)
-        signal, coeffs, out = self.derived.scratch(size)
+        signal, coeffs = self.derived.scratch(size)
         signal.fill(0.0)
         signal[col_lo - base : col_hi - base] = x
         np.fft.rfft(signal, out=coeffs)
         coeffs *= self.derived.spectrum(size)
-        np.fft.irfft(coeffs, size, out=out)
-        return out[row_lo - base : row_hi - base].copy()
+        # the inverse transform overwrites the signal it no longer needs
+        np.fft.irfft(coeffs, size, out=signal)
+        return signal[row_lo - base : row_hi - base].copy()
 
     def row_sums(
         self, row_lo: int, row_hi: int, col_lo: int, col_hi: int
@@ -373,13 +371,20 @@ class KernelTable:
         return self.derived.row_sums(row_lo, row_hi, col_lo, col_hi)
 
 
-@lru_cache(maxsize=16)
-def _shared_arrays(n: int, h: float, s: float) -> tuple:
-    """Read-only (omega, derived, tail) for n nodes of spacing h.
+def kernel_weights(grid: Grid | LineGrid, params: Params) -> KernelTable:
+    """Assemble the weight table for ``grid`` at fractional order params.s.
 
-    Shared by every table of equal (n, h, s), translated domains included;
-    the cache holds every grid of the default sweep.
+    Cell integrals use the exact antiderivative of the kernel; the tail
+    coefficients close the window with the analytic complement on both
+    sides, measured from each node to the respective window edge.  Each
+    call builds its own read-only arrays, which depend on (n, h, s)
+    alone: a translated domain gets the same bits, and the arrays live
+    as long as the table.
     """
+    s = params.s
+    h = grid.h
+    n = grid.n_nodes
+
     # omega[m] = ((m-1/2)^(-2s) - (m+1/2)^(-2s)) * h^(-2s) / (2s); the
     # diagonal entry is zero (its cell is handled by the PV rule).
     m = np.arange(1, n, dtype=np.float64)
@@ -394,22 +399,8 @@ def _shared_arrays(n: int, h: float, s: float) -> tuple:
     tail = (((k + 0.5) * h) ** (-2.0 * s) + ((n - k - 0.5) * h) ** (-2.0 * s)) / (
         2.0 * s
     )
-
     for a in (omega, tail):
         a.flags.writeable = False
-    return omega, _Derived(omega), tail
-
-
-def kernel_weights(grid: Grid | LineGrid, params: Params) -> KernelTable:
-    """Assemble the weight table for ``grid`` at fractional order params.s.
-
-    Cell integrals use the exact antiderivative of the kernel; the tail
-    coefficients close the window with the analytic complement on both
-    sides, measured from each node to the respective window edge.
-    """
-    s = params.s
-    h = grid.h
-    omega, derived, tail = _shared_arrays(grid.n_nodes, h, s)
 
     pv = (0.5 ** (2.0 - 2.0 * s) / (2.0 * (1.0 - s)) + _curvature_defect(s)) * h ** (
         -2.0 * s
@@ -422,7 +413,6 @@ def kernel_weights(grid: Grid | LineGrid, params: Params) -> KernelTable:
         omega=omega,
         tail=tail,
         pv_coeff=pv,
-        derived=derived,
     )
 
 

@@ -491,6 +491,25 @@ def test_solve_at_an_underflowing_scale_is_an_error_line(capsys):
     assert (code, out, err) == (1, "", message)
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--a", "nan"), ("--a", "inf"), ("--b", "nan")]
+)
+def test_a_non_finite_domain_bound_is_an_error_line(capsys, flag, value):
+    # the grid policy rounded (b - a)/h with math.ceil before any check:
+    # nan gave "cannot convert float NaN to integer", inf a traceback
+    code, out, err = run(capsys, "solve", "--d", "0.2", flag, value)
+    message = f"error: domain bound {flag[2:]} must be finite, got {value}\n"
+    assert (code, out, err) == (1, "", message)
+
+
+def test_a_sweep_over_an_infinite_domain_is_an_error_line(capsys, tmp_path):
+    path = tmp_path / "inf.cfg"
+    path.write_text("domain.a = inf\n")
+    code, out, err = run(capsys, "--config", str(path), "sweep")
+    message = "sweep failed at d = 2.0: domain bound a must be finite, got inf"
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_sweep_goes_on_when_the_ground_state_fails(tmp_path, capsys, monkeypatch):
     # the ground state gets three iterations, the Neumann solves their
     # default cap

@@ -541,43 +541,42 @@ def test_hand_built_table_derives_its_own_generators():
     assert np.allclose(halved.row_sums(0, n, 0, n), W.sum(axis=1), rtol=1e-13)
 
 
-def test_equal_grids_share_read_only_generators():
+def test_each_table_makes_its_spectra_once():
     p = Params()
-    first = kernel_weights(build_grid(0.0, 1.0, 0.05, 2.0), p)
-    moved = kernel_weights(build_grid(0.25, 1.25, 0.05, 2.0), p)
-    for name in ("omega", "derived", "tail"):
-        assert getattr(first, name) is getattr(moved, name)
-    for arr in (first.omega, first.tail, first.derived.prefix):
+    t = kernel_weights(build_grid(0.0, 1.0, 0.05, 2.0), p)
+    for arr in (t.omega, t.tail):
         assert not arr.flags.writeable
-    # spectra are made on first use, one per length, and shared after
-    n = first.n_nodes
-    lo, hi = first.grid.interior_range
-    first.matvec(np.ones(hi - lo), 0, n, lo, hi)
-    first.matvec(np.ones(n), 0, n, 0, n)
-    lengths = sorted(first.derived._by_length)
+    # spectra are made on first use, one per length, and kept after
+    n = t.n_nodes
+    lo, hi = t.grid.interior_range
+    x = np.random.default_rng(4).standard_normal(n)
+    first = t.matvec(x[lo:hi], 0, n, lo, hi), t.matvec(x, 0, n, 0, n)
+    lengths = sorted(t.derived._by_length)
     assert lengths == [
         fft.next_fast_len(2 * (n - lo) - 1, real=True),
         fft.next_fast_len(2 * n - 1, real=True),
     ]
-    for length in lengths:
-        spec = first.derived.spectrum(length)
-        assert spec is moved.derived.spectrum(length)
+    specs = [t.derived.spectrum(length) for length in lengths]
+    again = t.matvec(x[lo:hi], 0, n, lo, hi), t.matvec(x, 0, n, 0, n)
+    assert sorted(t.derived._by_length) == lengths
+    for length, spec in zip(lengths, specs):
+        assert t.derived.spectrum(length) is spec
         assert not spec.flags.writeable
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
 
-def test_equal_grids_share_one_row_sum_array_per_block():
+def test_each_table_makes_one_row_sum_array_per_block():
     p = Params(d=0.2)
-    first = kernel_weights(default_grid_policy(p), p)
-    again = kernel_weights(default_grid_policy(p), p)
-    n = first.n_nodes
-    lo, hi = first.grid.interior_range
+    t = kernel_weights(default_grid_policy(p), p)
+    n = t.n_nodes
+    lo, hi = t.grid.interior_range
     blocks = [(0, n, lo, hi), (lo, hi, 0, n), (lo, hi, 0, lo), (lo, hi, hi, n),
               (0, n, 0, n), (lo, hi, lo, hi)]
-    W = first.dense()
+    W = t.dense()
     scale = float(np.max(W.sum(axis=1)))
-    sums = [first.row_sums(*b) for b in blocks]
+    sums = [t.row_sums(*b) for b in blocks]
     for (r0, r1, c0, c1), got in zip(blocks, sums):
-        assert again.row_sums(r0, r1, c0, c1) is got
+        assert t.row_sums(r0, r1, c0, c1) is got
         assert not got.flags.writeable
         want = W[r0:r1, c0:c1].sum(axis=1)
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
@@ -585,6 +584,34 @@ def test_equal_grids_share_one_row_sum_array_per_block():
     assert len({id(a) for a in sums}) == len(blocks)
     with pytest.raises(ValueError):
         sums[0][0] = 1.0
+
+
+def test_equal_grids_build_bitwise_equal_tables():
+    # tables hold no state across builds: equal (n, h, s), translated
+    # domains included, give the same bits from arrays of their own
+    p = Params(d=0.2)
+    first = kernel_weights(default_grid_policy(p), p)
+    again = kernel_weights(default_grid_policy(p), p)
+    moved = kernel_weights(default_grid_policy(p, 0.25, 1.25), p)
+    assert again.grid is first.grid and moved.grid is not first.grid
+    n = first.n_nodes
+    lo, hi = first.grid.interior_range
+    x = np.random.default_rng(6).standard_normal(n)
+    blocks = [(0, n, lo, hi), (lo, hi, 0, n), (lo, hi, 0, lo), (lo, hi, hi, n)]
+    for other in (again, moved):
+        assert other.derived is not first.derived
+        assert other.omega is not first.omega and other.tail is not first.tail
+        assert np.array_equal(other.omega, first.omega)
+        assert np.array_equal(other.tail, first.tail)
+        assert other.pv_coeff == first.pv_coeff and other.c_ns == first.c_ns
+        for r0, r1, c0, c1 in blocks:
+            assert np.array_equal(
+                other.row_sums(r0, r1, c0, c1), first.row_sums(r0, r1, c0, c1)
+            )
+            assert np.array_equal(
+                other.matvec(x[c0:c1], r0, r1, c0, c1),
+                first.matvec(x[c0:c1], r0, r1, c0, c1),
+            )
 
 
 def test_equal_grid_arguments_share_one_read_only_grid():
