@@ -31,6 +31,12 @@ first use and kept read-only by the table that made them, and live
 no longer than it; tables of equal (n, h, s) hold bitwise-equal
 arrays.  Results are bitwise reproducible from run to run.
 
+The same spectra precondition the solvers' descent: ``_symbol_inverse``
+applies the inverse of the circulant with symbol 1 + scale (w(0) - w(k))
+(plus a second-difference term on the line), w the table's spectrum at
+length ``_fast_len(2n)``, restricted to the first n nodes: one
+transform pair in the table's own work arrays of that length.
+
 The normalizing constant c_{n,s} is evaluated in closed form from the
 Gamma function, and the zeta values of the curvature defect by an
 Euler-Maclaurin sum; no quadrature runs when a table is built, and the
@@ -445,3 +451,33 @@ def _frac_laplacian(v: np.ndarray, table: KernelTable) -> np.ndarray:
     pv[-1] = v[-1] - v[-2]
     full += table.pv_coeff * pv
     return table.c_ns * full
+
+
+def _symbol_inverse(table: KernelTable, n: int, scale: float, pv: float = 0.0):
+    """P^-1 on the first ``n`` nodes, P the circulant of the table's symbol.
+
+    P has the real spectrum 1 + scale (w(0) - w(k)) + scale pv (2 - 2 cos
+    2 pi k/L) at L = ``_fast_len(2n)``, with w the table's spectrum of
+    that length: the symbol of the identity plus scale times the pair
+    sums and pv times the second difference.  The returned callable
+    zero-pads its ``n`` values to L, divides their transform by the
+    spectrum and keeps the first ``n`` values of the inverse transform,
+    in this thread's work arrays of length L.  That is R C^-1 R^T with
+    R the restriction: symmetric, and with the spectrum at least 1 its
+    eigenvalues lie in (0, 1].
+    """
+    size = _fast_len(2 * n)
+    spec = table.derived.spectrum(size)
+    second = 2.0 - 2.0 * np.cos(np.arange(spec.size) * (2.0 * math.pi / size))
+    symbol = 1.0 + scale * (spec[0] - spec) + (scale * pv) * second
+
+    def solve(v: np.ndarray) -> np.ndarray:
+        signal, coeffs = table.derived.scratch(size)
+        signal[:n] = v
+        signal[n:] = 0.0
+        np.fft.rfft(signal, out=coeffs)
+        coeffs /= symbol
+        np.fft.irfft(coeffs, size, out=signal)
+        return signal[:n].copy()
+
+    return solve

@@ -85,18 +85,20 @@ def neumann_derivative(u: ExtendedField | np.ndarray, table: KernelTable, x: int
 def _extension(v: np.ndarray, table: KernelTable) -> np.ndarray:
     """Full values of the extension of interior data ``v``, which they hold.
 
-    One product; ``v`` is taken as checked.
+    One product, whose fresh result becomes the returned array in
+    place; ``v`` is taken as checked.
     """
     grid = table.grid
     lo, hi = grid.interior_range
     n = grid.n_nodes
     m = _exact_mean(v)
-    num = table.matvec(v - m, 0, n, lo, hi)
+    full = table.matvec(v - m, 0, n, lo, hi)
     den = table.row_sums(0, n, lo, hi)
-    full = np.empty(n, dtype=np.float64)
-    full[lo:hi] = v
     for r0, r1 in ((0, lo), (hi, n)):
-        full[r0:r1] = m + num[r0:r1] / den[r0:r1]
+        side = full[r0:r1]
+        side /= den[r0:r1]
+        side += m
+    full[lo:hi] = v
     return full
 
 

@@ -15,7 +15,11 @@ integrate(u Au) + integrate(u u), and its gradient in the metric of
 makes no product; along a trial ray u - alpha q, with q the L-BFGS
 direction of the residual, the quadratic part expands from A q, made
 once per iteration, so a trial that the fold leaves unchanged makes no
-product either.  On the line A is
+product either.  L-BFGS starts from the inverse of the circulant whose
+symbol is that of 1 + A on the solver's table (``_symbol_inverse``):
+A is a fractional Laplacian whose spectrum grows like h^(-2s), and the
+symbol takes that growth out of the curvature the pairs must learn.
+On the line A is
 ``frac_laplacian_apply``.  For the Neumann problem the unknowns are
 interior values only: the Neumann extension is stationary in the
 exterior values, so J_d reduces to the interior with A the reduced
@@ -43,7 +47,7 @@ from .energy import (
     _whole_space,
 )
 from .grids import _MAX_NODES, Grid, LineGrid, Params, build_grid
-from .kernel import _frac_laplacian, kernel_weights
+from .kernel import _frac_laplacian, _symbol_inverse, kernel_weights
 from .neumann import _extension, extend
 
 __all__ = [
@@ -70,10 +74,13 @@ _FLUX_TOL = 1e-7
 
 # Interior size up to which the Neumann descent applies A as the dense
 # matrix d c ``_neumann_matrix`` instead of two Toeplitz products.
-# Assembly grows as n_I^3: at 128 interior nodes it costs what 15 to 17
-# iterations save (about 1 ms against 60 to 85 us per product pair and
-# 3 us per matvec, one BLAS thread), at 249 what 37 to 50 save.  The
-# shortest default-ladder solve below the threshold takes 22.
+# Assembly grows as n_I^3: at 128 interior nodes it costs what 13 to 18
+# iterations save (about 1 to 1.4 ms against 77 to 83 us per product
+# pair and 3 to 5 us per matvec, one BLAS thread), at 249 what 46 to 58
+# save; the preconditioner costs the same on both paths.  The
+# default-ladder solves below the threshold take 7 to 28 iterations,
+# above the break-even at their size (2 to 3 at 50 interior nodes, 12
+# to 15 at 117).
 _DENSE_INTERIOR = 128
 
 # Step of the first descent iteration, along the residual; once two
@@ -82,8 +89,9 @@ _DENSE_INTERIOR = 128
 _FIRST_STEP = 0.1
 
 # Pairs (du, dr) the L-BFGS direction keeps.  Over the default sweep 5
-# pairs take 440 iterations where Barzilai-Borwein steps took 811, and
-# 10 pairs take 392.
+# pairs take 247 iterations from the kernel's circulant symbol, 440 from
+# a scalar initial Hessian, where Barzilai-Borwein steps took 811; 10
+# pairs take 214.
 _MEMORY = 5
 
 # The integrals int u^r a sweep record keeps, as (label, r) with None
@@ -188,12 +196,13 @@ class SweepRecord:
 # whole-space ground state
 
 
-def _lbfgs_direction(r, pairs, integrate):
+def _lbfgs_direction(r, pairs, precondition, integrate):
     """L-BFGS direction H r from ``pairs`` of (du, dr, integrate(du dr)).
 
     Nocedal's two-loop recursion in the metric of ``integrate``, newest
-    pair last, with the initial scaling integrate(du dr)/integrate(dr dr)
-    of the newest pair.
+    pair last, from the initial inverse Hessian gamma P^-1, with
+    P^-1 = ``precondition`` and gamma = integrate(du dr) /
+    integrate(dr P^-1 dr) of the newest pair.
     """
     q = r
     coeffs = []
@@ -202,17 +211,21 @@ def _lbfgs_direction(r, pairs, integrate):
         coeffs.append(a)
         q = q - a * dr
     _, dr, curv = pairs[-1]
-    q = q * (curv / integrate(dr * dr))
+    q = precondition(q) * (curv / integrate(dr * precondition(dr)))
     for (du, dr, curv), a in zip(pairs, reversed(coeffs)):
         q = q + (a - integrate(dr * q) / curv) * du
     return q
 
 
-def _nehari_descent(u0, apply, fold, integrate, p, residual, config, history):
+def _nehari_descent(
+    u0, apply, precondition, fold, integrate, p, residual, config, history
+):
     """Nehari-projected quasi-Newton descent shared by both solvers.
 
     ``apply(v)`` is the symmetric operator A of the quadratic part
-    integrate(v Av) + integrate(v v), ``fold(v)`` maps a field to the
+    integrate(v Av) + integrate(v v), ``precondition(v)`` applies P^-1
+    for a symmetric positive definite P close to 1 + A (the solver's
+    ``kernel._symbol_inverse``), ``fold(v)`` maps a field to the
     admissible cone (nonnegative, and even on the line), ``integrate``
     is the grid's quadrature and ``p`` the exponent.  Every iterate is
     a folded field scaled onto the Nehari manifold and carries A u.
@@ -226,14 +239,17 @@ def _nehari_descent(u0, apply, fold, integrate, p, residual, config, history):
     The direction q is L-BFGS (Nocedal, Math. Comp. 35, 1980): the
     two-loop recursion over the last ``_MEMORY`` pairs (du, dr) of
     iterate and residual changes, keeping a pair only when
-    integrate(du dr) > 0.  Its first trial is alpha = 1.  Without a
-    pair, or when integrate(r q) <= 0, the direction is the residual r
-    itself, the memory is cleared and the first trial is the
+    integrate(du dr) > 0, from the initial inverse Hessian gamma P^-1
+    with gamma = integrate(du dr) / integrate(dr P^-1 dr) of the newest
+    pair.  Its first trial is alpha = 1.  Without a pair, or when
+    integrate(r q) <= 0, the direction is the residual r itself, not
+    preconditioned, the memory is cleared and the first trial is the
     Barzilai-Borwein step, ``_FIRST_STEP`` before any pair.
 
-    Each iteration makes A q once.  Along u - alpha q the quadratic part
-    expands from A u and A q, so a trial that ``fold`` leaves unchanged
-    makes no product; a trial that it changes is projected in full.
+    Each iteration makes A q once, and applies P^-1 twice when it has a
+    pair.  Along u - alpha q the quadratic part expands from A u and
+    A q, so a trial that ``fold`` leaves unchanged makes no product; a
+    trial that it changes is projected in full.
     Only an accepted trial forms its scaled t0 v and t0 Av.  Steps
     halve until the Armijo condition on integrate(r q) holds for the
     ray-sup energy, or the energy stays within a round-off band of its
@@ -315,7 +331,7 @@ def _nehari_descent(u0, apply, fold, integrate, p, residual, config, history):
 
         accepted = None
         if pairs:
-            q = _lbfgs_direction(r, pairs, integrate)
+            q = _lbfgs_direction(r, pairs, precondition, integrate)
             rq = integrate(r * q)
             if rq > 0.0:
                 accepted = search(q, rq, 1.0)
@@ -352,7 +368,10 @@ def solve_ground_state(
 
     Each iteration makes one Toeplitz product, A q of its direction q,
     however often the step halves; a trial that the fold changes is
-    projected afresh, at one more.  F and the Pohozaev ratio
+    projected afresh, at one more.  L-BFGS starts from the inverse of
+    the circulant with the symbol of 1 + c (pair sums + pv second
+    difference), two transform pairs per iteration at about the
+    product's length.  F and the Pohozaev ratio
     of the returned profile come from integrate(w Lw), one product of
     their own.
 
@@ -395,8 +414,10 @@ def solve_ground_state(
             raise ConvergenceError("iterate collapsed to the trivial limit", history)
         return r, res, res <= config.tol_residual
 
+    start = np.exp(-0.5 * x * x)
+    precondition = _symbol_inverse(table, grid.n_nodes, table.c_ns, table.pv_coeff)
     u, _, iterations, res, peaks = _nehari_descent(
-        np.exp(-0.5 * x * x), apply, fold, grid.integrate, p, residual, config, history
+        start, apply, precondition, fold, grid.integrate, p, residual, config, history
     )
     f_val, poh, poh_scale = _whole_space(u, p, table)
 
@@ -447,7 +468,10 @@ def solve_least_energy(
     the absolute value clips, are one matrix-vector product each.  On
     larger grids each iteration makes two Toeplitz products for A q of
     its direction q, however often the step halves, and a clipped
-    trial is projected afresh at two more.  On every grid the
+    trial is projected afresh at two more.  On both, L-BFGS starts from
+    the inverse of the circulant with the symbol of 1 + d c (pair
+    sums), two transform pairs per iteration at length
+    ``_fast_len(2 n_I)``, about a third of a product's.  On every grid the
     reported figures are those of the returned interior values, taken
     on the Toeplitz path: c_d and the Nehari pair come from
     ``_neumann`` of their fresh extension, and ``el_residual`` from
@@ -492,8 +516,9 @@ def solve_least_energy(
         history.append(res)
         return r, res, res <= config.tol_residual and flux <= _FLUX_TOL
 
+    precondition = _symbol_inverse(table, grid.n_interior, dc)
     u, _, iterations, _, peaks = _nehari_descent(
-        u, apply, np.abs, grid.integrate, p, residual, config, history
+        u, apply, precondition, np.abs, grid.integrate, p, residual, config, history
     )
 
     def figures(u: np.ndarray):

@@ -24,7 +24,7 @@ from fracneumann import (
     kernel_weights,
     normalizing_constant,
 )
-from fracneumann.kernel import _exact_mean, _fast_len, _zeta
+from fracneumann.kernel import _exact_mean, _fast_len, _symbol_inverse, _zeta
 
 
 def gamma_constant(n, s):
@@ -684,6 +684,61 @@ def test_full_product_keeps_the_full_circulant_bitwise():
     x = np.random.default_rng(8).standard_normal(n)
     want = _scipy_fft_product(t.omega, x, 0, n, 0, n)
     assert np.array_equal(t.matvec(x, 0, n, 0, n), want)
+
+
+def _restricted_circulant_inverse(table, n, scale, pv):
+    """Independent oracle: the first n rows and columns of C^-1, C dense.
+
+    C = I + scale (diag(W 1) - W) + scale pv (2I - S - S^T) on the
+    circulant W of the table's generator at length ``_fast_len(2n)``,
+    with S the cyclic shift.
+    """
+    size = _fast_len(2 * n)
+    omega = table.omega
+    k = min(omega.size, size // 2 + 1)
+    gen = np.zeros(size)
+    gen[:k] = omega[:k]
+    gen[size - k + 1 :] = omega[k - 1 : 0 : -1]
+    idx = np.arange(size)
+    w = gen[(idx[:, None] - idx[None, :]) % size]
+    shift = np.roll(np.eye(size), 1, axis=1)
+    c = np.eye(size) + scale * (np.diag(w.sum(axis=1)) - w)
+    c += scale * pv * (2.0 * np.eye(size) - shift - shift.T)
+    return np.linalg.inv(c)[:n, :n]
+
+
+@pytest.mark.parametrize("case", ["line", "neumann dense", "neumann fft"])
+def test_symbol_inverse_is_symmetric_positive_definite(case):
+    # P^-1 = R C^-1 R^T in the metric of ``integrate``, with the scale and
+    # second-difference weight each solver passes; 117 interior nodes
+    # take the dense Neumann path, 250 the FFT path
+    if case == "line":
+        grid = build_line_grid(40.0, 0.1)
+        t = kernel_weights(grid, Params(d=1.0))
+        n, scale, pv = grid.n_nodes, t.c_ns, t.pv_coeff
+    else:
+        params = Params(d=0.2936 if case == "neumann dense" else 0.2)
+        grid = default_grid_policy(params)
+        t = kernel_weights(grid, params)
+        n, scale, pv = grid.n_interior, params.d * t.c_ns, 0.0
+        assert n == (117 if case == "neumann dense" else 250)
+    solve = _symbol_inverse(t, n, scale, pv)
+    m = np.column_stack([solve(e) for e in np.eye(n)])
+    top = float(np.max(np.abs(m)))
+    # integrate(x P^-1 y) = h x . M y, so M must be symmetric
+    assert np.max(np.abs(m - m.T)) <= 1e-14 * top
+    assert np.max(np.abs(m - _restricted_circulant_inverse(t, n, scale, pv))) <= (
+        1e-12 * top
+    )
+    # a compression of C^-1, whose spectrum lies in (0, 1]
+    eig = np.linalg.eigvalsh(0.5 * (m + m.T))
+    assert 0.0 < eig[0] and eig[-1] <= 1.0 + 1e-12
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        x, y = rng.standard_normal((2, n))
+        xy, yx = grid.integrate(x * solve(y)), grid.integrate(y * solve(x))
+        assert abs(xy - yx) <= 1e-13 * grid.integrate(x * x + y * y)
+        assert grid.integrate(x * solve(x)) > 0.0
 
 
 def test_threads_sharing_a_table_get_the_bits_of_one_thread():
