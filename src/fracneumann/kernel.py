@@ -31,11 +31,14 @@ first use and kept read-only by the table that made them, and live
 no longer than it; tables of equal (n, h, s) hold bitwise-equal
 arrays.  Results are bitwise reproducible from run to run.
 
-The same spectra precondition the solvers' descent: ``_symbol_inverse``
-applies the inverse of the circulant with symbol 1 + scale (w(0) - w(k))
-(plus a second-difference term on the line), w the table's spectrum at
-length ``_fast_len(2n)``, restricted to the first n nodes: one
-transform pair in the table's own work arrays of that length.
+The same spectra precondition the solvers' descent: ``_symbol``
+forms the symbol 1 + scale (w(0) - w(k)) (plus a second-difference term
+on the line), w the table's spectrum at length ``_fast_len(2n)``, and
+``_symbol_inverse`` applies the inverse of that circulant restricted to
+the first n nodes, one transform pair in the table's own work arrays of
+that length.  ``_symbol_inverse_matrix`` is the same operator as a
+dense n x n matrix, for interiors small enough that one matrix-vector
+product costs less than the transform pair.
 
 The normalizing constant c_{n,s} is evaluated in closed form from the
 Gamma function, and the zeta values of the curvature defect by an
@@ -453,23 +456,31 @@ def _frac_laplacian(v: np.ndarray, table: KernelTable) -> np.ndarray:
     return table.c_ns * full
 
 
-def _symbol_inverse(table: KernelTable, n: int, scale: float, pv: float = 0.0):
-    """P^-1 on the first ``n`` nodes, P the circulant of the table's symbol.
+def _symbol(table: KernelTable, n: int, scale: float, pv: float):
+    """Length L = ``_fast_len(2n)`` and the symbol of P at that length.
 
-    P has the real spectrum 1 + scale (w(0) - w(k)) + scale pv (2 - 2 cos
-    2 pi k/L) at L = ``_fast_len(2n)``, with w the table's spectrum of
-    that length: the symbol of the identity plus scale times the pair
-    sums and pv times the second difference.  The returned callable
-    zero-pads its ``n`` values to L, divides their transform by the
-    spectrum and keeps the first ``n`` values of the inverse transform,
-    in this thread's work arrays of length L.  That is R C^-1 R^T with
-    R the restriction: symmetric, and with the spectrum at least 1 its
-    eigenvalues lie in (0, 1].
+    The real spectrum 1 + scale (w(0) - w(k)) + scale pv (2 - 2 cos
+    2 pi k/L), with w the table's spectrum of length L: the symbol of
+    the identity plus scale times the pair sums and pv times the second
+    difference.  Every entry is at least 1.
     """
     size = _fast_len(2 * n)
     spec = table.derived.spectrum(size)
     second = 2.0 - 2.0 * np.cos(np.arange(spec.size) * (2.0 * math.pi / size))
-    symbol = 1.0 + scale * (spec[0] - spec) + (scale * pv) * second
+    return size, 1.0 + scale * (spec[0] - spec) + (scale * pv) * second
+
+
+def _symbol_inverse(table: KernelTable, n: int, scale: float, pv: float = 0.0):
+    """P^-1 on the first ``n`` nodes, P the circulant of ``_symbol``.
+
+    The returned callable zero-pads its ``n`` values to L, divides their
+    transform by the symbol and keeps the first ``n`` values of the
+    inverse transform, in this thread's work arrays of length L.  That
+    is R C^-1 R^T with R the restriction: symmetric, and with the symbol
+    at least 1 its eigenvalues lie in (0, 1].  The descent applies it
+    once per iteration.
+    """
+    size, symbol = _symbol(table, n, scale, pv)
 
     def solve(v: np.ndarray) -> np.ndarray:
         signal, coeffs = table.derived.scratch(size)
@@ -481,3 +492,17 @@ def _symbol_inverse(table: KernelTable, n: int, scale: float, pv: float = 0.0):
         return signal[:n].copy()
 
     return solve
+
+
+def _symbol_inverse_matrix(table: KernelTable, n: int, scale: float) -> np.ndarray:
+    """The n x n matrix R C^-1 R^T that ``_symbol_inverse`` applies at pv = 0.
+
+    C^-1 is the circulant whose first column is the inverse transform
+    of 1/symbol; the symbol is even, so is that column, and with
+    n <= L/2 entry (i, j) is col[|i - j|]: exactly symmetric, and one
+    matrix-vector product per application.
+    """
+    size, symbol = _symbol(table, n, scale, 0.0)
+    col = np.fft.irfft(1.0 / symbol, size)
+    idx = np.arange(n)
+    return col[np.abs(idx[:, None] - idx[None, :])]

@@ -15,16 +15,19 @@ integrate(u Au) + integrate(u u), and its gradient in the metric of
 makes no product; along a trial ray u - alpha q, with q the L-BFGS
 direction of the residual, the quadratic part expands from A q, made
 once per iteration, so a trial that the fold leaves unchanged makes no
-product either.  L-BFGS starts from the inverse of the circulant whose
-symbol is that of 1 + A on the solver's table (``_symbol_inverse``):
-A is a fractional Laplacian whose spectrum grows like h^(-2s), and the
-symbol takes that growth out of the curvature the pairs must learn.
+product either.  L-BFGS starts from the inverse P^-1 of the circulant
+whose symbol is that of 1 + A on the solver's table
+(``_symbol_inverse``): A is a fractional Laplacian whose spectrum grows
+like h^(-2s), and the symbol takes that growth out of the curvature
+the pairs must learn.  P^-1 is applied once per iteration, to the
+residual; the recursion carries P^-1 of its other vectors by linearity.
 On the line A is
 ``frac_laplacian_apply``.  For the Neumann problem the unknowns are
 interior values only: the Neumann extension is stationary in the
 exterior values, so J_d reduces to the interior with A the reduced
 operator d c ``_neumann_operator`` of the extension, or on a small
-interior its dense matrix d c ``_neumann_matrix``.  Each solver builds
+interior its dense matrix d c ``_neumann_matrix``, beside P^-1 as a
+dense matrix too (``_symbol_inverse_matrix``).  Each solver builds
 its own weight table from its grid and parameters.  Results keep the
 interior values only; ``extend`` rebuilds the collar where an output
 needs it.
@@ -47,7 +50,12 @@ from .energy import (
     _whole_space,
 )
 from .grids import _MAX_NODES, Grid, LineGrid, Params, build_grid
-from .kernel import _frac_laplacian, _symbol_inverse, kernel_weights
+from .kernel import (
+    _frac_laplacian,
+    _symbol_inverse,
+    _symbol_inverse_matrix,
+    kernel_weights,
+)
 from .neumann import _extension, extend
 
 __all__ = [
@@ -73,14 +81,15 @@ __all__ = [
 _FLUX_TOL = 1e-7
 
 # Interior size up to which the Neumann descent applies A as the dense
-# matrix d c ``_neumann_matrix`` instead of two Toeplitz products.
-# Assembly grows as n_I^3: at 128 interior nodes it costs what 13 to 18
-# iterations save (about 1 to 1.4 ms against 77 to 83 us per product
-# pair and 3 to 5 us per matvec, one BLAS thread), at 249 what 46 to 58
-# save; the preconditioner costs the same on both paths.  The
-# default-ladder solves below the threshold take 7 to 28 iterations,
-# above the break-even at their size (2 to 3 at 50 interior nodes, 12
-# to 15 at 117).
+# matrix d c ``_neumann_matrix`` instead of two Toeplitz products, and
+# P^-1 as a dense matrix instead of a transform pair.  Assembly grows
+# as n_I^3: at 128 interior nodes it costs what 13 to 18 iterations save
+# (about 1 to 1.4 ms against 77 to 83 us per product pair and 3 to 5 us
+# per matvec, one BLAS thread), at 249 what 46 to 58 save.  P^-1's
+# matrix is one inverse transform and a gather, and its matvec replaces
+# a transform pair of 13 to 27 us.  The default-ladder solves below the
+# threshold take 7 to 25 iterations, above the break-even at their size
+# (2 to 3 at 50 interior nodes, 12 to 15 at 117).
 _DENSE_INTERIOR = 128
 
 # Step of the first descent iteration, along the residual; once two
@@ -88,11 +97,13 @@ _DENSE_INTERIOR = 128
 # search along the residual starts from the Barzilai-Borwein step.
 _FIRST_STEP = 0.1
 
-# Pairs (du, dr) the L-BFGS direction keeps.  Over the default sweep 5
-# pairs take 247 iterations from the kernel's circulant symbol, 440 from
-# a scalar initial Hessian, where Barzilai-Borwein steps took 811; 10
-# pairs take 214.
-_MEMORY = 5
+# Pairs (du, dr, P^-1 dr) the L-BFGS direction keeps.  From the kernel's
+# circulant symbol the first 11 default-ladder points take 178
+# iterations with 10 pairs and 209 with 5, the default sweep 214 and
+# 247; from a scalar initial Hessian 5 pairs took 440 on the sweep,
+# Barzilai-Borwein steps 811.  Near p = 1 more pairs cost iterations
+# instead (the ground state at s = 0.45, p = 1.02: 71 against 59).
+_MEMORY = 10
 
 # The integrals int u^r a sweep record keeps, as (label, r) with None
 # standing for r = p + 1.  The sweep CSV columns, the quantities
@@ -196,23 +207,26 @@ class SweepRecord:
 # whole-space ground state
 
 
-def _lbfgs_direction(r, pairs, precondition, integrate):
-    """L-BFGS direction H r from ``pairs`` of (du, dr, integrate(du dr)).
+def _lbfgs_direction(r, pr, pairs, integrate):
+    """L-BFGS direction H r from ``pairs`` of (du, dr, pdr, integrate(du dr)).
 
     Nocedal's two-loop recursion in the metric of ``integrate``, newest
     pair last, from the initial inverse Hessian gamma P^-1, with
-    P^-1 = ``precondition`` and gamma = integrate(du dr) /
-    integrate(dr P^-1 dr) of the newest pair.
+    gamma = integrate(du dr) / integrate(dr pdr) of the newest pair.
+    ``pr`` is P^-1 r and each ``pdr`` is P^-1 dr, so by linearity the
+    first loop's q = r - sum a_i dr_i has P^-1 q = pr - sum a_i pdr_i,
+    and the recursion applies no P^-1 of its own.
     """
-    q = r
+    q, pq = r, pr
     coeffs = []
-    for du, dr, curv in reversed(pairs):
+    for du, dr, pdr, curv in reversed(pairs):
         a = integrate(du * q) / curv
         coeffs.append(a)
         q = q - a * dr
-    _, dr, curv = pairs[-1]
-    q = precondition(q) * (curv / integrate(dr * precondition(dr)))
-    for (du, dr, curv), a in zip(pairs, reversed(coeffs)):
+        pq = pq - a * pdr
+    _, dr, pdr, curv = pairs[-1]
+    q = pq * (curv / integrate(dr * pdr))
+    for (du, dr, _, curv), a in zip(pairs, reversed(coeffs)):
         q = q + (a - integrate(dr * q) / curv) * du
     return q
 
@@ -225,7 +239,8 @@ def _nehari_descent(
     ``apply(v)`` is the symmetric operator A of the quadratic part
     integrate(v Av) + integrate(v v), ``precondition(v)`` applies P^-1
     for a symmetric positive definite P close to 1 + A (the solver's
-    ``kernel._symbol_inverse``), ``fold(v)`` maps a field to the
+    ``kernel._symbol_inverse``, or its matrix on a small Neumann
+    interior) and must be linear, ``fold(v)`` maps a field to the
     admissible cone (nonnegative, and even on the line), ``integrate``
     is the grid's quadrature and ``p`` the exponent.  Every iterate is
     a folded field scaled onto the Nehari manifold and carries A u.
@@ -241,15 +256,17 @@ def _nehari_descent(
     iterate and residual changes, keeping a pair only when
     integrate(du dr) > 0, from the initial inverse Hessian gamma P^-1
     with gamma = integrate(du dr) / integrate(dr P^-1 dr) of the newest
-    pair.  Its first trial is alpha = 1.  Without a pair, or when
+    pair.  Each pair also keeps P^-1 dr, the difference of the P^-1 r
+    of its two iterates, so the recursion needs no P^-1 of its own.
+    Its first trial is alpha = 1.  Without a pair, or when
     integrate(r q) <= 0, the direction is the residual r itself, not
     preconditioned, the memory is cleared and the first trial is the
     Barzilai-Borwein step, ``_FIRST_STEP`` before any pair.
 
-    Each iteration makes A q once, and applies P^-1 twice when it has a
-    pair.  Along u - alpha q the quadratic part expands from A u and
-    A q, so a trial that ``fold`` leaves unchanged makes no product; a
-    trial that it changes is projected in full.
+    Each iteration makes A q once and applies P^-1 once, to r, the
+    first iteration included.  Along u - alpha q the quadratic part
+    expands from A u and A q, so a trial that ``fold`` leaves unchanged
+    makes no product; a trial that it changes is projected in full.
     Only an accepted trial forms its scaled t0 v and t0 Av.  Steps
     halve until the Armijo condition on integrate(r q) holds for the
     ray-sup energy, or the energy stays within a round-off band of its
@@ -311,9 +328,12 @@ def _nehari_descent(
     v, av, t0, peak = project(fold(u0))
     u, au = t0 * v, t0 * av
     peaks = [peak]
-    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_MEMORY)
+    pairs: deque[tuple[np.ndarray, np.ndarray, np.ndarray, float]] = deque(
+        maxlen=_MEMORY
+    )
     prev_u: np.ndarray | None = None
     prev_r: np.ndarray | None = None
+    prev_pr: np.ndarray | None = None
     step = _FIRST_STEP
 
     for it in range(config.max_iters):
@@ -321,17 +341,18 @@ def _nehari_descent(
         if converged:
             return u, au, it, size, np.array(peaks)
 
+        pr = precondition(r)
         if prev_u is not None:
             du, dr = u - prev_u, r - prev_r
             curv = integrate(du * dr)
             if curv > 0.0:
                 step = min(max(integrate(du * du) / curv, 1e-6), 1e3)
-                pairs.append((du, dr, curv))
-        prev_u, prev_r = u, r
+                pairs.append((du, dr, pr - prev_pr, curv))
+        prev_u, prev_r, prev_pr = u, r, pr
 
         accepted = None
         if pairs:
-            q = _lbfgs_direction(r, pairs, precondition, integrate)
+            q = _lbfgs_direction(r, pr, pairs, integrate)
             rq = integrate(r * q)
             if rq > 0.0:
                 accepted = search(q, rq, 1.0)
@@ -370,7 +391,7 @@ def solve_ground_state(
     however often the step halves; a trial that the fold changes is
     projected afresh, at one more.  L-BFGS starts from the inverse of
     the circulant with the symbol of 1 + c (pair sums + pv second
-    difference), two transform pairs per iteration at about the
+    difference), one transform pair per iteration at about the
     product's length.  F and the Pohozaev ratio
     of the returned profile come from integrate(w Lw), one product of
     their own.
@@ -470,12 +491,14 @@ def solve_least_energy(
     its direction q, however often the step halves, and a clipped
     trial is projected afresh at two more.  On both, L-BFGS starts from
     the inverse of the circulant with the symbol of 1 + d c (pair
-    sums), two transform pairs per iteration at length
-    ``_fast_len(2 n_I)``, about a third of a product's.  On every grid the
-    reported figures are those of the returned interior values, taken
-    on the Toeplitz path: c_d and the Nehari pair come from
-    ``_neumann`` of their fresh extension, and ``el_residual`` from
-    ``_residual`` with A u of that same extension, three products.
+    sums), applied once per iteration: on the dense path as one more
+    matrix-vector product (``_symbol_inverse_matrix``), on larger grids
+    as one transform pair at length ``_fast_len(2 n_I)``, about a third
+    of a product's.  On every grid the reported figures are those of
+    the returned interior values, taken on the Toeplitz path: c_d and
+    the Nehari pair come from ``_neumann`` of their fresh extension, and
+    ``el_residual`` from ``_residual`` with A u of that same extension,
+    three products.
     """
     params.require_neumann_exponent()
     if grid.h > params.intrinsic_scale / 10.0 * (1.0 + 1e-12):
@@ -502,21 +525,26 @@ def solve_least_energy(
 
     if grid.n_interior <= _DENSE_INTERIOR:
         dense = dc * _neumann_matrix(table)
+        inverse = _symbol_inverse_matrix(table, grid.n_interior, dc)
 
         def apply(v: np.ndarray) -> np.ndarray:
             return dense @ v
+
+        def precondition(v: np.ndarray) -> np.ndarray:
+            return inverse @ v
 
     else:
 
         def apply(v: np.ndarray) -> np.ndarray:
             return dc * _neumann_operator(v, _extension(v, table), table)
 
+        precondition = _symbol_inverse(table, grid.n_interior, dc)
+
     def residual(u: np.ndarray, au: np.ndarray) -> tuple[np.ndarray, float, bool]:
         r, res, flux = _residual(u, au, p, grid.integrate)
         history.append(res)
         return r, res, res <= config.tol_residual and flux <= _FLUX_TOL
 
-    precondition = _symbol_inverse(table, grid.n_interior, dc)
     u, _, iterations, _, peaks = _nehari_descent(
         u, apply, precondition, np.abs, grid.integrate, p, residual, config, history
     )

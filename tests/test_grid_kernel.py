@@ -24,7 +24,13 @@ from fracneumann import (
     kernel_weights,
     normalizing_constant,
 )
-from fracneumann.kernel import _exact_mean, _fast_len, _symbol_inverse, _zeta
+from fracneumann.kernel import (
+    _exact_mean,
+    _fast_len,
+    _symbol_inverse,
+    _symbol_inverse_matrix,
+    _zeta,
+)
 
 
 def gamma_constant(n, s):
@@ -739,6 +745,27 @@ def test_symbol_inverse_is_symmetric_positive_definite(case):
         xy, yx = grid.integrate(x * solve(y)), grid.integrate(y * solve(x))
         assert abs(xy - yx) <= 1e-13 * grid.integrate(x * x + y * y)
         assert grid.integrate(x * solve(x)) > 0.0
+
+
+@pytest.mark.parametrize("d, h", [(2.0, None), (0.2936, None), (0.2, 1.0 / 128)])
+def test_dense_symbol_inverse_matches_the_transforms(d, h):
+    # the dense Neumann path's P^-1 is the matrix of the FFT path's: at
+    # 50 and 117 interior nodes (the default grids at d = 2.0 and
+    # 0.2936) and at the dense threshold of 128
+    params = Params(d=d)
+    grid = default_grid_policy(params) if h is None else build_grid(0.0, 1.0, h)
+    t = kernel_weights(grid, params)
+    n, scale = grid.n_interior, params.d * t.c_ns
+    assert n == {2.0: 50, 0.2936: 117, 0.2: 128}[d]
+    dense = _symbol_inverse_matrix(t, n, scale)
+    assert np.array_equal(dense, dense.T)
+    solve = _symbol_inverse(t, n, scale)
+    m = np.column_stack([solve(e) for e in np.eye(n)])
+    assert np.max(np.abs(dense - m)) <= 1e-13 * float(np.max(np.abs(m)))
+    rng = np.random.default_rng(13)
+    for x in rng.standard_normal((3, n)):
+        want = solve(x)
+        assert np.max(np.abs(dense @ x - want)) <= 1e-13 * float(np.max(np.abs(want)))
 
 
 def test_threads_sharing_a_table_get_the_bits_of_one_thread():

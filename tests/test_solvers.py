@@ -39,7 +39,7 @@ from fracneumann import (
 from fracneumann import solvers
 from fracneumann.cli import _GROUND_WINDOW, main as cli_main
 from fracneumann.energy import _nehari_ray, _neumann, _neumann_operator
-from fracneumann.kernel import KernelTable
+from fracneumann.kernel import KernelTable, _symbol_inverse, _symbol_inverse_matrix
 from fracneumann.neumann import _extension
 from fracneumann.solvers import _stretched_start
 
@@ -338,6 +338,26 @@ def _counting_folds(monkeypatch):
     return changed
 
 
+def _counting_preconditions(monkeypatch):
+    """Record every P^-1 application of every descent."""
+    calls = []
+    descent = solvers._nehari_descent
+
+    def counted(
+        u0, apply, precondition, fold, integrate, p, residual, config, history
+    ):
+        def counting(v):
+            calls.append(v)
+            return precondition(v)
+
+        return descent(
+            u0, apply, counting, fold, integrate, p, residual, config, history
+        )
+
+    monkeypatch.setattr(solvers, "_nehari_descent", counted)
+    return calls
+
+
 def _projection(parts, v):
     """(u, A u, peak) of the folded, Nehari-scaled ``v``: a descent's start."""
     apply, precondition, fold, integrate, p, _ = parts
@@ -439,21 +459,23 @@ def test_a_clipped_trial_takes_the_full_projection(monkeypatch, domain_02):
 def test_an_iteration_without_pairs_steps_along_r_unpreconditioned(
     monkeypatch, domain_02
 ):
-    # before any pair the descent never applies P^-1: its first trial is
+    # before any pair the descent forms P^-1 r once, for the next
+    # iteration's pair, but steps along r itself: its first trial is
     # u - _FIRST_STEP r, and the iteration keeps the bits of the
-    # reference loop, the loop as it was before the preconditioner
+    # reference loop
     params, grid, _ = domain_02
     warm = 0.5 + np.random.default_rng(4).uniform(0.0, 1.0, grid.n_interior)
-    apply, _, fold, integrate, p, residual = _descent_parts(
+    apply, precondition, fold, integrate, p, residual = _descent_parts(
         monkeypatch, params, grid, warm
     )
 
-    def refuse(v):
-        raise AssertionError("P^-1 applied without a pair")
-
     runs = []
     for descent in (solvers._nehari_descent, _reference_descent):
-        seen, trials = [], []
+        seen, trials, transforms = [], [], []
+
+        def counting(v):
+            transforms.append(v)
+            return precondition(v)
 
         def once(u, au):
             if seen:
@@ -467,11 +489,12 @@ def test_an_iteration_without_pairs_steps_along_r_unpreconditioned(
             return fold(v)
 
         got = descent(
-            warm, apply, refuse, recording_fold, integrate, p, once,
+            warm, apply, counting, recording_fold, integrate, p, once,
             SolverConfig(), [],
         )
         (u, r), = seen
         assert got[2] == 1
+        assert len(transforms) == 1 and transforms[0] is r
         assert _bitwise(trials[1], u - solvers._FIRST_STEP * r)
         runs.append(got)
     got, want = runs
@@ -487,19 +510,22 @@ def test_each_descent_iteration_makes_two_products(monkeypatch, domain_02):
     params, grid, _ = domain_02
     clipped = _counting_folds(monkeypatch)
     calls = _counting_products(monkeypatch)
+    transforms = _counting_preconditions(monkeypatch)
     result = solve_least_energy(params, grid)
     assert not result.constant_branch
     assert not clipped[0]  # the start is the nonnegative bump
     assert len(clipped) - 1 > result.iterations  # some steps halved
     it = result.iterations
     assert len(calls) == 2 * it + 2 + 2 * sum(clipped) + 3
+    # and one P^-1, of the residual, per iteration
+    assert len(transforms) == it
 
 
 def test_small_interiors_descend_on_the_dense_matrix(monkeypatch):
     # the descent applies d c R and makes no product; the three are the
     # figures': extend, its seminorm and the residual.  The floor on the
     # iterations describes the workload, not a tolerance: the solve
-    # takes 27, each of which would cost two products on the FFT path,
+    # takes 23, each of which would cost two products on the FFT path,
     # so three products in all show that the descent made none
     params = Params(d=0.2936)
     grid = default_grid_policy(params)
@@ -555,22 +581,42 @@ def test_neumann_solves_near_p_one_converge(monkeypatch, fft, s, d):
 
 
 def test_each_ground_state_iteration_makes_one_product(monkeypatch):
-    # the whole-space twin: one product for A r, none for the residual,
+    # the whole-space twin: one product for A q, none for the residual,
     # one more per trial that |.| and the reflection change, one for the
-    # first projection and one for the figures
+    # first projection and one for the figures.  At s = 0.45, p = 1.1
+    # the searches still halve (78 trials in 36 iterations), where the
+    # default exponents take one trial per iteration with ten pairs
     clipped = _counting_folds(monkeypatch)
     calls = _counting_products(monkeypatch)
-    result = solve_ground_state(Params(d=1.0), build_line_grid(40.0, 0.1))
+    transforms = _counting_preconditions(monkeypatch)
+    result = solve_ground_state(Params(s=0.45, p=1.1), build_line_grid(40.0, 0.1))
     assert len(clipped) - 1 > result.iterations
     assert len(calls) == result.iterations + 1 + sum(clipped) + 1
+    assert len(transforms) == result.iterations
 
 
-def _reference_direction(r, pairs, precondition, integrate):
-    """Nocedal's two-loop recursion over ``pairs`` of (du, dr, du . dr).
+def _reference_direction(r, pr, pairs, integrate):
+    """Nocedal's two-loop recursion over ``pairs`` of (du, dr, pdr, du . dr).
 
-    The initial inverse Hessian is gamma P^-1, with P^-1 = ``precondition``
-    and gamma = du . dr / dr . P^-1 dr of the newest pair.
+    The initial inverse Hessian is gamma P^-1, with gamma = du . dr /
+    dr . pdr of the newest pair; P^-1 of the first loop's q is carried
+    alongside it from ``pr`` = P^-1 r and each pdr = P^-1 dr.
     """
+    q, pq = r, pr
+    coeffs = []
+    for du, dr, pdr, curv in pairs[::-1]:
+        coeffs.append(integrate(du * q) / curv)
+        q = q - coeffs[-1] * dr
+        pq = pq - coeffs[-1] * pdr
+    gamma = pairs[-1][3] / integrate(pairs[-1][1] * pairs[-1][2])
+    q = pq * gamma
+    for (du, dr, _, curv), a in zip(pairs, coeffs[::-1]):
+        q = q + (a - integrate(dr * q) / curv) * du
+    return q
+
+
+def _two_transform_direction(r, pairs, precondition, integrate):
+    """The recursion that applies P^-1 to q and to the newest dr itself."""
     q = r
     coeffs = []
     for du, dr, curv in pairs[::-1]:
@@ -583,6 +629,45 @@ def _reference_direction(r, pairs, precondition, integrate):
     return q
 
 
+@pytest.mark.parametrize("dense", [False, True])
+def test_one_transform_direction_matches_the_two_transform_recursion(dense):
+    # P^-1 is linear, so carrying P^-1 q from P^-1 of each residual
+    # gives the direction the recursion gets by applying P^-1 twice;
+    # the pairs are differences of residuals, as in the descent
+    params = Params(d=0.2936)
+    grid = default_grid_policy(params)
+    table = kernel_weights(grid, params)
+    n, scale = grid.n_interior, params.d * table.c_ns
+    if dense:
+        matrix = _symbol_inverse_matrix(table, n, scale)
+
+        def precondition(v):
+            return matrix @ v
+
+    else:
+        precondition = _symbol_inverse(table, n, scale)
+    integrate = grid.integrate
+    rng = np.random.default_rng(21)
+    for m in (1, 3, solvers._MEMORY):
+        us = rng.standard_normal((m + 1, n)).cumsum(axis=0)
+        # residuals that grow along each step keep du . dr > 0
+        rs = [rng.standard_normal(n)]
+        for du in np.diff(us, axis=0):
+            rs.append(rs[-1] + du + 0.1 * rng.standard_normal(n))
+        prs = [precondition(r) for r in rs]
+        one, two = [], []
+        for k in range(1, m + 1):
+            du, dr = us[k] - us[k - 1], rs[k] - rs[k - 1]
+            curv = integrate(du * dr)
+            assert curv > 0.0
+            one.append((du, dr, prs[k] - prs[k - 1], curv))
+            two.append((du, dr, curv))
+        r = rs[-1]
+        got = solvers._lbfgs_direction(r, prs[-1], one, integrate)
+        want = _two_transform_direction(r, two, precondition, integrate)
+        assert np.max(np.abs(got - want)) <= 1e-12 * float(np.max(np.abs(want)))
+
+
 def _reference_descent(
     u0, apply, precondition, fold, integrate, p, residual, config, history
 ):
@@ -591,8 +676,9 @@ def _reference_descent(
     A copy of the earlier ``solvers._nehari_descent`` body, which forms
     t0 v and t0 Av for every trial and reads ``fold``'s result through
     ``np.array_equal``, with the L-BFGS direction from the initial
-    inverse Hessian gamma P^-1 and its reset to the residual added; the
-    test hands it the quadrature h * float(np.sum(f)).
+    inverse Hessian gamma P^-1, one P^-1 of the residual per iteration,
+    and its reset to the residual added; the test hands it the
+    quadrature h * float(np.sum(f)).
     """
 
     def scaled(v, av, quad):
@@ -637,6 +723,7 @@ def _reference_descent(
     pairs = []
     prev_u: np.ndarray | None = None
     prev_r: np.ndarray | None = None
+    prev_pr: np.ndarray | None = None
     step = solvers._FIRST_STEP
 
     for it in range(config.max_iters):
@@ -644,18 +731,19 @@ def _reference_descent(
         if converged:
             return u, au, it, size, np.array(peaks)
 
+        pr = precondition(r)
         if prev_u is not None:
             du, dr = u - prev_u, r - prev_r
             denom = integrate(du * dr)
             if denom > 0.0:
                 step = min(max(integrate(du * du) / denom, 1e-6), 1e3)
-                pairs.append((du, dr, denom))
+                pairs.append((du, dr, pr - prev_pr, denom))
                 del pairs[: -solvers._MEMORY]
-        prev_u, prev_r = u, r
+        prev_u, prev_r, prev_pr = u, r, pr
 
         trial = None
         if pairs:
-            q = _reference_direction(r, pairs, precondition, integrate)
+            q = _reference_direction(r, pr, pairs, integrate)
             rq = integrate(r * q)
             if rq > 0.0:
                 trial = search(q, rq, 1.0)
@@ -988,8 +1076,9 @@ def test_the_benchmark_ladder_takes_few_descent_iterations(monkeypatch):
     # the quasi-Newton speed-up, guarded without a clock: the first 11
     # default-ladder points from the CLI's ground state took 678 Neumann
     # and 63 ground-state iterations with Barzilai-Borwein steps, 371 and
-    # 34 with the L-BFGS direction from a scalar initial Hessian, and
-    # take 209 and 22 from the kernel's circulant symbol
+    # 34 with the L-BFGS direction from a scalar initial Hessian, 209 and
+    # 22 from the kernel's circulant symbol with 5 pairs, and take 178
+    # and 18 with 10; the ceilings leave about 15 % above those
     params = Params()
     ground = solve_ground_state(params, build_line_grid(*_GROUND_WINDOW))
     iterations = []
@@ -1002,13 +1091,14 @@ def test_the_benchmark_ladder_takes_few_descent_iterations(monkeypatch):
     monkeypatch.setattr(solvers, "solve_least_energy", counting)
     sweep(np.geomspace(2.0, 0.02, 13)[:11], params, ground=ground)
     assert len(iterations) == 11
-    assert sum(iterations) <= 240
-    assert ground.iterations <= 26
+    assert sum(iterations) <= 205
+    assert ground.iterations <= 21
 
 
 def test_the_ground_state_near_p_one_takes_few_descent_iterations():
     # the preconditioner where the spectrum is widest, s = 0.45 near p = 1:
     # 277 iterations from a scalar initial Hessian, 59 from the symbol
+    # with 5 pairs, 71 with 10
     params = Params(s=0.45, p=1.02)
     result = solve_ground_state(params, build_line_grid(*_GROUND_WINDOW))
     assert result.el_residual <= 1e-8
