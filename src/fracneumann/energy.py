@@ -21,8 +21,9 @@ Neumann extension, the quadratic part of J_d is h (u.Au + u.u), and
 its gradient is h times Au + u - u^p.  Every exterior value being a
 kernel-weighted average of interior values, the reduced operator is
 one symmetric matrix on the interior, R = diag(rs_I) - W_II -
-W_IE D_E^-1 W_EI + C diag(T_I) C (``_neumann_matrix``), which small
-interiors assemble instead of making two products per application.
+W_IE D_E^-1 W_EI + C diag(T_I) C (``_neumann_matrix``).  Which of the
+two forms a solve applies is chosen in one place,
+``solvers._reduced_operator``.
 
 Each form is assembled in one place.  ``_neumann`` returns
 (J_d, Q, int |u|^(p+1)) for ``J_d``, ``nehari_scale``, ``peak_energy``
@@ -115,19 +116,20 @@ def J_d(u: ExtendedField, params: Params, table: KernelTable) -> float:
     return _neumann(u, params, table)[0]
 
 
-def _neumann_operator(
-    u_int: np.ndarray, full: np.ndarray, table: KernelTable
-) -> np.ndarray:
-    """Reduced Neumann operator at u_int, given the full values of its extension.
+def _neumann_operator(full: np.ndarray, table: KernelTable) -> np.ndarray:
+    """Reduced Neumann operator at the interior values of an extension.
 
-    sum_j W_kj (u_k - u_j) + T_k v_k - mean_I(T v) over every node j,
-    with v the field centred at its interior mean; d c times it is the
-    operator A of the reduced form, so seminorm_T = 2h u.op(u) on the
-    extension.  One product, W[I, :] full.
+    ``full`` holds every node's value of the extension of its interior
+    values u_int = full[lo:hi].  Returns sum_j W_kj (u_k - u_j) + T_k
+    v_k - mean_I(T v) over every node j, with v the field centred at
+    its interior mean; d c times it is the operator A of the reduced
+    form, so seminorm_T = 2h u.op(u) on the extension.  One product,
+    W[I, :] full.
     """
     grid = table.grid
     lo, hi = grid.interior_range
     n = grid.n_nodes
+    u_int = full[lo:hi]
     conv = table.matvec(full, lo, hi, 0, n)
     rs = table.row_sums(lo, hi, 0, n)
     pair = u_int * rs - conv
@@ -144,7 +146,7 @@ def _neumann_matrix(table: KernelTable) -> np.ndarray:
     the interior rows' sums over every node, D_E the collar rows' sums
     over the interior and C = I - 11^T / n_I.  The extension's mean
     terms cancel because W_EI 1 = D_E, so R v is
-    ``_neumann_operator(v, _extension(v, table), table)`` to round-off,
+    ``_neumann_operator(_extension(v, table), table)`` to round-off,
     and R 1 = 0.  Assembled from ``omega`` by indexing and, for each
     collar side, one product M M^T with M = W_IE D_E^(-1/2); meant for
     small interiors, where its n_I^2 n_E multiply-adds cost less than

@@ -29,7 +29,9 @@ the full product keeps the smallest 5-smooth length >= 2n - 1.
 Spectra (one per length) and row sums (one per block) are made on
 first use and kept read-only by the table that made them, and live
 no longer than it; tables of equal (n, h, s) hold bitwise-equal
-arrays.  Results are bitwise reproducible from run to run.
+arrays.  A Neumann solve's table makes two lengths, its products'
+and P^-1's (1 500 and 500 on the default grid at d = 0.2), and four
+blocks.  Results are bitwise reproducible from run to run.
 
 The same spectra precondition the solvers' descent: ``_symbol``
 forms the symbol 1 + scale (w(0) - w(k)) (plus a second-difference term
@@ -207,52 +209,6 @@ class _Scratch(threading.local):
         self.by_length: dict[int, tuple[np.ndarray, ...]] = {}
 
 
-class _Derived:
-    """Iterate-independent quantities of one offset generator.
-
-    Circulant spectra, one per FFT length, and row sums, one per block
-    (row_lo, row_hi, col_lo, col_hi), are each made on first use and
-    kept read-only.  Each table builds its own holder, so a table's
-    spectra and row sums are made once however often its products run;
-    a Neumann solve needs one length and four blocks.  Row sums come
-    from prefix sums of omega, made afresh for each new block and not
-    kept.  The holder also keeps each thread's FFT work arrays per
-    length, so a product allocates only its result.
-    """
-
-    def __init__(self, omega: np.ndarray) -> None:
-        self._omega = omega
-        self._by_length: dict[int, np.ndarray] = {}
-        self._by_block: dict[tuple[int, int, int, int], np.ndarray] = {}
-        self._scratch = _Scratch()
-
-    def spectrum(self, length: int) -> np.ndarray:
-        spec = self._by_length.get(length)
-        if spec is None:
-            spec = self._by_length[length] = _spectrum(self._omega, length)
-        return spec
-
-    def scratch(self, length: int) -> tuple[np.ndarray, np.ndarray]:
-        """This thread's (signal, coefficients) arrays of one length."""
-        arrays = self._scratch.by_length.get(length)
-        if arrays is None:
-            arrays = self._scratch.by_length[length] = (
-                np.empty(length, dtype=np.float64),
-                np.empty(length // 2 + 1, dtype=np.complex128),
-            )
-        return arrays
-
-    def row_sums(
-        self, row_lo: int, row_hi: int, col_lo: int, col_hi: int
-    ) -> np.ndarray:
-        key = (row_lo, row_hi, col_lo, col_hi)
-        sums = self._by_block.get(key)
-        if sums is None:
-            sums = self._by_block[key] = _row_sums(_prefix(self._omega), *key)
-            sums.flags.writeable = False
-        return sums
-
-
 def _prefix(omega: np.ndarray) -> np.ndarray:
     """prefix[m] = sum of omega[1..m]."""
     return np.concatenate(([0.0], np.cumsum(omega[1:])))
@@ -297,6 +253,17 @@ class KernelTable:
     tail coefficients are kept unscaled (pure kernel integrals); the
     normalizing constant ``c_ns`` is applied by the operators that
     consume the table.
+
+    Each table makes, on first use and for itself alone, the circulant
+    spectra of ``omega`` by FFT length (``spectrum``), the row sums by
+    block (row_lo, row_hi, col_lo, col_hi) (``row_sums``), both kept
+    read-only, and each thread's FFT work arrays by length
+    (``scratch``), so a product allocates only its result.  A Neumann
+    solve's table makes two lengths, the products' and P^-1's: 1 500
+    and 500 on the default grid at d = 0.2, 720 and 240 at d = 0.2936.
+    It makes four blocks: W[:, I], W[I, :] and the two collar blocks
+    W[I, E].  Row sums come from prefix sums of omega, made afresh for
+    each new block and not kept.
     """
 
     grid: Grid | LineGrid
@@ -306,11 +273,11 @@ class KernelTable:
     tail: np.ndarray = field(repr=False)
     pv_coeff: float
 
-    # Spectra and row sums of ``omega``, made by each table for itself.
-    derived: _Derived = field(repr=False, init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "derived", _Derived(self.omega))
+    spectra: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    block_sums: dict[tuple[int, int, int, int], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    work: _Scratch = field(default_factory=_Scratch, init=False, repr=False)
 
     # -- element access -------------------------------------------------
 
@@ -326,6 +293,22 @@ class KernelTable:
         """Full weight matrix; intended for small grids and tests."""
         idx = np.arange(self.n_nodes)
         return self.omega[np.abs(idx[:, None] - idx[None, :])]
+
+    def spectrum(self, length: int) -> np.ndarray:
+        spec = self.spectra.get(length)
+        if spec is None:
+            spec = self.spectra[length] = _spectrum(self.omega, length)
+        return spec
+
+    def scratch(self, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """This thread's (signal, coefficients) arrays of one length."""
+        arrays = self.work.by_length.get(length)
+        if arrays is None:
+            arrays = self.work.by_length[length] = (
+                np.empty(length, dtype=np.float64),
+                np.empty(length // 2 + 1, dtype=np.complex128),
+            )
+        return arrays
 
     # -- banded reductions ------------------------------------------------
 
@@ -359,11 +342,11 @@ class KernelTable:
         reach = max(row_hi - 1 - col_lo, col_hi - 1 - row_lo)
         size = _fast_len(2 * reach + 1)
         base = min(row_lo, col_lo)
-        signal, coeffs = self.derived.scratch(size)
+        signal, coeffs = self.scratch(size)
         signal.fill(0.0)
         signal[col_lo - base : col_hi - base] = x
         np.fft.rfft(signal, out=coeffs)
-        coeffs *= self.derived.spectrum(size)
+        coeffs *= self.spectrum(size)
         # the inverse transform overwrites the signal it no longer needs
         np.fft.irfft(coeffs, size, out=signal)
         return signal[row_lo - base : row_hi - base].copy()
@@ -375,9 +358,14 @@ class KernelTable:
 
         Evaluated through prefix sums of the offset generator; the
         diagonal (offset zero) never contributes.  The result is
-        read-only and made once per block and generator.
+        read-only and made once per block and table.
         """
-        return self.derived.row_sums(row_lo, row_hi, col_lo, col_hi)
+        key = (row_lo, row_hi, col_lo, col_hi)
+        sums = self.block_sums.get(key)
+        if sums is None:
+            sums = self.block_sums[key] = _row_sums(_prefix(self.omega), *key)
+            sums.flags.writeable = False
+        return sums
 
 
 def kernel_weights(grid: Grid | LineGrid, params: Params) -> KernelTable:
@@ -465,7 +453,7 @@ def _symbol(table: KernelTable, n: int, scale: float, pv: float):
     difference.  Every entry is at least 1.
     """
     size = _fast_len(2 * n)
-    spec = table.derived.spectrum(size)
+    spec = table.spectrum(size)
     second = 2.0 - 2.0 * np.cos(np.arange(spec.size) * (2.0 * math.pi / size))
     return size, 1.0 + scale * (spec[0] - spec) + (scale * pv) * second
 
@@ -483,7 +471,7 @@ def _symbol_inverse(table: KernelTable, n: int, scale: float, pv: float = 0.0):
     size, symbol = _symbol(table, n, scale, pv)
 
     def solve(v: np.ndarray) -> np.ndarray:
-        signal, coeffs = table.derived.scratch(size)
+        signal, coeffs = table.scratch(size)
         signal[:n] = v
         signal[n:] = 0.0
         np.fft.rfft(signal, out=coeffs)

@@ -63,7 +63,8 @@ def neumann_derivative(u: ExtendedField | np.ndarray, table: KernelTable, x: int
     The defining integral runs over the domain only, so the value is
     c_ns * sum over interior j of W[x][j] * (u(x) - u(x_j)); neither the
     kernel tail nor other exterior nodes enter.  A bare array must hold
-    one finite value per node, and a field must live on the table's grid.
+    one finite value per node, a field must live on the table's grid,
+    and ``x`` must be an ``int`` or numpy integer (not a ``bool``).
     """
     grid = table.grid
     if not isinstance(grid, Grid):
@@ -73,8 +74,9 @@ def neumann_derivative(u: ExtendedField | np.ndarray, table: KernelTable, x: int
         v = u.values
     else:
         v = _nodal(u, grid.n_nodes)
-    if not 0 <= x < grid.n_nodes:
-        raise ValueError(f"node index {x} outside the grid")
+    n = grid.n_nodes
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < n:
+        raise ValueError(f"node index must be an integer in [0, {n}), got {x!r}")
     lo, hi = grid.interior_range
     if lo <= x < hi:
         raise ValueError(f"node {x} is interior; N_s is defined on the collar")

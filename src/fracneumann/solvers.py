@@ -24,13 +24,12 @@ residual; the recursion carries P^-1 of its other vectors by linearity.
 On the line A is
 ``frac_laplacian_apply``.  For the Neumann problem the unknowns are
 interior values only: the Neumann extension is stationary in the
-exterior values, so J_d reduces to the interior with A the reduced
-operator d c ``_neumann_operator`` of the extension, or on a small
-interior its dense matrix d c ``_neumann_matrix``, beside P^-1 as a
-dense matrix too (``_symbol_inverse_matrix``).  Each solver builds
-its own weight table from its grid and parameters.  Results keep the
-interior values only; ``extend`` rebuilds the collar where an output
-needs it.
+exterior values, so J_d reduces to the interior with A = d c R, R the
+reduced operator of ``energy``; ``_reduced_operator`` builds A and
+P^-1 and chooses between their dense and FFT forms.  Each solver
+builds its own weight table from its grid and parameters.  Results
+keep the interior values only; ``extend`` rebuilds the collar where an
+output needs it.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from .energy import (
 )
 from .grids import _MAX_NODES, Grid, LineGrid, Params, build_grid
 from .kernel import (
+    KernelTable,
     _frac_laplacian,
     _symbol_inverse,
     _symbol_inverse_matrix,
@@ -79,18 +79,6 @@ __all__ = [
 # Internal gate on the volume (flux) identity, an order below what the
 # identity checks downstream ask for.
 _FLUX_TOL = 1e-7
-
-# Interior size up to which the Neumann descent applies A as the dense
-# matrix d c ``_neumann_matrix`` instead of two Toeplitz products, and
-# P^-1 as a dense matrix instead of a transform pair.  Assembly grows
-# as n_I^3: at 128 interior nodes it costs what 13 to 18 iterations save
-# (about 1 to 1.4 ms against 77 to 83 us per product pair and 3 to 5 us
-# per matvec, one BLAS thread), at 249 what 46 to 58 save.  P^-1's
-# matrix is one inverse transform and a gather, and its matvec replaces
-# a transform pair of 13 to 27 us.  The default-ladder solves below the
-# threshold take 7 to 25 iterations, above the break-even at their size
-# (2 to 3 at 50 interior nodes, 12 to 15 at 117).
-_DENSE_INTERIOR = 128
 
 # Step of the first descent iteration, along the residual; once two
 # iterates give a positive curvature du . dr, L-BFGS takes over, and a
@@ -459,6 +447,43 @@ def solve_ground_state(
 # ---------------------------------------------------------------------------
 # Neumann least-energy solution
 
+# Interior size up to which ``_reduced_operator`` takes the dense forms.
+# Assembly grows as n_I^3: at 128 interior nodes it costs what 13 to 18
+# iterations save (about 1 to 1.4 ms against 77 to 83 us per product
+# pair and 3 to 5 us per matvec, one BLAS thread), at 249 what 46 to 58
+# save.  P^-1's matrix is one inverse transform and a gather, and its
+# matvec replaces a transform pair of 13 to 27 us.  The default-ladder
+# solves below the threshold take 7 to 25 iterations, above the
+# break-even at their size (2 to 3 at 50 interior nodes, 12 to 15 at 117).
+_DENSE_INTERIOR = 128
+
+
+def _reduced_operator(table: KernelTable, dc: float):
+    """(apply, precondition): A = dc R and P^-1 of a Neumann solve on ``table``.
+
+    R is the reduced operator of the interior values and P the
+    circulant with the symbol of 1 + dc (pair sums) at length
+    ``_fast_len(2 n_I)`` (``kernel._symbol``).  This is the one place
+    that chooses their form.  On at most ``_DENSE_INTERIOR`` interior
+    nodes A is the dense matrix dc ``_neumann_matrix`` and P^-1 the
+    dense ``_symbol_inverse_matrix``, each assembled here once, and
+    each application is one matrix-vector product, with no Toeplitz
+    product.  On larger interiors A v is dc ``_neumann_operator`` of
+    the extension of v, two Toeplitz products, and P^-1 is
+    ``_symbol_inverse``, one transform pair at about a third of a
+    product's length.
+    """
+    n = table.grid.n_interior
+    if n <= _DENSE_INTERIOR:
+        dense = dc * _neumann_matrix(table)
+        inverse = _symbol_inverse_matrix(table, n, dc)
+        return (lambda v: dense @ v), (lambda v: inverse @ v)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        return dc * _neumann_operator(_extension(v, table), table)
+
+    return apply, _symbol_inverse(table, n, dc)
+
 
 def solve_least_energy(
     params: Params,
@@ -483,22 +508,15 @@ def solve_least_energy(
     ``warm`` to start from a whole-space ground state.  The weight
     table is built here from ``grid`` and ``params``.
 
-    On a grid of at most ``_DENSE_INTERIOR`` interior nodes A is the
-    dense matrix d c ``_neumann_matrix``, assembled once per solve, and
-    the descent makes no Toeplitz product: A q, and A of a trial that
-    the absolute value clips, are one matrix-vector product each.  On
-    larger grids each iteration makes two Toeplitz products for A q of
-    its direction q, however often the step halves, and a clipped
-    trial is projected afresh at two more.  On both, L-BFGS starts from
-    the inverse of the circulant with the symbol of 1 + d c (pair
-    sums), applied once per iteration: on the dense path as one more
-    matrix-vector product (``_symbol_inverse_matrix``), on larger grids
-    as one transform pair at length ``_fast_len(2 n_I)``, about a third
-    of a product's.  On every grid the reported figures are those of
-    the returned interior values, taken on the Toeplitz path: c_d and
-    the Nehari pair come from ``_neumann`` of their fresh extension, and
-    ``el_residual`` from ``_residual`` with A u of that same extension,
-    three products.
+    The descent's A = d c R and its L-BFGS preconditioner P^-1 come
+    from ``_reduced_operator``, which states their dense and FFT forms.
+    Each iteration applies A once, to its direction q, however often
+    the step halves, A once more per trial that the absolute value
+    clips, and P^-1 once.  On every grid the reported figures are
+    those of the returned interior values, taken on the Toeplitz path:
+    c_d and the Nehari pair come from ``_neumann`` of their fresh
+    extension, and ``el_residual`` from ``_residual`` with A u of that
+    same extension, three products.
     """
     params.require_neumann_exponent()
     if grid.h > params.intrinsic_scale / 10.0 * (1.0 + 1e-12):
@@ -522,23 +540,7 @@ def solve_least_energy(
 
     history: list[float] = []
     dc = params.d * table.c_ns
-
-    if grid.n_interior <= _DENSE_INTERIOR:
-        dense = dc * _neumann_matrix(table)
-        inverse = _symbol_inverse_matrix(table, grid.n_interior, dc)
-
-        def apply(v: np.ndarray) -> np.ndarray:
-            return dense @ v
-
-        def precondition(v: np.ndarray) -> np.ndarray:
-            return inverse @ v
-
-    else:
-
-        def apply(v: np.ndarray) -> np.ndarray:
-            return dc * _neumann_operator(v, _extension(v, table), table)
-
-        precondition = _symbol_inverse(table, grid.n_interior, dc)
+    apply, precondition = _reduced_operator(table, dc)
 
     def residual(u: np.ndarray, au: np.ndarray) -> tuple[np.ndarray, float, bool]:
         r, res, flux = _residual(u, au, p, grid.integrate)
@@ -568,7 +570,7 @@ def solve_least_energy(
     if constant:
         u = np.ones_like(u)
         ext, c_d, quad, pot = figures(u)
-    au = dc * _neumann_operator(u, ext.values, table)
+    au = dc * _neumann_operator(ext.values, table)
     _, res, flux = _residual(u, au, p, grid.integrate)
     u.flags.writeable = False
 

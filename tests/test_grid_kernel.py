@@ -517,12 +517,12 @@ def test_row_sums_match_dense_on_any_block(case):
     assert not g.interior.flags.writeable
     idx = np.flatnonzero(g.interior)
     assert g.interior_range == (idx[0], idx[-1] + 1)
-    # a hand-built table derives its own memo from its own generator
+    # a hand-built table keeps its own row sums of its own generator
     halved = KernelTable(
         grid=t.grid, s=t.s, c_ns=t.c_ns, omega=0.5 * t.omega, tail=t.tail,
         pv_coeff=t.pv_coeff,
     )
-    assert halved.derived is not t.derived
+    assert halved.block_sums is not t.block_sums
     for table in (t, halved, t, halved):
         want = table.dense()[r0:r1, c0:c1].sum(axis=1)
         got = table.row_sums(r0, r1, c0, c1)
@@ -557,16 +557,16 @@ def test_each_table_makes_its_spectra_once():
     lo, hi = t.grid.interior_range
     x = np.random.default_rng(4).standard_normal(n)
     first = t.matvec(x[lo:hi], 0, n, lo, hi), t.matvec(x, 0, n, 0, n)
-    lengths = sorted(t.derived._by_length)
+    lengths = sorted(t.spectra)
     assert lengths == [
         fft.next_fast_len(2 * (n - lo) - 1, real=True),
         fft.next_fast_len(2 * n - 1, real=True),
     ]
-    specs = [t.derived.spectrum(length) for length in lengths]
+    specs = [t.spectrum(length) for length in lengths]
     again = t.matvec(x[lo:hi], 0, n, lo, hi), t.matvec(x, 0, n, 0, n)
-    assert sorted(t.derived._by_length) == lengths
+    assert sorted(t.spectra) == lengths
     for length, spec in zip(lengths, specs):
-        assert t.derived.spectrum(length) is spec
+        assert t.spectrum(length) is spec
         assert not spec.flags.writeable
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
@@ -605,7 +605,8 @@ def test_equal_grids_build_bitwise_equal_tables():
     x = np.random.default_rng(6).standard_normal(n)
     blocks = [(0, n, lo, hi), (lo, hi, 0, n), (lo, hi, 0, lo), (lo, hi, hi, n)]
     for other in (again, moved):
-        assert other.derived is not first.derived
+        assert other.spectra is not first.spectra
+        assert other.block_sums is not first.block_sums
         assert other.omega is not first.omega and other.tail is not first.tail
         assert np.array_equal(other.omega, first.omega)
         assert np.array_equal(other.tail, first.tail)

@@ -1,5 +1,7 @@
 """Neumann derivative and the zero-derivative exterior extension."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -61,9 +63,16 @@ def test_derivative_rejects_interior_nodes():
     with pytest.raises(ValueError, match="interior"):
         neumann_derivative(u, t, lo)
     with pytest.raises(ValueError):
-        neumann_derivative(u, t, g.n_nodes)
-    with pytest.raises(ValueError):
         neumann_derivative(np.zeros(3), t, 0)
+    # an index that is no integer, or a bool, is refused by name, not
+    # broadcast, truncated or compared with a string
+    for x in (g.n_nodes, -1, True, np.True_, 2.5, 3.0, "3"):
+        named = rf"^node index must be an integer .* got {re.escape(repr(x))}$"
+        with pytest.raises(ValueError, match=named):
+            neumann_derivative(u, t, x)
+    ramp = np.linspace(0.0, 1.0, g.n_nodes)
+    want = neumann_derivative(ramp, t, 3)
+    assert want != 0.0 and neumann_derivative(ramp, t, np.int64(3)) == want
 
 
 def test_derivative_rejects_a_field_from_another_grid():

@@ -264,7 +264,7 @@ def test_reported_figures_are_those_of_the_returned_field(solved_02, domain_02):
         ui = result.u
         ext = extend(ui, t)
         energy, quad, pot = _neumann(ext, pd, t)
-        r = pd.d * t.c_ns * _neumann_operator(ui, ext.values, t) + ui - ui**pd.p
+        r = pd.d * t.c_ns * _neumann_operator(ext.values, t) + ui - ui**pd.p
         assert result.c_d == energy
         assert result.nehari_residual == abs(quad - pot) / quad
         assert result.el_residual == float(np.max(np.abs(r))) / max(
@@ -274,27 +274,6 @@ def test_reported_figures_are_those_of_the_returned_field(solved_02, domain_02):
 
 # ---------------------------------------------------------------------------
 # Nehari descent: line-search trials without Toeplitz products
-
-
-class _Captured(Exception):
-    pass
-
-
-def _descent_parts(monkeypatch, params, grid, warm):
-    """(apply, precondition, fold, integrate, p, residual) a solve hands its descent."""
-    seen = []
-
-    def capture(
-        u0, apply, precondition, fold, integrate, p, residual, config, history
-    ):
-        seen.extend((apply, precondition, fold, integrate, p, residual))
-        raise _Captured
-
-    monkeypatch.setattr(solvers, "_nehari_descent", capture)
-    with pytest.raises(_Captured):
-        solve_least_energy(params, grid, warm=warm)
-    monkeypatch.undo()
-    return seen
 
 
 def _counting_products(monkeypatch):
@@ -358,9 +337,15 @@ def _counting_preconditions(monkeypatch):
     return calls
 
 
+def _neumann_parts(params, table):
+    """(apply, precondition, fold, integrate, p) of a Neumann solve's descent."""
+    apply, precondition = solvers._reduced_operator(table, params.d * table.c_ns)
+    return apply, precondition, np.abs, table.grid.integrate, params.p
+
+
 def _projection(parts, v):
     """(u, A u, peak) of the folded, Nehari-scaled ``v``: a descent's start."""
-    apply, precondition, fold, integrate, p, _ = parts
+    apply, precondition, fold, integrate, p = parts
     def stop(u, au):
         return None, 0.0, True
 
@@ -376,7 +361,7 @@ def _one_step(monkeypatch, parts, u0, r):
     Returns the accepted (u, A u, peak), the fields u - alpha r of its
     trials and the number of products the run made.
     """
-    apply, precondition, fold, integrate, p, _ = parts
+    apply, precondition, fold, integrate, p = parts
     trials = []
 
     def recording_fold(v):
@@ -401,11 +386,6 @@ def _one_step(monkeypatch, parts, u0, r):
     return (u, au, peaks[-1]), trials[1:], len(calls)
 
 
-def _apply(params, table, v):
-    """A v from a fresh extension: the solver's own operator."""
-    return params.d * table.c_ns * _neumann_operator(v, _extension(v, table), table)
-
-
 @pytest.mark.parametrize("d", [0.2, 0.04308869380063769])
 def test_unclipped_trials_match_the_full_projection(monkeypatch, d):
     # A is linear, so along a ray of nonnegative values a trial takes its
@@ -417,9 +397,9 @@ def test_unclipped_trials_match_the_full_projection(monkeypatch, d):
     grid = default_grid_policy(params)
     table = kernel_weights(grid, params)
     warm = 0.5 + np.random.default_rng(3).uniform(0.0, 1.0, grid.n_interior)
-    parts = _descent_parts(monkeypatch, params, grid, warm)
+    parts = _neumann_parts(params, table)
     u, au, _ = _projection(parts, warm)
-    r = parts[5](u, au)[0]
+    r = solvers._residual(u, au, params.p, grid.integrate)[0]
     reach = float(np.min(u[r > 0.0] / r[r > 0.0]))
     for frac in (1e-3, 0.1, 0.9):
         # the first trial steps by _FIRST_STEP: it lands at frac * reach
@@ -433,18 +413,18 @@ def test_unclipped_trials_match_the_full_projection(monkeypatch, d):
         # both are t0 v for one v, so their ratio is the ratio of the t0s
         assert np.max(np.abs(trial - want)) <= 1e-13 * np.max(want)
         assert abs(peak - want_peak) <= 1e-13 * want_peak
-        fresh = _apply(params, table, trial)
+        fresh = parts[0](trial)
         assert np.max(np.abs(trial_au - fresh)) <= 1e-13 * np.max(np.abs(fresh))
 
 
 def test_a_clipped_trial_takes_the_full_projection(monkeypatch, domain_02):
-    params, grid, _ = domain_02
+    params, grid, table = domain_02
     warm = 0.5 + np.random.default_rng(5).uniform(0.0, 1.0, grid.n_interior)
     warm[10] = 0.0
-    parts = _descent_parts(monkeypatch, params, grid, warm)
+    parts = _neumann_parts(params, table)
     u, au, _ = _projection(parts, warm)
     assert u[10] == 0.0
-    r = parts[5](u, au)[0].copy()
+    r = solvers._residual(u, au, params.p, grid.integrate)[0]
     r[10] = 1.0  # u - alpha r < 0 there for every alpha > 0
     # the first trial steps by _FIRST_STEP, so it lands at alpha = 1e-3
     r *= 1e-3 / solvers._FIRST_STEP
@@ -456,18 +436,14 @@ def test_a_clipped_trial_takes_the_full_projection(monkeypatch, domain_02):
     assert np.array_equal(trial_au, want_au)
 
 
-def test_an_iteration_without_pairs_steps_along_r_unpreconditioned(
-    monkeypatch, domain_02
-):
+def test_an_iteration_without_pairs_steps_along_r_unpreconditioned(domain_02):
     # before any pair the descent forms P^-1 r once, for the next
     # iteration's pair, but steps along r itself: its first trial is
     # u - _FIRST_STEP r, and the iteration keeps the bits of the
     # reference loop
-    params, grid, _ = domain_02
+    params, grid, table = domain_02
     warm = 0.5 + np.random.default_rng(4).uniform(0.0, 1.0, grid.n_interior)
-    apply, precondition, fold, integrate, p, residual = _descent_parts(
-        monkeypatch, params, grid, warm
-    )
+    apply, precondition, fold, integrate, p = _neumann_parts(params, table)
 
     runs = []
     for descent in (solvers._nehari_descent, _reference_descent):
@@ -480,7 +456,7 @@ def test_an_iteration_without_pairs_steps_along_r_unpreconditioned(
         def once(u, au):
             if seen:
                 return None, 0.0, True
-            r, size, _ = residual(u, au)
+            r, size, _ = solvers._residual(u, au, p, integrate)
             seen.append((u, r))
             return r, size, False
 
@@ -539,6 +515,46 @@ def test_small_interiors_descend_on_the_dense_matrix(monkeypatch):
 def test_domain_02_keeps_the_fft_path():
     # so the product counts and the reference loop above pin that path
     assert solvers._DENSE_INTERIOR < default_grid_policy(Params(d=0.2)).n_interior
+
+
+@pytest.mark.parametrize("extra, products", [(0, 0), (1, 2)])
+def test_the_threshold_picks_the_operator_form(monkeypatch, extra, products):
+    # an interior of _DENSE_INTERIOR nodes applies the dense matrix, one
+    # node more the extension and W[I, :] of it
+    n_interior = solvers._DENSE_INTERIOR + extra
+    grid = build_grid(0.0, 1.0, 1.0 / n_interior)
+    assert grid.n_interior == n_interior
+    params = Params(d=0.2)
+    table = kernel_weights(grid, params)
+    apply, _ = solvers._reduced_operator(table, params.d * table.c_ns)
+    calls = _counting_products(monkeypatch)
+    apply(np.ones(n_interior))
+    assert len(calls) == products
+
+
+@pytest.mark.parametrize("d, lengths", [(0.2, [500, 1500]), (0.2936, [240, 720])])
+def test_a_solve_table_holds_two_lengths_and_four_blocks(monkeypatch, d, lengths):
+    # P^-1's spectrum at _fast_len(2 n_I) and the products' one, on the FFT
+    # path and the dense one; row sums of W[:, I], W[I, :] and the two
+    # collar blocks W[I, E]
+    tables = []
+    build = solvers.kernel_weights
+
+    def capture(grid, params):
+        tables.append(build(grid, params))
+        return tables[-1]
+
+    monkeypatch.setattr(solvers, "kernel_weights", capture)
+    params = Params(d=d)
+    grid = default_grid_policy(params)
+    solve_least_energy(params, grid)
+    [table] = tables
+    n = grid.n_nodes
+    lo, hi = grid.interior_range
+    assert sorted(table.spectra) == lengths
+    assert set(table.block_sums) == {
+        (0, n, lo, hi), (lo, hi, 0, n), (lo, hi, 0, lo), (lo, hi, hi, n)
+    }
 
 
 @pytest.mark.parametrize(
