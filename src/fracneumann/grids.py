@@ -114,14 +114,16 @@ def _check_uniform(nodes: np.ndarray, h: float) -> None:
         raise ValueError("grid spacing must be uniform to relative 1e-12")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Bounded domain (a, b) plus exterior collar, cell-centered nodes.
 
     ``interior`` is derived: it marks the nodes inside the open interval
     (a, b), and everything else belongs to the collar.  Construct
     through :func:`build_grid` for validated, production-sized grids;
-    direct construction is open for small hand-built fixtures.
+    direct construction is open for small hand-built fixtures.  Grids
+    compare by identity, like the other array-holding classes;
+    ``neumann._check_same_grid`` compares (a, b) and nodes by value.
     """
 
     a: float
@@ -129,10 +131,10 @@ class Grid:
     h: float
     r_ext: float
     nodes: np.ndarray
-    interior: np.ndarray = field(init=False, repr=False, compare=False)
+    interior: np.ndarray = field(init=False, repr=False)
     # Half-open index range [lo, hi) of the interior block; the nodes
     # increase, so the open-interval test marks one contiguous run.
-    interior_range: tuple[int, int] = field(init=False, repr=False, compare=False)
+    interior_range: tuple[int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_uniform(self.nodes, self.h)
@@ -166,7 +168,7 @@ class Grid:
         return view
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineGrid:
     """Symmetric whole-space window [-L, L] with cell-centered nodes.
 

@@ -244,7 +244,7 @@ def _exact_mean(v: np.ndarray) -> float:
     return float(v.sum()) / v.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelTable:
     """Cell-integrated kernel weights for one uniform grid.
 

@@ -26,7 +26,7 @@ from .kernel import KernelTable, _exact_mean, _nodal
 __all__ = ["ExtendedField", "neumann_derivative", "extend"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtendedField:
     """Full-grid values on a bounded-domain grid.
 

@@ -20,8 +20,9 @@ whose symbol is that of 1 + A on the solver's table
 (``_symbol_inverse``): A is a fractional Laplacian whose spectrum grows
 like h^(-2s), and the symbol takes that growth out of the curvature
 the pairs must learn.  P^-1 is applied once per iteration, to the
-residual; the recursion carries P^-1 of its other vectors by linearity.
-On the line A is
+residual; the memory of curvature pairs keeps P^-1 of its residual
+changes by linearity and gives the direction in compact form
+(``_CompactMemory``).  On the line A is
 ``frac_laplacian_apply``.  For the Neumann problem the unknowns are
 interior values only: the Neumann extension is stationary in the
 exterior values, so J_d reduces to the interior with A = d c R, R the
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -85,7 +85,8 @@ _FLUX_TOL = 1e-7
 # search along the residual starts from the Barzilai-Borwein step.
 _FIRST_STEP = 0.1
 
-# Pairs (du, dr, P^-1 dr) the L-BFGS direction keeps.  From the kernel's
+# Curvature pairs the L-BFGS direction keeps, each as du and P^-1 dr in
+# ``_CompactMemory``'s block, 2 _MEMORY n floats in all.  From the kernel's
 # circulant symbol the first 11 default-ladder points take 178
 # iterations with 10 pairs and 209 with 5, the default sweep 214 and
 # 247; from a scalar initial Hessian 5 pairs took 440 on the sweep,
@@ -138,7 +139,7 @@ class SolverConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundStateResult:
     w: np.ndarray
     grid: LineGrid
@@ -150,7 +151,7 @@ class GroundStateResult:
     peak_history: np.ndarray = field(repr=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeastEnergyResult:
     """A Neumann least-energy solution and its figures.
 
@@ -195,28 +196,89 @@ class SweepRecord:
 # whole-space ground state
 
 
-def _lbfgs_direction(r, pr, pairs, integrate):
-    """L-BFGS direction H r from ``pairs`` of (du, dr, pdr, integrate(du dr)).
+class _CompactMemory:
+    """The last ``_MEMORY`` curvature pairs of a descent, in compact form.
 
-    Nocedal's two-loop recursion in the metric of ``integrate``, newest
-    pair last, from the initial inverse Hessian gamma P^-1, with
-    gamma = integrate(du dr) / integrate(dr pdr) of the newest pair.
-    ``pr`` is P^-1 r and each ``pdr`` is P^-1 dr, so by linearity the
-    first loop's q = r - sum a_i dr_i has P^-1 q = pr - sum a_i pdr_i,
-    and the recursion applies no P^-1 of its own.
+    A pair is s = du and y = dr, the changes of iterate and residual
+    between two iterations, and z = P^-1 y, the change of P^-1 r.  The
+    memory stores s and z, never y, as the rows of one (``_MEMORY``, 2,
+    n) ``block``: a ring of slots in which a new pair takes the slot of
+    the oldest, so no row moves.  Beside it, in the same slot order, it
+    keeps R^-1 for R_ij = <s_i, y_j> when pair i is not newer than pair
+    j (else 0, so R is upper triangular in the pairs' age order), R's
+    diagonal D, and G_ij = <z_i, y_j> = <y_i, P^-1 y_j>, symmetric
+    because P^-1 is.  Byrd, Nocedal and Schnabel's compact
+    representation (Math. Prog. 63, 1994) of the L-BFGS inverse
+    Hessian from gamma P^-1, gamma = D_k / G_kk of the newest pair k,
+    gives with a = <S, r>, b = <Z, r> and t = R^-1 a
+
+        H r = gamma P^-1 r + S R^-T (D t + gamma (G t - b)) - gamma Z t,
+
+    the direction of Nocedal's two-loop recursion.  <., .> is the plain
+    dot product: the direction does not change when the inner product
+    is scaled, so the spacing in ``integrate`` drops out.  A direction
+    costs two products with the block, one for a and b and one for the
+    combination of its rows; an append costs one, with dr, which gives
+    R's new column and G's new row and column.  The oldest pair leaves
+    R^-1 as its zeroed row and column, since R^-1 of the younger pairs
+    is the trailing block of an upper triangular inverse, and the new
+    pair's column follows from the bordered update.
     """
-    q, pq = r, pr
-    coeffs = []
-    for du, dr, pdr, curv in reversed(pairs):
-        a = integrate(du * q) / curv
-        coeffs.append(a)
-        q = q - a * dr
-        pq = pq - a * pdr
-    _, dr, pdr, curv = pairs[-1]
-    q = pq * (curv / integrate(dr * pdr))
-    for (du, dr, _, curv), a in zip(pairs, reversed(coeffs)):
-        q = q + (a - integrate(dr * q) / curv) * du
-    return q
+
+    def __init__(self, n: int):
+        self.block = np.empty((_MEMORY, 2, n))
+        self.rinv = np.empty((_MEMORY, _MEMORY))
+        self.g = np.empty((_MEMORY, _MEMORY))
+        self.d = np.empty(_MEMORY)
+        self.clear()
+
+    def __len__(self) -> int:
+        return self.k
+
+    def clear(self) -> None:
+        """Forget every pair; the next one takes slot 0."""
+        self.k = 0  # pairs held, in slots 0 to k - 1
+        self.newest = -1
+        self.gamma = 0.0
+
+    def _rows(self) -> np.ndarray:
+        """The filled slots as rows s, z, s, z, ..., in slot order."""
+        return self.block[: self.k].reshape(2 * self.k, -1)
+
+    def append(self, du: np.ndarray, dr: np.ndarray, dz: np.ndarray) -> None:
+        """Keep the pair (du, dr) with dz = P^-1 dr; drop the oldest when full."""
+        j = self.newest = (self.newest + 1) % _MEMORY
+        k = self.k = min(self.k + 1, _MEMORY)
+        self.block[j, 0] = du
+        self.block[j, 1] = dz
+        products = self._rows() @ dr
+        sy, zy = products[0::2], products[1::2]
+        rinv = self.rinv[:k, :k]
+        # drop the oldest pair's row and column, or a new slot's stale ones
+        rinv[j] = 0.0
+        rinv[:, j] = 0.0
+        rinv[:, j] = (rinv @ sy) / -sy[j]
+        rinv[j, j] = 1.0 / sy[j]
+        self.g[j, :k] = zy
+        self.g[:k, j] = zy
+        self.d[j] = sy[j]
+        self.gamma = float(sy[j] / zy[j])
+
+    def direction(self, r: np.ndarray, pr: np.ndarray) -> np.ndarray:
+        """The L-BFGS direction H r of the residual ``r``, with ``pr`` = P^-1 r."""
+        k, gamma = self.k, self.gamma
+        rows = self._rows()
+        products = rows @ r
+        rinv = self.rinv[:k, :k]
+        t = rinv @ products[0::2]
+        coef = np.empty(2 * k)
+        coef[0::2] = rinv.T @ (
+            self.d[:k] * t + gamma * (self.g[:k, :k] @ t - products[1::2])
+        )
+        coef[1::2] = -gamma * t
+        q = coef @ rows
+        q += gamma * pr
+        return q
 
 
 def _nehari_descent(
@@ -239,14 +301,15 @@ def _nehari_descent(
     The loop is an instance of Li and Zhou's minimax descent on the
     Nehari manifold (SIAM J. Sci. Comput. 23, 2001).
 
-    The direction q is L-BFGS (Nocedal, Math. Comp. 35, 1980): the
-    two-loop recursion over the last ``_MEMORY`` pairs (du, dr) of
-    iterate and residual changes, keeping a pair only when
-    integrate(du dr) > 0, from the initial inverse Hessian gamma P^-1
-    with gamma = integrate(du dr) / integrate(dr P^-1 dr) of the newest
-    pair.  Each pair also keeps P^-1 dr, the difference of the P^-1 r
-    of its two iterates, so the recursion needs no P^-1 of its own.
-    Its first trial is alpha = 1.  Without a pair, or when
+    The direction q is L-BFGS (Nocedal, Math. Comp. 35, 1980) over
+    the last ``_MEMORY`` pairs (du, dr) of iterate and residual
+    changes, keeping a pair only when integrate(du dr) > 0, from the
+    initial inverse Hessian gamma P^-1 with gamma = du.dr / dr.P^-1 dr
+    of the newest pair.  ``_CompactMemory`` holds the pairs and gives
+    the two-loop recursion's direction in compact form, from three
+    products with one block of du and P^-1 dr, the difference of the
+    P^-1 r of a pair's two iterates, so it needs no P^-1 of its own and
+    stores no dr.  Its first trial is alpha = 1.  Without a pair, or when
     integrate(r q) <= 0, the direction is the residual r itself, not
     preconditioned, the memory is cleared and the first trial is the
     Barzilai-Borwein step, ``_FIRST_STEP`` before any pair.
@@ -316,9 +379,7 @@ def _nehari_descent(
     v, av, t0, peak = project(fold(u0))
     u, au = t0 * v, t0 * av
     peaks = [peak]
-    pairs: deque[tuple[np.ndarray, np.ndarray, np.ndarray, float]] = deque(
-        maxlen=_MEMORY
-    )
+    memory = _CompactMemory(u.size)
     prev_u: np.ndarray | None = None
     prev_r: np.ndarray | None = None
     prev_pr: np.ndarray | None = None
@@ -335,17 +396,17 @@ def _nehari_descent(
             curv = integrate(du * dr)
             if curv > 0.0:
                 step = min(max(integrate(du * du) / curv, 1e-6), 1e3)
-                pairs.append((du, dr, pr - prev_pr, curv))
+                memory.append(du, dr, pr - prev_pr)
         prev_u, prev_r, prev_pr = u, r, pr
 
         accepted = None
-        if pairs:
-            q = _lbfgs_direction(r, pr, pairs, integrate)
+        if memory:
+            q = memory.direction(r, pr)
             rq = integrate(r * q)
             if rq > 0.0:
                 accepted = search(q, rq, 1.0)
         if accepted is None:
-            pairs.clear()
+            memory.clear()
             accepted = search(r, integrate(r * r), step)
         if accepted is None:
             raise ConvergenceError(

@@ -31,12 +31,18 @@ def run(capsys, *argv):
 # import footprint
 
 
-def test_import_loads_no_scipy():
-    # the package runs on numpy alone; a fresh interpreter shows what
-    # importing the library and the CLI pulls in
+def _checkout_env():
+    """The environment with this package's source directory on PYTHONPATH."""
     src = str(Path(fracneumann.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def test_import_loads_no_scipy():
+    # the package runs on numpy alone; a fresh interpreter shows what
+    # importing the library and the CLI pulls in
+    env = _checkout_env()
     code = (
         "import sys, fracneumann, fracneumann.cli; "
         "print(' '.join(m for m in sys.modules "
@@ -47,6 +53,22 @@ def test_import_loads_no_scipy():
         timeout=120, check=True,
     )
     assert out.stdout.strip() == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["moser", "--jmax", "-1"]])
+def test_python_dash_m_exits_with_the_status_of_main(capsys, argv):
+    # ``python -m fracneumann`` from a checkout runs cli.main; a refused
+    # argument exits with main's nonzero status, --help with 0
+    out = subprocess.run(
+        [sys.executable, "-m", "fracneumann", *argv], env=_checkout_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+    if argv == ["--help"]:
+        assert out.returncode == 0 and out.stdout.startswith("usage: fracneumann")
+    else:
+        code, _, err = run(capsys, *argv)
+        assert out.returncode == code != 0
+        assert out.stderr == err
 
 
 def test_package_exports_are_the_module_exports():

@@ -1,5 +1,6 @@
 """Grid layout, kernel constants, weight tables and the discrete operator."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -12,9 +13,12 @@ from hypothesis import strategies as st
 from scipy import fft, integrate, special
 
 from fracneumann import (
+    ExtendedField,
     F_energy,
+    GroundStateResult,
     Grid,
     KernelTable,
+    LeastEnergyResult,
     LineGrid,
     Params,
     build_grid,
@@ -864,3 +868,62 @@ def test_field_validation():
             frac_laplacian_apply(bad, t)
         with pytest.raises(ValueError, match="field"):
             F_energy(bad, 1.5, t)
+
+
+def _line_grid():
+    return build_line_grid(40.0, 0.1)
+
+
+def _grid():
+    return build_grid(0.0, 1.0, 0.05)
+
+
+def _ground_result():
+    return GroundStateResult(
+        w=np.ones(8), grid=_line_grid(), F_value=0.0, pohozaev_residual=0.0,
+        decay_exponent_fit=0.0, el_residual=0.0, iterations=0,
+        peak_history=np.ones(3),
+    )
+
+
+def _least_energy_result():
+    return LeastEnergyResult(
+        u=np.ones(8), grid=_grid(), c_d=0.0, M_d=0.0, argmax_x=0.0,
+        nehari_residual=0.0, flux_residual=0.0, iterations=0,
+        constant_branch=False, el_residual=0.0, peak_history=np.ones(3),
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _grid,
+        _line_grid,
+        lambda: kernel_weights(_grid(), Params(d=0.2)),
+        lambda: ExtendedField(np.ones(_grid().n_nodes), _grid()),
+        _ground_result,
+        _least_energy_result,
+    ],
+    ids=[
+        "Grid", "LineGrid", "KernelTable", "ExtendedField",
+        "GroundStateResult", "LeastEnergyResult",
+    ],
+)
+def test_array_holding_classes_compare_by_identity(make):
+    # equality and hashing of the generated methods would compare and hash
+    # the ndarray fields: == raised numpy's ambiguous-truth ValueError,
+    # hash() a TypeError.  A copy with equal values is another instance
+    x = make()
+    y = dataclasses.replace(
+        x,
+        **{
+            f.name: getattr(x, f.name).copy()
+            for f in dataclasses.fields(x)
+            if f.init and isinstance(getattr(x, f.name), np.ndarray)
+        },
+    )
+    assert type(y) is type(x) and y is not x
+    assert x == x and not x != x
+    assert x != y and not x == y
+    assert x in [x] and x not in [y]
+    assert hash(x) == hash(x) and len({x, y}) == 2

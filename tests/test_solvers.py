@@ -645,11 +645,73 @@ def _two_transform_direction(r, pairs, precondition, integrate):
     return q
 
 
+class _ListMemory:
+    """The compact L-BFGS memory kept in plain lists: the oracle's.
+
+    ``slots`` holds the pairs (du, P^-1 dr) where the compact memory's
+    ring holds them, a new pair taking the oldest one's place once
+    ``_MEMORY`` are held.  R^-1 (R_ij = du_i . dr_j for pair i not
+    newer than pair j), D and G_ij = P^-1 dr_i . dr_j are lists of rows
+    in the same slot order: the oldest pair leaves R^-1 as a zeroed row
+    and column, and the new pair's column is the bordered update's, so
+    every product sees the same numbers in the same order and the
+    direction keeps the bits of ``solvers._CompactMemory``.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def __len__(self):
+        return len(self.slots)
+
+    def clear(self):
+        self.slots, self.rinv, self.g, self.d = [], [], [], []
+        self.newest = -1
+
+    def _rows(self):
+        return np.array([x for pair in self.slots for x in pair])
+
+    def append(self, du, dr, pdr):
+        j = self.newest = (self.newest + 1) % solvers._MEMORY
+        if j == len(self.slots):
+            self.slots.append(None)
+            self.d.append(None)
+            self.g = [row + [0.0] for row in self.g] + [[0.0] * (j + 1)]
+            self.rinv = [row + [0.0] for row in self.rinv] + [[0.0] * (j + 1)]
+        self.slots[j] = (du, pdr)
+        dots = self._rows() @ dr
+        column, row = dots[0::2], dots[1::2]
+        rinv = np.array(self.rinv)
+        rinv[j] = 0.0
+        rinv[:, j] = 0.0
+        rinv[:, j] = (rinv @ column) / -column[j]
+        rinv[j, j] = 1.0 / column[j]
+        self.rinv = rinv.tolist()
+        for i, value in enumerate(row):
+            self.g[i][j] = self.g[j][i] = value
+        self.d[j] = column[j]
+
+    def direction(self, r, pr):
+        """gamma P^-1 r + S R^-T (D t + gamma (G t - b)) - gamma Z t, t = R^-1 a."""
+        j = self.newest
+        gamma = float(self.d[j] / self.g[j][j])
+        rows = self._rows()
+        dots = rows @ r
+        rinv = np.array(self.rinv)
+        t = rinv @ dots[0::2]
+        w = np.array(self.d) * t + gamma * (np.array(self.g) @ t - dots[1::2])
+        coef = np.ravel(np.column_stack([rinv.T @ w, -gamma * t]))
+        return coef @ rows + gamma * pr
+
+
 @pytest.mark.parametrize("dense", [False, True])
 def test_one_transform_direction_matches_the_two_transform_recursion(dense):
-    # P^-1 is linear, so carrying P^-1 q from P^-1 of each residual
-    # gives the direction the recursion gets by applying P^-1 twice;
-    # the pairs are differences of residuals, as in the descent
+    # the compact memory's direction is the two-loop recursion's, which
+    # carries P^-1 q from P^-1 of each residual; P^-1 is linear, so that
+    # is the direction the recursion gets by applying P^-1 twice.  The
+    # pairs are differences of residuals, as in the descent; past
+    # _MEMORY pairs the oldest drop out, and each count after the first
+    # refills the memory after a clear, the last one after its ring wrapped
     params = Params(d=0.2936)
     grid = default_grid_policy(params)
     table = kernel_weights(grid, params)
@@ -664,7 +726,10 @@ def test_one_transform_direction_matches_the_two_transform_recursion(dense):
         precondition = _symbol_inverse(table, n, scale)
     integrate = grid.integrate
     rng = np.random.default_rng(21)
-    for m in (1, 3, solvers._MEMORY):
+    memory = solvers._CompactMemory(n)
+    keep = solvers._MEMORY
+    for m in (1, 3, keep, 2 * keep + 3, 4):
+        memory.clear()
         us = rng.standard_normal((m + 1, n)).cumsum(axis=0)
         # residuals that grow along each step keep du . dr > 0
         rs = [rng.standard_normal(n)]
@@ -676,12 +741,44 @@ def test_one_transform_direction_matches_the_two_transform_recursion(dense):
             du, dr = us[k] - us[k - 1], rs[k] - rs[k - 1]
             curv = integrate(du * dr)
             assert curv > 0.0
+            memory.append(du, dr, prs[k] - prs[k - 1])
             one.append((du, dr, prs[k] - prs[k - 1], curv))
             two.append((du, dr, curv))
+        assert len(memory) == min(m, keep)
         r = rs[-1]
-        got = solvers._lbfgs_direction(r, prs[-1], one, integrate)
-        want = _two_transform_direction(r, two, precondition, integrate)
-        assert np.max(np.abs(got - want)) <= 1e-12 * float(np.max(np.abs(want)))
+        got = memory.direction(r, prs[-1])
+        for want in (
+            _reference_direction(r, prs[-1], one[-keep:], integrate),
+            _two_transform_direction(r, two[-keep:], precondition, integrate),
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-12 * float(np.max(np.abs(want)))
+
+
+def test_the_memory_holds_two_vectors_a_pair(monkeypatch):
+    # du and P^-1 dr, never dr: at most 2 _MEMORY n floats beside the
+    # k x k matrices, where pairs of (du, dr, P^-1 dr) held 3 _MEMORY n
+    memories = []
+    build = solvers._CompactMemory
+
+    def capture(n):
+        memories.append(build(n))
+        return memories[-1]
+
+    monkeypatch.setattr(solvers, "_CompactMemory", capture)
+    params = Params(d=0.0632)
+    grid = default_grid_policy(params)
+    n = grid.n_interior
+    assert n > solvers._DENSE_INTERIOR
+    result = solve_least_energy(params, grid)
+    [memory] = memories
+    assert len(memory) == solvers._MEMORY  # a full ring at the end
+    assert memory.block.size == 2 * solvers._MEMORY * n
+    # beside the block, k x k matrices and vectors of k
+    others = [
+        v for v in vars(memory).values()
+        if isinstance(v, np.ndarray) and v is not memory.block
+    ]
+    assert max(v.size for v in others) == solvers._MEMORY**2 < n
 
 
 def _reference_descent(
@@ -693,8 +790,8 @@ def _reference_descent(
     t0 v and t0 Av for every trial and reads ``fold``'s result through
     ``np.array_equal``, with the L-BFGS direction from the initial
     inverse Hessian gamma P^-1, one P^-1 of the residual per iteration,
-    and its reset to the residual added; the test hands it the
-    quadrature h * float(np.sum(f)).
+    and its reset to the residual added; the direction comes from
+    ``_ListMemory``.  The test hands it the quadrature h * float(np.sum(f)).
     """
 
     def scaled(v, av, quad):
@@ -736,7 +833,7 @@ def _reference_descent(
 
     u, au, peak = project(fold(u0))
     peaks = [peak]
-    pairs = []
+    memory = _ListMemory()
     prev_u: np.ndarray | None = None
     prev_r: np.ndarray | None = None
     prev_pr: np.ndarray | None = None
@@ -753,18 +850,17 @@ def _reference_descent(
             denom = integrate(du * dr)
             if denom > 0.0:
                 step = min(max(integrate(du * du) / denom, 1e-6), 1e3)
-                pairs.append((du, dr, pr - prev_pr, denom))
-                del pairs[: -solvers._MEMORY]
+                memory.append(du, dr, pr - prev_pr)
         prev_u, prev_r, prev_pr = u, r, pr
 
         trial = None
-        if pairs:
-            q = _reference_direction(r, pr, pairs, integrate)
+        if memory:
+            q = memory.direction(r, pr)
             rq = integrate(r * q)
             if rq > 0.0:
                 trial = search(q, rq, 1.0)
         if trial is None:
-            pairs = []
+            memory.clear()
             trial = search(r, integrate(r * r), step)
         if trial is None:
             raise ConvergenceError(
