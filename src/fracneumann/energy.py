@@ -130,13 +130,14 @@ def _neumann_operator(full: np.ndarray, table: KernelTable) -> np.ndarray:
     lo, hi = grid.interior_range
     n = grid.n_nodes
     u_int = full[lo:hi]
-    conv = table.matvec(full, lo, hi, 0, n)
-    rs = table.row_sums(lo, hi, 0, n)
-    pair = u_int * rs - conv
+    pair = u_int * table.row_sums(lo, hi, 0, n)
+    pair -= table.matvec(full, lo, hi, 0, n)
 
-    mean = float(u_int.sum()) / u_int.size
-    tv = table.tail[lo:hi] * (u_int - mean)
-    return pair + (tv - float(tv.sum()) / tv.size)
+    tv = u_int - float(u_int.sum()) / u_int.size
+    tv *= table.tail[lo:hi]
+    tv -= float(tv.sum()) / tv.size
+    pair += tv
+    return pair
 
 
 def _neumann_matrix(table: KernelTable) -> np.ndarray:

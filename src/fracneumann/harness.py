@@ -131,8 +131,8 @@ def scaling_fit(records: list[SweepRecord], quantity: str) -> FitResult:
 
     Constant-branch records and the largest nonconstant d are excluded
     (the latter sits next to the transition and pollutes the asymptotic
-    window).  Requires at least four nonconstant records spanning at
-    least one decade of d.
+    window).  Requires at least four nonconstant records, all with a
+    positive d, spanning at least one decade of d.
 
     An integral int u^r scales like d^(n/2s) only above the tail
     threshold r > n/(n+2s) (2/3 at n = 1, s = 1/4).  Below it the tail
@@ -150,6 +150,10 @@ def scaling_fit(records: list[SweepRecord], quantity: str) -> FitResult:
             f"need at least 4 nonconstant records to fit, got {len(alive)}"
         )
     ds = np.array([r.d for r in alive])
+    if np.any(ds <= 0.0):
+        raise ValueError(
+            f"d must be positive to fit a power law, got {float(np.min(ds))!r}"
+        )
     if np.max(ds) / np.min(ds) < 10.0 * (1.0 - 1e-12):
         raise ValueError(
             "nonconstant records must span at least one decade of d, got "
@@ -414,7 +418,8 @@ def read_sweep_csv(path: str) -> list[SweepRecord]:
 
     Raises ValueError, naming the path and line, unless the first line
     is the expected header and every later row holds one finite number
-    per column and a constant_branch flag of 0 or 1.
+    per column, a positive d that no earlier row holds and a
+    constant_branch flag of 0 or 1.
     """
     with open(path) as fh:
         rows = [(f"{path}:{n}", t.strip()) for n, t in enumerate(fh, 1) if t.strip()]
@@ -422,6 +427,7 @@ def read_sweep_csv(path: str) -> list[SweepRecord]:
         where = rows[0][0] if rows else path
         raise ValueError(f"{where}: expected the sweep header {','.join(_CSV_COLUMNS)}")
     records = []
+    seen: dict[float, str] = {}
     for where, row in rows[1:]:
         parts = row.split(",")
         if len(parts) != len(_CSV_COLUMNS):
@@ -430,6 +436,12 @@ def read_sweep_csv(path: str) -> list[SweepRecord]:
                 f"fields, got {len(parts)}"
             )
         vals = {c: _finite(where, t) for c, t in zip(_CSV_COLUMNS, parts[:-1])}
+        d = vals["d"]
+        if d <= 0.0:
+            raise ValueError(f"{where}: d must be positive, got {d!r}")
+        if d in seen:
+            raise ValueError(f"{where}: d = {d!r} repeats the row at {seen[d]}")
+        seen[d] = where
         flag = parts[-1].strip()
         if flag not in ("0", "1"):
             raise ValueError(f"{where}: constant_branch must be 0 or 1, got {flag!r}")

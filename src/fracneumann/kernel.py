@@ -343,8 +343,10 @@ class KernelTable:
         size = _fast_len(2 * reach + 1)
         base = min(row_lo, col_lo)
         signal, coeffs = self.scratch(size)
-        signal.fill(0.0)
-        signal[col_lo - base : col_hi - base] = x
+        start, stop = col_lo - base, col_hi - base
+        signal[:start] = 0.0
+        signal[start:stop] = x
+        signal[stop:] = 0.0
         np.fft.rfft(signal, out=coeffs)
         coeffs *= self.spectrum(size)
         # the inverse transform overwrites the signal it no longer needs

@@ -9,9 +9,11 @@ through the Euler-Lagrange residual of the discrete equations, not
 through iterate stagnation.
 
 Each solver hands the loop a symmetric operator A, its fold and its
-grid's ``integrate``; the quadratic part of the energy is
-integrate(u Au) + integrate(u u), and its gradient in the metric of
-``integrate`` is Au + u - u^p.  Every iterate carries A u, so the residual
+grid spacing h; the quadratic part of the energy is the one dot
+h u.(Au + u), and its gradient in the midpoint metric h x.y is
+Au + u - u^p.  Every inner product of the loop is one such dot, and
+the Neumann solver sums the flux identity only once the residual has
+reached its tolerance.  Every iterate carries A u, so the residual
 makes no product; along a trial ray u - alpha q, with q the L-BFGS
 direction of the residual, the quadratic part expands from A q, made
 once per iteration, so a trial that the fold leaves unchanged makes no
@@ -216,7 +218,7 @@ class _CompactMemory:
 
     the direction of Nocedal's two-loop recursion.  <., .> is the plain
     dot product: the direction does not change when the inner product
-    is scaled, so the spacing in ``integrate`` drops out.  A direction
+    is scaled, so the spacing h drops out.  A direction
     costs two products with the block, one for a and b and one for the
     combination of its rows; an append costs one, with dr, which gives
     R's new column and G's new row and column.  The oldest pair leaves
@@ -230,6 +232,7 @@ class _CompactMemory:
         self.rinv = np.empty((_MEMORY, _MEMORY))
         self.g = np.empty((_MEMORY, _MEMORY))
         self.d = np.empty(_MEMORY)
+        self.coef = np.empty(2 * _MEMORY)
         self.clear()
 
     def __len__(self) -> int:
@@ -241,39 +244,44 @@ class _CompactMemory:
         self.newest = -1
         self.gamma = 0.0
 
-    def _rows(self) -> np.ndarray:
-        """The filled slots as rows s, z, s, z, ..., in slot order."""
-        return self.block[: self.k].reshape(2 * self.k, -1)
+    def _fill(self, k: int) -> None:
+        """Hold k pairs: views of the first k slots, rows s, z, s, z, ..."""
+        self.k = k
+        self.rows = self.block[:k].reshape(2 * k, -1)
+        self.rinv_k = self.rinv[:k, :k]
+        self.g_k = self.g[:k, :k]
+        self.d_k = self.d[:k]
+        self.coef_k = self.coef[: 2 * k]
 
     def append(self, du: np.ndarray, dr: np.ndarray, dz: np.ndarray) -> None:
         """Keep the pair (du, dr) with dz = P^-1 dr; drop the oldest when full."""
         j = self.newest = (self.newest + 1) % _MEMORY
-        k = self.k = min(self.k + 1, _MEMORY)
-        self.block[j, 0] = du
-        self.block[j, 1] = dz
-        products = self._rows() @ dr
+        if self.k < _MEMORY:
+            self._fill(self.k + 1)
+        slot = self.block[j]
+        slot[0] = du
+        slot[1] = dz
+        products = self.rows @ dr
         sy, zy = products[0::2], products[1::2]
-        rinv = self.rinv[:k, :k]
+        curv = sy[j]
+        rinv = self.rinv_k
         # drop the oldest pair's row and column, or a new slot's stale ones
         rinv[j] = 0.0
         rinv[:, j] = 0.0
-        rinv[:, j] = (rinv @ sy) / -sy[j]
-        rinv[j, j] = 1.0 / sy[j]
-        self.g[j, :k] = zy
-        self.g[:k, j] = zy
-        self.d[j] = sy[j]
-        self.gamma = float(sy[j] / zy[j])
+        rinv[:, j] = (rinv @ sy) / -curv
+        rinv[j, j] = 1.0 / curv
+        self.g_k[j] = zy
+        self.g_k[:, j] = zy
+        self.d[j] = curv
+        self.gamma = float(curv / zy[j])
 
     def direction(self, r: np.ndarray, pr: np.ndarray) -> np.ndarray:
         """The L-BFGS direction H r of the residual ``r``, with ``pr`` = P^-1 r."""
-        k, gamma = self.k, self.gamma
-        rows = self._rows()
+        gamma, rows, rinv, coef = self.gamma, self.rows, self.rinv_k, self.coef_k
         products = rows @ r
-        rinv = self.rinv[:k, :k]
         t = rinv @ products[0::2]
-        coef = np.empty(2 * k)
         coef[0::2] = rinv.T @ (
-            self.d[:k] * t + gamma * (self.g[:k, :k] @ t - products[1::2])
+            self.d_k * t + gamma * (self.g_k @ t - products[1::2])
         )
         coef[1::2] = -gamma * t
         q = coef @ rows
@@ -281,19 +289,17 @@ class _CompactMemory:
         return q
 
 
-def _nehari_descent(
-    u0, apply, precondition, fold, integrate, p, residual, config, history
-):
+def _nehari_descent(u0, apply, precondition, fold, h, p, residual, config, history):
     """Nehari-projected quasi-Newton descent shared by both solvers.
 
     ``apply(v)`` is the symmetric operator A of the quadratic part
-    integrate(v Av) + integrate(v v), ``precondition(v)`` applies P^-1
-    for a symmetric positive definite P close to 1 + A (the solver's
+    h v.(Av + v), ``precondition(v)`` applies P^-1 for a symmetric
+    positive definite P close to 1 + A (the solver's
     ``kernel._symbol_inverse``, or its matrix on a small Neumann
     interior) and must be linear, ``fold(v)`` maps a field to the
-    admissible cone (nonnegative, and even on the line), ``integrate``
-    is the grid's quadrature and ``p`` the exponent.  Every iterate is
-    a folded field scaled onto the Nehari manifold and carries A u.
+    admissible cone (nonnegative, and even on the line), ``h`` is the
+    grid spacing and ``p`` the exponent.  Every iterate is a folded
+    field scaled onto the Nehari manifold and carries A u.
     ``residual(u, au)`` returns the Euler-Lagrange residual, its size
     and whether the iterate converged, and appends to ``history``
     itself.  Returns the converged iterate, its A u, the iteration
@@ -301,25 +307,29 @@ def _nehari_descent(
     The loop is an instance of Li and Zhou's minimax descent on the
     Nehari manifold (SIAM J. Sci. Comput. 23, 2001).
 
+    Every inner product of the loop is one dot, h x.y in the midpoint
+    metric, and a quadratic part is one dot too, h v.(Av + v); only the
+    potential h sum v^(p+1) keeps ``Grid.integrate``'s arithmetic.
+
     The direction q is L-BFGS (Nocedal, Math. Comp. 35, 1980) over
     the last ``_MEMORY`` pairs (du, dr) of iterate and residual
-    changes, keeping a pair only when integrate(du dr) > 0, from the
-    initial inverse Hessian gamma P^-1 with gamma = du.dr / dr.P^-1 dr
-    of the newest pair.  ``_CompactMemory`` holds the pairs and gives
-    the two-loop recursion's direction in compact form, from three
+    changes, keeping a pair only when du.dr > 0, from the initial
+    inverse Hessian gamma P^-1 with gamma = du.dr / dr.P^-1 dr of the
+    newest pair.  ``_CompactMemory`` holds the pairs and gives the
+    two-loop recursion's direction in compact form, from three
     products with one block of du and P^-1 dr, the difference of the
     P^-1 r of a pair's two iterates, so it needs no P^-1 of its own and
     stores no dr.  Its first trial is alpha = 1.  Without a pair, or when
-    integrate(r q) <= 0, the direction is the residual r itself, not
+    r.q <= 0, the direction is the residual r itself, not
     preconditioned, the memory is cleared and the first trial is the
-    Barzilai-Borwein step, ``_FIRST_STEP`` before any pair.
+    Barzilai-Borwein step du.du / du.dr, ``_FIRST_STEP`` before any pair.
 
     Each iteration makes A q once and applies P^-1 once, to r, the
     first iteration included.  Along u - alpha q the quadratic part
     expands from A u and A q, so a trial that ``fold`` leaves unchanged
     makes no product; a trial that it changes is projected in full.
     Only an accepted trial forms its scaled t0 v and t0 Av.  Steps
-    halve until the Armijo condition on integrate(r q) holds for the
+    halve until the Armijo condition on h r.q holds for the
     ray-sup energy, or the energy stays within a round-off band of its
     last value: 1e-14 relative, widened by (p+1)/(5(p-1)) below
     p = 1.5, where the ray amplifies the round-off of the quadratic part
@@ -336,14 +346,14 @@ def _nehari_descent(
 
     def ray(v, quad):
         """Nehari scale t0 and ray-sup energy of the folded field ``v``."""
-        pot = integrate(v ** (p + 1.0))
+        pot = h * float(np.add.reduce(v ** (p + 1.0)))
         if pot <= 0.0 or not math.isfinite(pot):
             raise ConvergenceError("iterate collapsed to the trivial limit", history)
         return _nehari_ray(quad, pot, p)
 
     def project(v):
         av = apply(v)
-        return (v, av, *ray(v, integrate(v * av) + integrate(v * v)))
+        return (v, av, *ray(v, h * float(v @ (av + v))))
 
     # the ray amplifies the quadratic part's relative round-off by
     # (p+1)/(p-1): 5 at p = 1.5, 101 at p = 1.02
@@ -354,9 +364,11 @@ def _nehari_descent(
         # the quadratic part of u - alpha q is q0 - 2 alpha q1 + alpha^2 q2,
         # with u.Aq = q.Au by the symmetry of A
         aq = apply(q)
-        q0 = integrate(u * au) + integrate(u * u)
-        q1 = integrate(u * aq) + integrate(u * q)
-        q2 = integrate(q * aq) + integrate(q * q)
+        aqq = aq + q
+        q0 = h * float(u @ (au + u))
+        q1 = h * float(u @ aqq)
+        q2 = h * float(q @ aqq)
+        del aqq  # not held through the trials
         floor = 1e-14 * alpha
         while alpha > floor:
             v = u - alpha * q
@@ -393,21 +405,21 @@ def _nehari_descent(
         pr = precondition(r)
         if prev_u is not None:
             du, dr = u - prev_u, r - prev_r
-            curv = integrate(du * dr)
+            curv = float(du @ dr)
             if curv > 0.0:
-                step = min(max(integrate(du * du) / curv, 1e-6), 1e3)
+                step = min(max(float(du @ du) / curv, 1e-6), 1e3)
                 memory.append(du, dr, pr - prev_pr)
         prev_u, prev_r, prev_pr = u, r, pr
 
         accepted = None
         if memory:
             q = memory.direction(r, pr)
-            rq = integrate(r * q)
+            rq = h * float(r @ q)
             if rq > 0.0:
                 accepted = search(q, rq, 1.0)
         if accepted is None:
             memory.clear()
-            accepted = search(r, integrate(r * r), step)
+            accepted = search(r, h * float(r @ r), step)
         if accepted is None:
             raise ConvergenceError(
                 f"step rejected at iteration {it} (residual {size:.3e})", history
@@ -476,8 +488,10 @@ def solve_ground_state(
 
     def residual(u: np.ndarray, au: np.ndarray) -> tuple[np.ndarray, float, bool]:
         # an even residual keeps every unclipped trial bitwise even
-        r = au + u - u**p
-        r = 0.5 * (r + r[::-1])
+        r = au + u
+        r -= u**p
+        r = r + r[::-1]
+        r *= 0.5
         res = float(np.abs(r[inner]).max())
         history.append(res)
         if float(np.abs(u).max()) < 1e-10:
@@ -487,7 +501,7 @@ def solve_ground_state(
     start = np.exp(-0.5 * x * x)
     precondition = _symbol_inverse(table, grid.n_nodes, table.c_ns, table.pv_coeff)
     u, _, iterations, res, peaks = _nehari_descent(
-        start, apply, precondition, fold, grid.integrate, p, residual, config, history
+        start, apply, precondition, fold, grid.h, p, residual, config, history
     )
     f_val, poh, poh_scale = _whole_space(u, p, table)
 
@@ -541,7 +555,9 @@ def _reduced_operator(table: KernelTable, dc: float):
         return (lambda v: dense @ v), (lambda v: inverse @ v)
 
     def apply(v: np.ndarray) -> np.ndarray:
-        return dc * _neumann_operator(_extension(v, table), table)
+        av = _neumann_operator(_extension(v, table), table)
+        av *= dc
+        return av
 
     return apply, _symbol_inverse(table, n, dc)
 
@@ -604,12 +620,14 @@ def solve_least_energy(
     apply, precondition = _reduced_operator(table, dc)
 
     def residual(u: np.ndarray, au: np.ndarray) -> tuple[np.ndarray, float, bool]:
-        r, res, flux = _residual(u, au, p, grid.integrate)
+        r, res = _residual(u, au, p)
         history.append(res)
-        return r, res, res <= config.tol_residual and flux <= _FLUX_TOL
+        # the flux identity is read only once the residual is small
+        converged = res <= config.tol_residual
+        return r, res, converged and _flux(u, p, grid.integrate) <= _FLUX_TOL
 
     u, _, iterations, _, peaks = _nehari_descent(
-        u, apply, precondition, np.abs, grid.integrate, p, residual, config, history
+        u, apply, precondition, np.abs, grid.h, p, residual, config, history
     )
 
     def figures(u: np.ndarray):
@@ -632,7 +650,8 @@ def solve_least_energy(
         u = np.ones_like(u)
         ext, c_d, quad, pot = figures(u)
     au = dc * _neumann_operator(ext.values, table)
-    _, res, flux = _residual(u, au, p, grid.integrate)
+    res = _residual(u, au, p)[1]
+    flux = _flux(u, p, grid.integrate)
     u.flags.writeable = False
 
     imax = int(np.argmax(u))
@@ -651,18 +670,20 @@ def solve_least_energy(
     )
 
 
-def _residual(u, au, p, integrate) -> tuple[np.ndarray, float, float]:
-    """Neumann residual r = Au + u - u^p at ``u``, its size and the flux residual.
+def _residual(u, au, p) -> tuple[np.ndarray, float]:
+    """Neumann residual r = Au + u - u^p at ``u`` and its size.
 
-    The size is sup |r| / max(1, sup u); the flux residual is the
-    volume identity |int (u - u^p)| / int u.
+    The size is sup |r| / max(1, sup u).
     """
-    up = u**p
-    r = au + u - up
-    res = float(np.abs(r).max()) / max(1.0, float(u.max()))
+    r = au + u
+    r -= u**p
+    return r, float(np.abs(r).max()) / max(1.0, float(u.max()))
+
+
+def _flux(u, p, integrate) -> float:
+    """The volume identity's residual |int (u - u^p)| / int u at ``u``."""
     total = integrate(u)
-    flux = abs(integrate(u - up)) / total if total > 0.0 else math.inf
-    return r, res, flux
+    return abs(integrate(u - u**p)) / total if total > 0.0 else math.inf
 
 
 def J_d_constant(grid: Grid, params: Params) -> float:

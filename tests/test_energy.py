@@ -288,6 +288,32 @@ def test_neumann_matrix_is_the_reduced_operator(a, n_interior):
         assert np.max(np.abs(R @ v - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("s", [0.25, 0.45])
+@pytest.mark.parametrize(
+    "lo, hi", [(5, 25), (3, 37), (0, 25), (15, 40)],
+    ids=["collars-5-15", "collars-3-3", "no-left-collar", "no-right-collar"],
+)
+def test_neumann_matrix_on_hand_built_grids(lo, hi, s):
+    # the dense path takes any grid with few interior nodes, not only
+    # build_grid's equal collars: R stays exactly symmetric, annihilates
+    # constants and applies as the operator of the extension on 40
+    # nodes with unequal collars or none on one side
+    n = 40
+    h = 1.0 / n
+    g = Grid(a=lo * h, b=hi * h, h=h, r_ext=1.0, nodes=(np.arange(n) + 0.5) * h)
+    assert g.interior_range == (lo, hi)
+    t = kernel_weights(g, Params(s=s))
+    R = _neumann_matrix(t)
+    assert R.shape == (hi - lo, hi - lo)
+    assert np.array_equal(R, R.T)
+    scale = np.max(np.abs(R))
+    assert np.max(np.abs(R @ np.ones(hi - lo))) <= 1e-13 * scale
+    rng = np.random.default_rng(lo + hi)
+    for v in (rng.uniform(0.0, 1.0, hi - lo), rng.standard_normal(hi - lo)):
+        want = _neumann_operator(_extension(v, t), t)
+        assert np.max(np.abs(R @ v - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("n_interior", [50, 250, 5384, 25000])
 def test_reduced_operator_gives_the_form_at_production_size(n_interior):
     # on grids of 250, 1 250, 26 920 and 125 000 nodes: 2h u.op(u) is the

@@ -88,6 +88,16 @@ def test_fit_preconditions():
         scaling_fit(good, "mass")  # unknown quantity
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.05])
+def test_fit_refuses_a_non_positive_d(bad):
+    # as it refuses a non-positive quantity: log d of a zero or negative
+    # d would hand the least-squares solve a nan or blame the decade
+    records = [synthetic_record(d, d) for d in (1.0, 0.3, 0.1, 0.03, 0.01)]
+    records[-1] = synthetic_record(bad, 0.01)
+    with pytest.raises(ValueError, match=f"d must be positive.*got {bad!r}"):
+        scaling_fit(records, "cd")
+
+
 # ---------------------------------------------------------------------------
 # boundary migration
 
@@ -292,14 +302,30 @@ GOOD_ROW = "0.2,0.1,2,0.01,0.01,1,1,1,1,1,0,0,0"
         (GOOD_ROW.replace("0.1,", "nan,", 1), "expected a finite number, got 'nan'"),
         (GOOD_ROW[:-1] + "7", "constant_branch must be 0 or 1, got '7'"),
         ("0.2,0.1,2", "malformed sweep row, expected 13 fields, got 3"),
+        (GOOD_ROW.replace("0.2,", "0,", 1), "d must be positive, got 0.0"),
+        (GOOD_ROW.replace("0.2,", "-0.2,", 1), "d must be positive, got -0.2"),
     ],
-    ids=["not-a-number", "nan", "flag-not-0-or-1", "short-row"],
+    ids=["not-a-number", "nan", "flag-not-0-or-1", "short-row", "zero-d", "negative-d"],
 )
 def test_csv_rejects_a_bad_row_naming_path_and_line(tmp_path, row, message):
     path = _one_row(tmp_path, row)
     with pytest.raises(ValueError) as err:
         read_sweep_csv(path)
     assert str(err.value) == f"{path}:3: {message}"
+
+
+def test_csv_rejects_a_repeated_d_naming_both_lines(tmp_path):
+    # a duplicated row would weigh its point twice in the fit
+    records = [synthetic_record(d, d) for d in (1.0, 0.3, 0.1, 0.03, 0.01)]
+    path = str(tmp_path / "sweep.csv")
+    write_sweep_csv(path, records)
+    with open(path) as fh:
+        lines = fh.readlines()
+    with open(path, "a") as fh:
+        fh.write(lines[-1])
+    with pytest.raises(ValueError) as err:
+        read_sweep_csv(path)
+    assert str(err.value) == f"{path}:7: d = 0.01 repeats the row at {path}:6"
 
 
 def test_columns_and_quantities_follow_from_the_label_table(tmp_path):

@@ -272,6 +272,52 @@ def test_reported_figures_are_those_of_the_returned_field(solved_02, domain_02):
         )
 
 
+@pytest.mark.parametrize("d", [0.2, 2.0])
+def test_the_flux_identity_is_summed_only_at_convergence(monkeypatch, d):
+    # the descent's residual closure sums the flux identity only on an
+    # iterate whose residual has reached the tolerance, the one time the
+    # sum is read; the figures sum it once more for the returned field.
+    # The reported flux residual keeps the bits of |int (u - u^p)| / int u
+    events = []
+    residual, flux, descent = solvers._residual, solvers._flux, solvers._nehari_descent
+
+    def spy_residual(*args):
+        r, size = residual(*args)
+        events.append(("residual", size))
+        return r, size
+
+    def spy_flux(*args):
+        events.append(("flux", None))
+        return flux(*args)
+
+    def spy_descent(*args):
+        out = descent(*args)
+        events.append(("end", None))
+        return out
+
+    monkeypatch.setattr(solvers, "_residual", spy_residual)
+    monkeypatch.setattr(solvers, "_flux", spy_flux)
+    monkeypatch.setattr(solvers, "_nehari_descent", spy_descent)
+    params = Params(d=d)
+    grid = default_grid_policy(params)
+    tol = SolverConfig().tol_residual
+    result = solve_least_energy(params, grid)
+    assert result.constant_branch == (d == 2.0)
+    end = events.index(("end", None))
+    sizes = [size for kind, size in events[:end] if kind == "residual"]
+    assert len(sizes) == result.iterations + 1
+    assert sum(size > tol for size in sizes) == result.iterations
+    for before, (kind, _) in zip(events[: end - 1], events[1:end]):
+        if kind == "flux":
+            assert before[0] == "residual" and before[1] <= tol
+    assert [kind for kind, _ in events[end + 1 :]] == ["residual", "flux"]
+    ui, p = result.u, params.p
+    want = abs(grid.integrate(ui - ui**p)) / grid.integrate(ui)
+    assert _bitwise(result.flux_residual, want)
+    if result.constant_branch:
+        assert result.flux_residual == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Nehari descent: line-search trials without Toeplitz products
 
@@ -294,7 +340,7 @@ def _counting_folds(monkeypatch):
     descent = solvers._nehari_descent
 
     def counted(
-        u0, apply, precondition, fold, integrate, p, residual, config, history
+        u0, apply, precondition, fold, h, p, residual, config, history
     ):
         def counting_fold(v):
             w = fold(v)
@@ -306,7 +352,7 @@ def _counting_folds(monkeypatch):
             apply,
             precondition,
             counting_fold,
-            integrate,
+            h,
             p,
             residual,
             config,
@@ -323,14 +369,14 @@ def _counting_preconditions(monkeypatch):
     descent = solvers._nehari_descent
 
     def counted(
-        u0, apply, precondition, fold, integrate, p, residual, config, history
+        u0, apply, precondition, fold, h, p, residual, config, history
     ):
         def counting(v):
             calls.append(v)
             return precondition(v)
 
         return descent(
-            u0, apply, counting, fold, integrate, p, residual, config, history
+            u0, apply, counting, fold, h, p, residual, config, history
         )
 
     monkeypatch.setattr(solvers, "_nehari_descent", counted)
@@ -338,19 +384,19 @@ def _counting_preconditions(monkeypatch):
 
 
 def _neumann_parts(params, table):
-    """(apply, precondition, fold, integrate, p) of a Neumann solve's descent."""
+    """(apply, precondition, fold, h, p) of a Neumann solve's descent."""
     apply, precondition = solvers._reduced_operator(table, params.d * table.c_ns)
-    return apply, precondition, np.abs, table.grid.integrate, params.p
+    return apply, precondition, np.abs, table.grid.h, params.p
 
 
 def _projection(parts, v):
     """(u, A u, peak) of the folded, Nehari-scaled ``v``: a descent's start."""
-    apply, precondition, fold, integrate, p = parts
+    apply, precondition, fold, h, p = parts
     def stop(u, au):
         return None, 0.0, True
 
     u, au, _, _, peaks = solvers._nehari_descent(
-        v, apply, precondition, fold, integrate, p, stop, SolverConfig(), []
+        v, apply, precondition, fold, h, p, stop, SolverConfig(), []
     )
     return u, au, peaks[-1]
 
@@ -361,7 +407,7 @@ def _one_step(monkeypatch, parts, u0, r):
     Returns the accepted (u, A u, peak), the fields u - alpha r of its
     trials and the number of products the run made.
     """
-    apply, precondition, fold, integrate, p = parts
+    apply, precondition, fold, h, p = parts
     trials = []
 
     def recording_fold(v):
@@ -375,7 +421,7 @@ def _one_step(monkeypatch, parts, u0, r):
         apply,
         precondition,
         recording_fold,
-        integrate,
+        h,
         p,
         lambda u, au: next(script, (None, 0.0, True)),
         SolverConfig(),
@@ -399,7 +445,7 @@ def test_unclipped_trials_match_the_full_projection(monkeypatch, d):
     warm = 0.5 + np.random.default_rng(3).uniform(0.0, 1.0, grid.n_interior)
     parts = _neumann_parts(params, table)
     u, au, _ = _projection(parts, warm)
-    r = solvers._residual(u, au, params.p, grid.integrate)[0]
+    r = solvers._residual(u, au, params.p)[0]
     reach = float(np.min(u[r > 0.0] / r[r > 0.0]))
     for frac in (1e-3, 0.1, 0.9):
         # the first trial steps by _FIRST_STEP: it lands at frac * reach
@@ -424,7 +470,7 @@ def test_a_clipped_trial_takes_the_full_projection(monkeypatch, domain_02):
     parts = _neumann_parts(params, table)
     u, au, _ = _projection(parts, warm)
     assert u[10] == 0.0
-    r = solvers._residual(u, au, params.p, grid.integrate)[0]
+    r = solvers._residual(u, au, params.p)[0]
     r[10] = 1.0  # u - alpha r < 0 there for every alpha > 0
     # the first trial steps by _FIRST_STEP, so it lands at alpha = 1e-3
     r *= 1e-3 / solvers._FIRST_STEP
@@ -443,7 +489,7 @@ def test_an_iteration_without_pairs_steps_along_r_unpreconditioned(domain_02):
     # reference loop
     params, grid, table = domain_02
     warm = 0.5 + np.random.default_rng(4).uniform(0.0, 1.0, grid.n_interior)
-    apply, precondition, fold, integrate, p = _neumann_parts(params, table)
+    apply, precondition, fold, h, p = _neumann_parts(params, table)
 
     runs = []
     for descent in (solvers._nehari_descent, _reference_descent):
@@ -456,7 +502,7 @@ def test_an_iteration_without_pairs_steps_along_r_unpreconditioned(domain_02):
         def once(u, au):
             if seen:
                 return None, 0.0, True
-            r, size, _ = solvers._residual(u, au, p, integrate)
+            r, size = solvers._residual(u, au, p)
             seen.append((u, r))
             return r, size, False
 
@@ -465,7 +511,7 @@ def test_an_iteration_without_pairs_steps_along_r_unpreconditioned(domain_02):
             return fold(v)
 
         got = descent(
-            warm, apply, counting, recording_fold, integrate, p, once,
+            warm, apply, counting, recording_fold, h, p, once,
             SolverConfig(), [],
         )
         (u, r), = seen
@@ -773,16 +819,16 @@ def test_the_memory_holds_two_vectors_a_pair(monkeypatch):
     [memory] = memories
     assert len(memory) == solvers._MEMORY  # a full ring at the end
     assert memory.block.size == 2 * solvers._MEMORY * n
-    # beside the block, k x k matrices and vectors of k
-    others = [
-        v for v in vars(memory).values()
-        if isinstance(v, np.ndarray) and v is not memory.block
-    ]
+    # beside the block and views of it, k x k matrices and vectors of k
+    arrays = [v for v in vars(memory).values() if isinstance(v, np.ndarray)]
+    views = [v for v in arrays if np.shares_memory(v, memory.block)]
+    assert all(v is memory.block or v.base is memory.block for v in views)
+    others = [v for v in arrays if not np.shares_memory(v, memory.block)]
     assert max(v.size for v in others) == solvers._MEMORY**2 < n
 
 
 def _reference_descent(
-    u0, apply, precondition, fold, integrate, p, residual, config, history
+    u0, apply, precondition, fold, h, p, residual, config, history
 ):
     """The descent loop before its trials turned lazy: the bitwise oracle.
 
@@ -791,12 +837,14 @@ def _reference_descent(
     ``np.array_equal``, with the L-BFGS direction from the initial
     inverse Hessian gamma P^-1, one P^-1 of the residual per iteration,
     and its reset to the residual added; the direction comes from
-    ``_ListMemory``.  The test hands it the quadrature h * float(np.sum(f)).
+    ``_ListMemory``.  Each inner product is one dot scaled by the grid
+    spacing ``h``, a quadratic part h v.(Av + v), and the potential is
+    h * float(np.sum(v^(p+1))).
     """
 
     def scaled(v, av, quad):
         """t0 v, t0 Av and the ray-sup energy of the folded field ``v``."""
-        pot = integrate(v ** (p + 1.0))
+        pot = h * float(np.sum(v ** (p + 1.0)))
         if pot <= 0.0 or not math.isfinite(pot):
             raise ConvergenceError("iterate collapsed to the trivial limit", history)
         t0, peak = _nehari_ray(quad, pot, p)
@@ -804,15 +852,15 @@ def _reference_descent(
 
     def project(v):
         av = apply(v)
-        return scaled(v, av, integrate(v * av) + integrate(v * v))
+        return scaled(v, av, h * float(np.dot(v, av + v)))
 
     def search(q, rq, alpha):
         # the quadratic part of u - alpha q is q0 - 2 alpha q1 + alpha^2 q2,
         # with u.Aq = q.Au by the symmetry of A
         aq = apply(q)
-        q0 = integrate(u * au) + integrate(u * u)
-        q1 = integrate(u * aq) + integrate(u * q)
-        q2 = integrate(q * aq) + integrate(q * q)
+        q0 = h * float(np.dot(u, au + u))
+        q1 = h * float(np.dot(u, aq + q))
+        q2 = h * float(np.dot(q, aq + q))
         floor = 1e-14 * alpha
         while alpha > floor:
             v = u - alpha * q
@@ -847,21 +895,21 @@ def _reference_descent(
         pr = precondition(r)
         if prev_u is not None:
             du, dr = u - prev_u, r - prev_r
-            denom = integrate(du * dr)
+            denom = float(np.dot(du, dr))
             if denom > 0.0:
-                step = min(max(integrate(du * du) / denom, 1e-6), 1e3)
+                step = min(max(float(np.dot(du, du)) / denom, 1e-6), 1e3)
                 memory.append(du, dr, pr - prev_pr)
         prev_u, prev_r, prev_pr = u, r, pr
 
         trial = None
         if memory:
             q = memory.direction(r, pr)
-            rq = integrate(r * q)
+            rq = h * float(np.dot(r, q))
             if rq > 0.0:
                 trial = search(q, rq, 1.0)
         if trial is None:
             memory.clear()
-            trial = search(r, integrate(r * r), step)
+            trial = search(r, h * float(np.dot(r, r)), step)
         if trial is None:
             raise ConvergenceError(
                 f"step rejected at iteration {it} (residual {size:.3e})", history
@@ -915,7 +963,7 @@ def test_descent_keeps_the_bits_of_the_reference_loop(monkeypatch, case):
     runs = []
     descent = solvers._nehari_descent
 
-    def both(u0, apply, precondition, fold, integrate, p, residual, config, history):
+    def both(u0, apply, precondition, fold, h, p, residual, config, history):
         clipped = []
 
         def counting_fold(v):
@@ -924,11 +972,11 @@ def test_descent_keeps_the_bits_of_the_reference_loop(monkeypatch, case):
             return w
 
         want = _reference_descent(
-            u0, reference_apply, precondition, counting_fold,
-            lambda f: grid.h * float(np.sum(f)), p, residual, config, [],
+            u0, reference_apply, precondition, counting_fold, h, p, residual,
+            config, [],
         )
         got = descent(
-            u0, apply, precondition, fold, integrate, p, residual, config, history
+            u0, apply, precondition, fold, h, p, residual, config, history
         )
         runs.append((got, want, sum(clipped)))
         return got
