@@ -148,10 +148,13 @@ def _neumann_matrix(table: KernelTable) -> np.ndarray:
     over the interior and C = I - 11^T / n_I.  The extension's mean
     terms cancel because W_EI 1 = D_E, so R v is
     ``_neumann_operator(_extension(v, table), table)`` to round-off,
-    and R 1 = 0.  Assembled from ``omega`` by indexing and, for each
-    collar side, one product M M^T with M = W_IE D_E^(-1/2); meant for
-    small interiors, where its n_I^2 n_E multiply-adds cost less than
-    the products it saves.
+    and R 1 = 0.  Assembled from ``omega`` by indexing and one product
+    M M^T with M = W_IE D_E^(-1/2) of the left collar.  When the two
+    collars are equally wide, as on every ``build_grid`` grid, the
+    right collar's block is the left one's with rows and columns
+    reversed; otherwise each collar side makes its own product.  Meant
+    for small interiors, where its n_I^2 n_E multiply-adds cost less
+    than the products it saves.
     """
     grid = table.grid
     lo, hi = grid.interior_range
@@ -159,13 +162,17 @@ def _neumann_matrix(table: KernelTable) -> np.ndarray:
     k = hi - lo
     inner = np.arange(lo, hi)
     den = table.row_sums(0, n, lo, hi)
+    mirrored = lo == n - hi
     # every term is symmetric entry by entry, M M^T too (numpy's syrk)
     r = -table.omega[np.abs(inner[:, None] - inner)]
-    for c0, c1 in ((0, lo), (hi, n)):
+    for c0, c1 in ((0, lo),) if mirrored else ((0, lo), (hi, n)):
         if c0 < c1:
             m = table.omega[np.abs(inner[:, None] - np.arange(c0, c1))]
             m /= np.sqrt(den[c0:c1])
-            r -= m @ m.T
+            block = m @ m.T
+            r -= block
+            if mirrored:
+                r -= block[::-1, ::-1]
     tail = table.tail[lo:hi]
     r -= np.add.outer(tail, tail) / k
     r += float(tail.sum()) / (k * k)

@@ -29,9 +29,11 @@ the full product keeps the smallest 5-smooth length >= 2n - 1.
 Spectra (one per length) and row sums (one per block) are made on
 first use and kept read-only by the table that made them, and live
 no longer than it; tables of equal (n, h, s) hold bitwise-equal
-arrays.  A Neumann solve's table makes two lengths, its products'
-and P^-1's (1 500 and 500 on the default grid at d = 0.2), and four
-blocks.  Results are bitwise reproducible from run to run.
+arrays.  A Neumann solve's table on the FFT path makes two lengths,
+its products' and P^-1's (1 500 and 500 on the default grid at
+d = 0.2), and four blocks; a constant-branch solve on the dense form
+makes P^-1's length and the two blocks of the assembly.  Results are
+bitwise reproducible from run to run.
 
 The same spectra precondition the solvers' descent: ``_symbol``
 forms the symbol 1 + scale (w(0) - w(k)) (plus a second-difference term
@@ -259,11 +261,13 @@ class KernelTable:
     block (row_lo, row_hi, col_lo, col_hi) (``row_sums``), both kept
     read-only, and each thread's FFT work arrays by length
     (``scratch``), so a product allocates only its result.  A Neumann
-    solve's table makes two lengths, the products' and P^-1's: 1 500
-    and 500 on the default grid at d = 0.2, 720 and 240 at d = 0.2936.
-    It makes four blocks: W[:, I], W[I, :] and the two collar blocks
-    W[I, E].  Row sums come from prefix sums of omega, made afresh for
-    each new block and not kept.
+    solve's table on the FFT path makes two lengths, the products' and
+    P^-1's (1 500 and 500 on the default grid at d = 0.2), and four
+    blocks: W[:, I], W[I, :] and the two collar blocks W[I, E].  On the
+    dense form the assembly reads W[:, I] and W[I, :] and P^-1's length
+    (240 at d = 0.2936); only a nonconstant result's figures add the
+    products' length (720) and the collar blocks.  Row sums come from
+    prefix sums of omega, made afresh for each new block and not kept.
     """
 
     grid: Grid | LineGrid

@@ -30,9 +30,12 @@ interior values only: the Neumann extension is stationary in the
 exterior values, so J_d reduces to the interior with A = d c R, R the
 reduced operator of ``energy``; ``_reduced_operator`` builds A and
 P^-1 and chooses between their dense and FFT forms.  Each solver
-builds its own weight table from its grid and parameters.  Results
-keep the interior values only; ``extend`` rebuilds the collar where an
-output needs it.
+builds its own weight table from its grid and parameters.  A
+nonconstant Neumann result's figures are taken afresh on the Toeplitz
+path, three products; the constant branch u = 1 has exact figures in
+closed form, so a constant-branch solve on the dense form makes no
+Toeplitz product at all.  Results keep the interior values only;
+``extend`` rebuilds the collar where an output needs it.
 """
 
 from __future__ import annotations
@@ -342,6 +345,11 @@ def _nehari_descent(u0, apply, precondition, fold, h, p, residual, config, histo
     floor raises ``ConvergenceError`` at once: it leaves the iterate,
     the residual and the memory unchanged, so every later iteration
     would repeat the same rejected search.
+
+    The Nehari scale (Q/P)^(1/(p-1)) leaves the float range when p is
+    near 1 or the domain is tiny: a trial whose scale or peak is not
+    finite reads as peaking at +inf and is rejected, and such a start
+    raises ``ConvergenceError`` naming p.
     """
 
     def ray(v, quad):
@@ -349,7 +357,11 @@ def _nehari_descent(u0, apply, precondition, fold, h, p, residual, config, histo
         pot = h * float(np.add.reduce(v ** (p + 1.0)))
         if pot <= 0.0 or not math.isfinite(pot):
             raise ConvergenceError("iterate collapsed to the trivial limit", history)
-        return _nehari_ray(quad, pot, p)
+        try:
+            # a peak past the float range is inf, a power past it raises
+            return _nehari_ray(quad, pot, p)
+        except OverflowError:
+            return math.inf, math.inf
 
     def project(v):
         av = apply(v)
@@ -389,6 +401,11 @@ def _nehari_descent(u0, apply, precondition, fold, h, p, residual, config, histo
         return None
 
     v, av, t0, peak = project(fold(u0))
+    if peak == math.inf:
+        raise ConvergenceError(
+            f"the Nehari scale (Q/P)^(1/(p-1)) of the start overflows at p = {p}",
+            history,
+        )
     u, au = t0 * v, t0 * av
     peaks = [peak]
     memory = _CompactMemory(u.size)
@@ -523,13 +540,14 @@ def solve_ground_state(
 # Neumann least-energy solution
 
 # Interior size up to which ``_reduced_operator`` takes the dense forms.
-# Assembly grows as n_I^3: at 128 interior nodes it costs what 13 to 18
-# iterations save (about 1 to 1.4 ms against 77 to 83 us per product
-# pair and 3 to 5 us per matvec, one BLAS thread), at 249 what 46 to 58
-# save.  P^-1's matrix is one inverse transform and a gather, and its
-# matvec replaces a transform pair of 13 to 27 us.  The default-ladder
-# solves below the threshold take 7 to 25 iterations, above the
-# break-even at their size (2 to 3 at 50 interior nodes, 12 to 15 at 117).
+# Assembly grows as n_I^3: at 128 interior nodes it costs what 8
+# iterations save (0.52 to 0.54 ms against 72 to 75 us per iteration on
+# the FFT path, a product pair and a transform pair, and 6 us per dense
+# iteration, two matvecs; one BLAS thread), at 249 what 33 to 41 save.
+# P^-1's matrix is one inverse transform and a gather.  The
+# default-ladder solves below the threshold take 7 to 25 iterations,
+# above the break-even at their size (2 to 3 at 50 interior nodes, 6 to
+# 7 at 117).
 _DENSE_INTERIOR = 128
 
 
@@ -589,11 +607,15 @@ def solve_least_energy(
     from ``_reduced_operator``, which states their dense and FFT forms.
     Each iteration applies A once, to its direction q, however often
     the step halves, A once more per trial that the absolute value
-    clips, and P^-1 once.  On every grid the reported figures are
-    those of the returned interior values, taken on the Toeplitz path:
-    c_d and the Nehari pair come from ``_neumann`` of their fresh
-    extension, and ``el_residual`` from ``_residual`` with A u of that
-    same extension, three products.
+    clips, and P^-1 once.  A nonconstant result's figures are those of
+    its interior values, taken on the Toeplitz path on every grid, so
+    they check the descent independently: c_d and the Nehari pair come
+    from ``_neumann`` of their fresh extension, and ``el_residual`` from
+    ``_residual`` with A u of that same extension, three products.  The
+    constant branch's are exact and need none: u = 1 extends to 1,
+    whose seminorm is 0, so quad = pot = int 1 and c_d = quad/2 -
+    pot/(p+1) keep the bits of that route, and R 1 = 0 makes both
+    residuals 0.  The flux residual is summed from u on both branches.
     """
     params.require_neumann_exponent()
     if grid.h > params.intrinsic_scale / 10.0 * (1.0 + 1e-12):
@@ -630,10 +652,6 @@ def solve_least_energy(
         u, apply, precondition, np.abs, grid.h, p, residual, config, history
     )
 
-    def figures(u: np.ndarray):
-        ext = extend(u, table)
-        return (ext, *_neumann(ext, params, table))
-
     size = grid.integrate(np.ones_like(u))
     mean = grid.integrate(u) / size
     rel_var = (
@@ -643,14 +661,19 @@ def solve_least_energy(
     )
     constant = rel_var < 1e-10
     if not constant:
-        ext, c_d, quad, pot = figures(u)
+        ext = extend(u, table)
+        c_d, quad, pot = _neumann(ext, params, table)
         # the constant critical point may lie lower
         constant = c_d > J_d_constant(grid, params)
     if constant:
+        # u = 1: exact figures without a product (see the docstring)
         u = np.ones_like(u)
-        ext, c_d, quad, pot = figures(u)
-    au = dc * _neumann_operator(ext.values, table)
-    res = _residual(u, au, p)[1]
+        quad = pot = size
+        c_d = quad / 2.0 - pot / (p + 1.0)
+        res = 0.0
+    else:
+        au = dc * _neumann_operator(ext.values, table)
+        res = _residual(u, au, p)[1]
     flux = _flux(u, p, grid.integrate)
     u.flags.writeable = False
 

@@ -516,6 +516,43 @@ def test_solve_at_an_underflowing_scale_is_an_error_line(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, p",
+    [
+        (("solve", "--d", "0.2", "--p", "1.001"), "1.001"),
+        (("ground", "--p", "1.0001"), "1.0001"),
+        (("sweep", "--p", "1.0001", "--points", "2", "--d-min", "1"), "1.0001"),
+        (("solve", "--d", "0.2", "--a", "0", "--b", "1e-300"), "1.5"),
+    ],
+    ids=["solve-p-near-1", "ground-p-near-1", "sweep-p-near-1", "tiny-domain"],
+)
+def test_an_overflowing_nehari_scale_is_an_error_line(capsys, tmp_path, argv, p):
+    # t0 = (Q/P)^(1/(p-1)) of the start overflowed: an OverflowError
+    # traceback.  A sweep whose ground state fails warns and goes on
+    # from the boundary bump, whose scale overflows too
+    if argv[0] == "sweep":
+        argv += ("--out", str(tmp_path / "s.csv"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1
+    assert errors[0].endswith(f"overflows at p = {p}")
+    assert err.endswith(errors[0] + "\n")
+
+
+def test_verify_near_p_one_reports_every_check(capsys):
+    # the suite promises that its checks never raise: the four that solve
+    # fail with the descent's error instead of an OverflowError traceback
+    code, out, err = run(capsys, "verify", "--p", "1.001")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert len(lines) == 9 and lines[-1] == "4/8 checks passed"
+    failed = [line for line in lines if line.startswith("[FAIL]")]
+    assert len(failed) == 4
+    assert all(line.endswith("overflows at p = 1.001") for line in failed)
+
+
+@pytest.mark.parametrize(
     "flag, value", [("--a", "nan"), ("--a", "inf"), ("--b", "nan")]
 )
 def test_a_non_finite_domain_bound_is_an_error_line(capsys, flag, value):

@@ -288,6 +288,42 @@ def test_neumann_matrix_is_the_reduced_operator(a, n_interior):
         assert np.max(np.abs(R @ v - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _two_sided_matrix(table):
+    """``_neumann_matrix`` with one M M^T for each collar side."""
+    lo, hi = table.grid.interior_range
+    n = table.n_nodes
+    k = hi - lo
+    inner = np.arange(lo, hi)
+    den = table.row_sums(0, n, lo, hi)
+    r = -table.omega[np.abs(inner[:, None] - inner)]
+    for c0, c1 in ((0, lo), (hi, n)):
+        if c0 < c1:
+            m = table.omega[np.abs(inner[:, None] - np.arange(c0, c1))]
+            m /= np.sqrt(den[c0:c1])
+            r -= m @ m.T
+    tail = table.tail[lo:hi]
+    r -= np.add.outer(tail, tail) / k
+    r += float(tail.sum()) / (k * k)
+    r[np.diag_indices(k)] += table.row_sums(lo, hi, 0, n) + tail
+    return r
+
+
+@pytest.mark.parametrize("a", [0.0, 3.0 / 64.0])
+@pytest.mark.parametrize("n_interior", [50, 117, 128])
+def test_equal_collars_share_one_block(a, n_interior):
+    # build_grid's collars are mirror images, so the right collar's
+    # M M^T is the left one's reversed: the one-block assembly stays
+    # exactly symmetric and matches the two-sided one to round-off
+    g = build_grid(a, a + 1.0, 1.0 / n_interior, 2.0)
+    lo, hi = g.interior_range
+    assert lo == g.n_nodes - hi > 0
+    t = kernel_weights(g, Params())
+    R = _neumann_matrix(t)
+    want = _two_sided_matrix(t)
+    assert np.array_equal(R, R.T)
+    assert np.max(np.abs(R - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("s", [0.25, 0.45])
 @pytest.mark.parametrize(
     "lo, hi", [(5, 25), (3, 37), (0, 25), (15, 40)],

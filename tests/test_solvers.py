@@ -251,25 +251,33 @@ def test_converged_solve_satisfies_the_identities(solved_02, domain_02):
 
 
 def test_reported_figures_are_those_of_the_returned_field(solved_02, domain_02):
-    # each figure is taken once from the extension of the returned
-    # interior values; recomputing it from ``extend(result.u)`` must give
-    # the same bits on both branches
+    # a nonconstant result's figures are taken once from the extension of
+    # its interior values, and recomputing them from ``extend(result.u)``
+    # gives the same bits; the constant branch's are exact in closed
+    # form, with the bits of the same recomputation for c_d and residuals
+    # of exactly 0, since u = 1 solves the discrete equations
     params, _, table = domain_02
+    ui = solved_02.u
+    ext = extend(ui, table)
+    energy, quad, pot = _neumann(ext, params, table)
+    r = params.d * table.c_ns * _neumann_operator(ext.values, table) + ui - ui**params.p
+    assert not solved_02.constant_branch
+    assert solved_02.c_d == energy
+    assert solved_02.nehari_residual == abs(quad - pot) / quad
+    assert solved_02.el_residual == float(np.max(np.abs(r))) / max(
+        1.0, float(np.max(ui))
+    )
+
     d_2 = Params(d=2.0)
     grid_2 = default_grid_policy(d_2)
     table_2 = kernel_weights(grid_2, d_2)
     constant = solve_least_energy(d_2, grid_2)
-    assert constant.constant_branch and not solved_02.constant_branch
-    for result, pd, t in ((solved_02, params, table), (constant, d_2, table_2)):
-        ui = result.u
-        ext = extend(ui, t)
-        energy, quad, pot = _neumann(ext, pd, t)
-        r = pd.d * t.c_ns * _neumann_operator(ext.values, t) + ui - ui**pd.p
-        assert result.c_d == energy
-        assert result.nehari_residual == abs(quad - pot) / quad
-        assert result.el_residual == float(np.max(np.abs(r))) / max(
-            1.0, float(np.max(ui))
-        )
+    assert constant.constant_branch
+    assert np.array_equal(constant.u, np.ones(grid_2.n_interior))
+    energy, quad, pot = _neumann(extend(np.ones(grid_2.n_interior), table_2), d_2, table_2)
+    assert _bitwise(constant.c_d, energy)
+    assert quad == pot
+    assert constant.nehari_residual == constant.el_residual == 0.0
 
 
 @pytest.mark.parametrize("d", [0.2, 2.0])
@@ -310,7 +318,10 @@ def test_the_flux_identity_is_summed_only_at_convergence(monkeypatch, d):
     for before, (kind, _) in zip(events[: end - 1], events[1:end]):
         if kind == "flux":
             assert before[0] == "residual" and before[1] <= tol
-    assert [kind for kind, _ in events[end + 1 :]] == ["residual", "flux"]
+    # a nonconstant result's figures take its residual; the constant
+    # branch's residual is exactly 0 and is not summed
+    after = ["flux"] if result.constant_branch else ["residual", "flux"]
+    assert [kind for kind, _ in events[end + 1 :]] == after
     ui, p = result.u, params.p
     want = abs(grid.integrate(ui - ui**p)) / grid.integrate(ui)
     assert _bitwise(result.flux_residual, want)
@@ -544,18 +555,18 @@ def test_each_descent_iteration_makes_two_products(monkeypatch, domain_02):
 
 
 def test_small_interiors_descend_on_the_dense_matrix(monkeypatch):
-    # the descent applies d c R and makes no product; the three are the
-    # figures': extend, its seminorm and the residual.  The floor on the
+    # the descent applies d c R and makes no product, and the constant
+    # branch's figures are exact without one.  The floor on the
     # iterations describes the workload, not a tolerance: the solve
-    # takes 23, each of which would cost two products on the FFT path,
-    # so three products in all show that the descent made none
+    # takes 23, each of which would cost two products on the FFT path
     params = Params(d=0.2936)
     grid = default_grid_policy(params)
     assert grid.n_interior == 117 <= solvers._DENSE_INTERIOR
     calls = _counting_products(monkeypatch)
     result = solve_least_energy(params, grid)
+    assert result.constant_branch
     assert result.iterations > 20
-    assert len(calls) == 3
+    assert calls == []
 
 
 def test_domain_02_keeps_the_fft_path():
@@ -578,11 +589,12 @@ def test_the_threshold_picks_the_operator_form(monkeypatch, extra, products):
     assert len(calls) == products
 
 
-@pytest.mark.parametrize("d, lengths", [(0.2, [500, 1500]), (0.2936, [240, 720])])
+@pytest.mark.parametrize("d, lengths", [(0.2, [500, 1500]), (0.2936, [240])])
 def test_a_solve_table_holds_two_lengths_and_four_blocks(monkeypatch, d, lengths):
-    # P^-1's spectrum at _fast_len(2 n_I) and the products' one, on the FFT
-    # path and the dense one; row sums of W[:, I], W[I, :] and the two
-    # collar blocks W[I, E]
+    # on the FFT path P^-1's spectrum at _fast_len(2 n_I) and the
+    # products' one, and row sums of W[:, I], W[I, :] and the two collar
+    # blocks W[I, E]; a dense constant-branch solve makes no product, so
+    # its table holds P^-1's length and the two blocks the assembly reads
     tables = []
     build = solvers.kernel_weights
 
@@ -598,9 +610,10 @@ def test_a_solve_table_holds_two_lengths_and_four_blocks(monkeypatch, d, lengths
     n = grid.n_nodes
     lo, hi = grid.interior_range
     assert sorted(table.spectra) == lengths
-    assert set(table.block_sums) == {
-        (0, n, lo, hi), (lo, hi, 0, n), (lo, hi, 0, lo), (lo, hi, hi, n)
-    }
+    blocks = {(0, n, lo, hi), (lo, hi, 0, n)}
+    if grid.n_interior > solvers._DENSE_INTERIOR:
+        blocks |= {(lo, hi, 0, lo), (lo, hi, hi, n)}
+    assert set(table.block_sums) == blocks
 
 
 @pytest.mark.parametrize(
@@ -639,6 +652,50 @@ def test_neumann_solves_near_p_one_converge(monkeypatch, fft, s, d):
     monkeypatch.setattr(solvers, "_DENSE_INTERIOR", 0 if fft else grid.n_interior)
     result = solve_least_energy(params, grid)
     assert result.el_residual <= 1e-8
+    assert history_non_increasing(result.peak_history)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: solve_least_energy(Params(d=0.2, p=1.001), default_grid_policy(Params(d=0.2))),
+        lambda: solve_ground_state(Params(p=1.0001), build_line_grid(60.0, 0.05)),
+        lambda: solve_least_energy(
+            Params(d=0.2), default_grid_policy(Params(d=0.2), 0.0, 1e-300)
+        ),
+    ],
+    ids=["neumann-p-1.001", "ground-p-1.0001", "domain-1e-300"],
+)
+def test_a_start_whose_nehari_scale_overflows_is_a_convergence_error(solve):
+    # t0 = (Q/P)^(1/(p-1)) of the start is past the float range; its
+    # power t0^(p+1) raised OverflowError out of the descent
+    with pytest.raises(ConvergenceError, match=r"overflows at p = 1\.\d+$"):
+        solve()
+
+
+def test_a_trial_whose_nehari_scale_overflows_is_rejected(monkeypatch):
+    # at p = 1.00001 a clipped trial's scale overflows: the trial reads
+    # as peaking at +inf and the step halves, instead of an OverflowError
+    # escaping the search.  The solve ends on the constant branch, with
+    # every accepted peak finite
+    ray = solvers._nehari_ray
+    overflowed = []
+
+    def watching(quad, pot, p):
+        try:
+            return ray(quad, pot, p)
+        except OverflowError:
+            overflowed.append(quad / pot)
+            raise
+
+    monkeypatch.setattr(solvers, "_nehari_ray", watching)
+    params = Params(d=2.0, p=1.00001)
+    grid = default_grid_policy(params)
+    result = solve_least_energy(params, grid)
+    assert overflowed
+    assert result.constant_branch
+    assert abs(result.c_d - J_d_constant(grid, params)) <= 1e-12 * result.c_d
+    assert np.all(np.isfinite(result.peak_history))
     assert history_non_increasing(result.peak_history)
 
 
