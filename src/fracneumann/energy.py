@@ -21,9 +21,10 @@ Neumann extension, the quadratic part of J_d is h (u.Au + u.u), and
 its gradient is h times Au + u - u^p.  Every exterior value being a
 kernel-weighted average of interior values, the reduced operator is
 one symmetric matrix on the interior, R = diag(rs_I) - W_II -
-W_IE D_E^-1 W_EI + C diag(T_I) C (``_neumann_matrix``).  Which of the
-two forms a solve applies is chosen in one place,
-``solvers._reduced_operator``.
+W_IE D_E^-1 W_EI + C diag(T_I) C (``_neumann_matrix``).  A solve
+applies this matrix, the operator of the extension, or R with its
+collar terms as the factors of ``lowrank``; ``solvers._reduced_operator``
+chooses which, in one place.
 
 Each form is assembled in one place.  ``_neumann`` returns
 (J_d, Q, int |u|^(p+1)) for ``J_d``, ``nehari_scale``, ``peak_energy``
@@ -36,6 +37,8 @@ the ground-state report.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -132,12 +135,16 @@ def _neumann_operator(full: np.ndarray, table: KernelTable) -> np.ndarray:
     u_int = full[lo:hi]
     pair = u_int * table.row_sums(lo, hi, 0, n)
     pair -= table.matvec(full, lo, hi, 0, n)
-
-    tv = u_int - float(u_int.sum()) / u_int.size
-    tv *= table.tail[lo:hi]
-    tv -= float(tv.sum()) / tv.size
-    pair += tv
+    pair += _tail_term(u_int, table.tail[lo:hi])
     return pair
+
+
+def _tail_term(u_int: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """C diag(T_I) C u_int, C = I - 11^T / n_I: the reduced operator's tail."""
+    tv = u_int - float(u_int.sum()) / u_int.size
+    tv *= tail
+    tv -= float(tv.sum()) / tv.size
+    return tv
 
 
 def _neumann_matrix(table: KernelTable) -> np.ndarray:
@@ -190,16 +197,38 @@ def _nehari_ray(quad: float, pot: float, p: float) -> tuple[float, float]:
     return t0, (0.5 - 1.0 / (p + 1.0)) * t0 ** (p + 1.0) * pot
 
 
-def nehari_scale(u: ExtendedField, params: Params, table: KernelTable) -> float:
-    """Unique maximizer t0 of t -> J_d(t u) along the ray through u.
+def _ray_through(
+    u: ExtendedField, params: Params, table: KernelTable
+) -> tuple[float, float]:
+    """(t0, peak) of ``_nehari_ray`` along the ray through ``u``.
 
-    Closed form t0 = (Q / int |u|^(p+1))^(1/(p-1)) with Q the quadratic
-    part; no line search is involved.
+    Raises ValueError when ``u`` vanishes on the domain, and, naming p,
+    when t0 or the peak lies past the float range (p near 1, or a tiny
+    domain): the power raises OverflowError there, or the peak is inf.
     """
     _, quad, pot = _neumann(u, params, table)
     if pot <= 0.0:
         raise ValueError("degenerate direction: field vanishes on the domain")
-    return float(_nehari_ray(quad, pot, params.p)[0])
+    try:
+        t0, peak = _nehari_ray(quad, pot, params.p)
+    except OverflowError:
+        t0 = peak = math.inf
+    if not (math.isfinite(t0) and math.isfinite(peak)):
+        raise ValueError(
+            f"the Nehari scale (Q/P)^(1/(p-1)) or its peak energy leaves the "
+            f"float range at p = {params.p}"
+        )
+    return t0, peak
+
+
+def nehari_scale(u: ExtendedField, params: Params, table: KernelTable) -> float:
+    """Unique maximizer t0 of t -> J_d(t u) along the ray through u.
+
+    Closed form t0 = (Q / int |u|^(p+1))^(1/(p-1)) with Q the quadratic
+    part; no line search is involved.  A ray whose t0 or peak is not a
+    finite float raises ValueError naming p.
+    """
+    return float(_ray_through(u, params, table)[0])
 
 
 def peak_energy(u: ExtendedField, params: Params, table: KernelTable) -> float:
@@ -207,12 +236,10 @@ def peak_energy(u: ExtendedField, params: Params, table: KernelTable) -> float:
 
     Checks the Nehari algebra (1/2 - 1/(p+1)) t0^(p+1) int |u|^(p+1)
     against the direct evaluation and refuses to return silently
-    inconsistent numbers.
+    inconsistent numbers.  A ray whose t0 or peak is not a finite float
+    raises ValueError naming p.
     """
-    _, quad, pot = _neumann(u, params, table)
-    if pot <= 0.0:
-        raise ValueError("degenerate direction: field vanishes on the domain")
-    t0, algebra = _nehari_ray(quad, pot, params.p)
+    t0, algebra = _ray_through(u, params, table)
     direct = J_d(ExtendedField(t0 * u.values, u.grid), params, table)
     if abs(direct - algebra) > 1e-12 * max(1.0, abs(direct)):
         raise ValueError(

@@ -31,9 +31,13 @@ first use and kept read-only by the table that made them, and live
 no longer than it; tables of equal (n, h, s) hold bitwise-equal
 arrays.  A Neumann solve's table on the FFT path makes two lengths,
 its products' and P^-1's (1 500 and 500 on the default grid at
-d = 0.2), and four blocks; a constant-branch solve on the dense form
-makes P^-1's length and the two blocks of the assembly.  Results are
-bitwise reproducible from run to run.
+d = 0.2), and four blocks; on the low-rank form the descent's W_II
+product runs at ``_fast_len(2 n_I - 1)``, P^-1's length on the default
+grids, so the table holds the same two lengths and four blocks, and
+only a nonconstant result's three figure products reach the block
+length; a constant-branch solve on the dense form makes P^-1's length
+and the two blocks of the assembly.  Results are bitwise reproducible
+from run to run.
 
 The same spectra precondition the solvers' descent: ``_symbol``
 forms the symbol 1 + scale (w(0) - w(k)) (plus a second-difference term
@@ -264,7 +268,11 @@ class KernelTable:
     solve's table on the FFT path makes two lengths, the products' and
     P^-1's (1 500 and 500 on the default grid at d = 0.2), and four
     blocks: W[:, I], W[I, :] and the two collar blocks W[I, E].  On the
-    dense form the assembly reads W[:, I] and W[I, :] and P^-1's length
+    low-rank form the descent's W_II runs at P^-1's length (10 800 at
+    d = 0.0431, ``_fast_len(2 n_I - 1)``), the factor's build reads the
+    row sums of W[:, I] and W[I, :], and only the figures add the block
+    length (32 400) and the collar blocks.  On the dense form the
+    assembly reads W[:, I] and W[I, :] and P^-1's length
     (240 at d = 0.2936); only a nonconstant result's figures add the
     products' length (720) and the collar blocks.  Row sums come from
     prefix sums of omega, made afresh for each new block and not kept.

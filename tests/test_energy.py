@@ -14,6 +14,7 @@ from fracneumann import (
     Params,
     build_grid,
     build_line_grid,
+    default_grid_policy,
     extend,
     frac_laplacian_apply,
     kernel_weights,
@@ -409,6 +410,18 @@ def test_nehari_scale_rejects_zero_field():
         nehari_scale(ExtendedField(np.zeros(g.n_nodes), g), Params(), t)
     with pytest.raises(ValueError, match="degenerate"):
         peak_energy(ExtendedField(np.zeros(g.n_nodes), g), Params(), t)
+
+
+@pytest.mark.parametrize("public", [nehari_scale, peak_energy])
+def test_a_ray_past_the_float_range_is_a_value_error_naming_p(public):
+    # at p = 1.001 the scale (Q/P)^1000 overflows: the power raised a
+    # bare OverflowError out of both functions
+    params = Params(d=0.2, p=1.001)
+    g = default_grid_policy(params)
+    t = kernel_weights(g, params)
+    u = extend(np.exp(-((g.interior_nodes / 0.1) ** 2)), t)
+    with pytest.raises(ValueError, match=r"float range at p = 1\.001$"):
+        public(u, params, t)
 
 
 def test_peak_energy_of_unit_constant():

@@ -39,7 +39,12 @@ from fracneumann import (
 from fracneumann import solvers
 from fracneumann.cli import _GROUND_WINDOW, main as cli_main
 from fracneumann.energy import _nehari_ray, _neumann, _neumann_operator
-from fracneumann.kernel import KernelTable, _symbol_inverse, _symbol_inverse_matrix
+from fracneumann.kernel import (
+    KernelTable,
+    _fast_len,
+    _symbol_inverse,
+    _symbol_inverse_matrix,
+)
 from fracneumann.neumann import _extension
 from fracneumann.solvers import _stretched_start
 
@@ -448,13 +453,15 @@ def test_unclipped_trials_match_the_full_projection(monkeypatch, d):
     # A is linear, so along a ray of nonnegative values a trial takes its
     # quadratic part from A u and A r and makes no product; it lands on
     # the full projection's t0 and peak to round-off, and the A u it
-    # carries is that of the trial iterate.  Each run's four products are
-    # the start's A u and the iteration's A r.
+    # carries is that of the trial iterate.  Each run's products are two
+    # applications, the start's A u and the iteration's A r: two products
+    # each on the FFT form (d = 0.2), one on the low-rank form (0.0431).
     params = Params(d=d)
     grid = default_grid_policy(params)
     table = kernel_weights(grid, params)
     warm = 0.5 + np.random.default_rng(3).uniform(0.0, 1.0, grid.n_interior)
     parts = _neumann_parts(params, table)
+    per_apply = 1 if grid.n_interior > solvers._LOWRANK_INTERIOR else 2
     u, au, _ = _projection(parts, warm)
     r = solvers._residual(u, au, params.p)[0]
     reach = float(np.min(u[r > 0.0] / r[r > 0.0]))
@@ -464,7 +471,7 @@ def test_unclipped_trials_match_the_full_projection(monkeypatch, d):
         (trial, trial_au, peak), trials, products = _one_step(
             monkeypatch, parts, u, scaled_r
         )
-        assert products == 4
+        assert products == 2 * per_apply
         assert all(np.min(v) >= 0.0 for v in trials)
         want, _, want_peak = _projection(parts, trials[-1])
         # both are t0 v for one v, so their ratio is the ratio of the t0s
@@ -574,11 +581,20 @@ def test_domain_02_keeps_the_fft_path():
     assert solvers._DENSE_INTERIOR < default_grid_policy(Params(d=0.2)).n_interior
 
 
-@pytest.mark.parametrize("extra, products", [(0, 0), (1, 2)])
-def test_the_threshold_picks_the_operator_form(monkeypatch, extra, products):
+@pytest.mark.parametrize(
+    "threshold, extra, products",
+    [
+        pytest.param("_DENSE_INTERIOR", 0, [], id="0-0"),
+        pytest.param("_DENSE_INTERIOR", 1, ["W[:, I]", "W[I, :]"], id="1-2"),
+        pytest.param("_LOWRANK_INTERIOR", 0, ["W[:, I]", "W[I, :]"], id="lowrank-0-2"),
+        pytest.param("_LOWRANK_INTERIOR", 1, ["W_II"], id="lowrank-1-1"),
+    ],
+)
+def test_the_threshold_picks_the_operator_form(monkeypatch, threshold, extra, products):
     # an interior of _DENSE_INTERIOR nodes applies the dense matrix, one
-    # node more the extension and W[I, :] of it
-    n_interior = solvers._DENSE_INTERIOR + extra
+    # node more the extension and W[I, :] of it, up to _LOWRANK_INTERIOR
+    # nodes; one node more applies W_II and the collar's low-rank factor
+    n_interior = getattr(solvers, threshold) + extra
     grid = build_grid(0.0, 1.0, 1.0 / n_interior)
     assert grid.n_interior == n_interior
     params = Params(d=0.2)
@@ -586,15 +602,31 @@ def test_the_threshold_picks_the_operator_form(monkeypatch, extra, products):
     apply, _ = solvers._reduced_operator(table, params.d * table.c_ns)
     calls = _counting_products(monkeypatch)
     apply(np.ones(n_interior))
-    assert len(calls) == products
+    lo, hi = grid.interior_range
+    n = grid.n_nodes
+    blocks = {(0, n, lo, hi): "W[:, I]", (lo, hi, 0, n): "W[I, :]", (lo, hi, lo, hi): "W_II"}
+    assert [blocks[call] for call in calls] == products
 
 
-@pytest.mark.parametrize("d, lengths", [(0.2, [500, 1500]), (0.2936, [240])])
-def test_a_solve_table_holds_two_lengths_and_four_blocks(monkeypatch, d, lengths):
+@pytest.mark.parametrize(
+    "d, lengths, low_rank",
+    [
+        pytest.param(0.2, [500, 1500], False, id="0.2-lengths0"),
+        pytest.param(0.2936, [240], False, id="0.2936-lengths1"),
+        pytest.param(0.0632, [5120, 15360], True, id="0.0632-lowrank"),
+    ],
+)
+def test_a_solve_table_holds_two_lengths_and_four_blocks(monkeypatch, d, lengths, low_rank):
     # on the FFT path P^-1's spectrum at _fast_len(2 n_I) and the
     # products' one, and row sums of W[:, I], W[I, :] and the two collar
     # blocks W[I, E]; a dense constant-branch solve makes no product, so
-    # its table holds P^-1's length and the two blocks the assembly reads
+    # its table holds P^-1's length and the two blocks the assembly reads.
+    # On the low-rank form (d = 0.0632, n_I = 2 504, above the threshold
+    # lowered to 0) the descent's W_II runs at _fast_len(2 n_I - 1) =
+    # 5 120, P^-1's length, and only the three figure products reach the
+    # block length 15 360
+    if low_rank:
+        monkeypatch.setattr(solvers, "_LOWRANK_INTERIOR", 0)
     tables = []
     build = solvers.kernel_weights
 
@@ -603,6 +635,7 @@ def test_a_solve_table_holds_two_lengths_and_four_blocks(monkeypatch, d, lengths
         return tables[-1]
 
     monkeypatch.setattr(solvers, "kernel_weights", capture)
+    calls = _counting_products(monkeypatch)
     params = Params(d=d)
     grid = default_grid_policy(params)
     solve_least_energy(params, grid)
@@ -614,26 +647,48 @@ def test_a_solve_table_holds_two_lengths_and_four_blocks(monkeypatch, d, lengths
     if grid.n_interior > solvers._DENSE_INTERIOR:
         blocks |= {(lo, hi, 0, lo), (lo, hi, hi, n)}
     assert set(table.block_sums) == blocks
+    if low_rank:
+        assert _fast_len(2 * grid.n_interior - 1) == lengths[0]
+        figures = [call for call in calls if call != (lo, hi, lo, hi)]
+        assert figures == [(0, n, lo, hi), (0, n, lo, hi), (lo, hi, 0, n)]
 
 
 @pytest.mark.parametrize(
-    "params, constant",
-    [(Params(d=0.2936), True), (Params(s=0.4, p=2.0, d=0.2), False)],
+    "params, constant, threshold",
+    [
+        pytest.param(Params(d=0.2936), True, "_DENSE_INTERIOR", id="params0-True"),
+        pytest.param(Params(s=0.4, p=2.0, d=0.2), False, "_DENSE_INTERIOR", id="params1-False"),
+        pytest.param(Params(d=0.0928), False, "_LOWRANK_INTERIOR", id="lowrank-0.0928"),
+        pytest.param(Params(d=0.0632), False, "_LOWRANK_INTERIOR", id="lowrank-0.0632"),
+    ],
 )
-def test_dense_and_fft_descents_agree(monkeypatch, params, constant):
-    # a threshold of 0 sends the same grid down the FFT path
+def test_dense_and_fft_descents_agree(monkeypatch, params, constant, threshold):
+    # the dense matrix (_DENSE_INTERIOR at the interior's size), or the
+    # low-rank factor (_LOWRANK_INTERIOR at 0), against the FFT path,
+    # where the same threshold at 0, or at the interior's size, sends
+    # the same grid
     grid = default_grid_policy(params)
-    assert grid.n_interior <= solvers._DENSE_INTERIOR
-    dense = record_from_result(solve_least_energy(params, grid), params)
-    monkeypatch.setattr(solvers, "_DENSE_INTERIOR", 0)
-    fft = record_from_result(solve_least_energy(params, grid), params)
-    assert dense.constant_branch == fft.constant_branch == constant
+    dense = threshold == "_DENSE_INTERIOR"
+    n = grid.n_interior
+    assert n <= solvers._DENSE_INTERIOR if dense else n > solvers._DENSE_INTERIOR
+    monkeypatch.setattr(solvers, threshold, n if dense else 0)
+    first = solve_least_energy(params, grid)
+    monkeypatch.setattr(solvers, threshold, 0 if dense else n)
+    fft = solve_least_energy(params, grid)
+    assert first.constant_branch == fft.constant_branch == constant
+    a, b = record_from_result(first, params), record_from_result(fft, params)
     if constant:
-        assert dense == fft
+        assert a == b
+    elif dense:
+        assert abs(a.c_d - b.c_d) <= 1e-12 * b.c_d
+        assert abs(a.sup_u - b.sup_u) <= 1e-6 * b.sup_u
+        assert a.argmax_x == b.argmax_x
     else:
-        assert abs(dense.c_d - fft.c_d) <= 1e-12 * fft.c_d
-        assert abs(dense.sup_u - fft.sup_u) <= 1e-6 * fft.sup_u
-        assert dense.argmax_x == fft.argmax_x
+        # the same descent to round-off: c_d is stationary at the solution
+        assert first.iterations == fft.iterations
+        assert a.argmax_x == b.argmax_x
+        assert abs(a.c_d - b.c_d) <= 1e-13 * b.c_d
+        assert abs(a.sup_u - b.sup_u) <= SolverConfig().tol_residual
 
 
 @pytest.mark.parametrize("fft", [False, True])
