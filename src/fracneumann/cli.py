@@ -13,6 +13,7 @@ set, and a key whose setting the subcommand lacks is an error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -174,6 +175,9 @@ def _cmd_sweep(args) -> int:
     d_max = 2.0 if args.d_max is None else args.d_max
     d_min = 0.02 if args.d_min is None else args.d_min
     points = 13 if args.points is None else args.points
+    for flag, value in (("--d-max", d_max), ("--d-min", d_min)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if not 0.0 < d_min < d_max:
         raise ValueError(f"need 0 < d_min < d_max, got [{d_min}, {d_max}]")
     if points < 2:

@@ -21,10 +21,11 @@ Neumann extension, the quadratic part of J_d is h (u.Au + u.u), and
 its gradient is h times Au + u - u^p.  Every exterior value being a
 kernel-weighted average of interior values, the reduced operator is
 one symmetric matrix on the interior, R = diag(rs_I) - W_II -
-W_IE D_E^-1 W_EI + C diag(T_I) C (``_neumann_matrix``).  A solve
-applies this matrix, the operator of the extension, or R with its
-collar terms as the factors of ``lowrank``; ``solvers._reduced_operator``
-chooses which, in one place.
+W_IE D_E^-1 W_EI + C diag(T_I) C (``_neumann_matrix``).  A solve's
+descent applies this matrix, or R with its collar terms as the factors
+of ``lowrank``; ``solvers._reduced_operator`` chooses which, in one
+place.  The operator of the extension takes a nonconstant result's
+figures, independently of either.
 
 Each form is assembled in one place.  ``_neumann`` returns
 (J_d, Q, int |u|^(p+1)) for ``J_d``, ``nehari_scale``, ``peak_energy``

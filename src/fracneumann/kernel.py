@@ -29,14 +29,13 @@ the full product keeps the smallest 5-smooth length >= 2n - 1.
 Spectra (one per length) and row sums (one per block) are made on
 first use and kept read-only by the table that made them, and live
 no longer than it; tables of equal (n, h, s) hold bitwise-equal
-arrays.  A Neumann solve's table on the FFT path makes two lengths,
-its products' and P^-1's (1 500 and 500 on the default grid at
-d = 0.2), and four blocks; on the low-rank form the descent's W_II
-product runs at ``_fast_len(2 n_I - 1)``, P^-1's length on the default
-grids, so the table holds the same two lengths and four blocks, and
-only a nonconstant result's three figure products reach the block
-length; a constant-branch solve on the dense form makes P^-1's length
-and the two blocks of the assembly.  Results are bitwise reproducible
+arrays.  A Neumann solve's table on the low-rank form makes P^-1's
+length ``_fast_len(2 n_I)``, at which the descent's W_II product runs
+too on the default grids (500 at d = 0.2), and the row sums of W[:, I]
+and W[I, :]; only a nonconstant result's three figure products add the
+block length (1 500) and the two collar blocks.  On the dense form the
+assembly makes P^-1's length and the same two blocks, and a
+constant-branch solve nothing more.  Results are bitwise reproducible
 from run to run.
 
 The same spectra precondition the solvers' descent: ``_symbol``
@@ -265,17 +264,15 @@ class KernelTable:
     block (row_lo, row_hi, col_lo, col_hi) (``row_sums``), both kept
     read-only, and each thread's FFT work arrays by length
     (``scratch``), so a product allocates only its result.  A Neumann
-    solve's table on the FFT path makes two lengths, the products' and
-    P^-1's (1 500 and 500 on the default grid at d = 0.2), and four
-    blocks: W[:, I], W[I, :] and the two collar blocks W[I, E].  On the
-    low-rank form the descent's W_II runs at P^-1's length (10 800 at
-    d = 0.0431, ``_fast_len(2 n_I - 1)``), the factor's build reads the
-    row sums of W[:, I] and W[I, :], and only the figures add the block
-    length (32 400) and the collar blocks.  On the dense form the
-    assembly reads W[:, I] and W[I, :] and P^-1's length
-    (240 at d = 0.2936); only a nonconstant result's figures add the
-    products' length (720) and the collar blocks.  Row sums come from
-    prefix sums of omega, made afresh for each new block and not kept.
+    solve's table holds at most two lengths and four blocks.  On the
+    low-rank form the descent's W_II runs at P^-1's length (500 at
+    d = 0.2 and 10 800 at d = 0.0431, ``_fast_len(2 n_I - 1)``) and the
+    factor's build reads the row sums of W[:, I] and W[I, :].  On the
+    dense form the assembly reads the same two blocks and P^-1's length
+    (240 at d = 0.2936).  Only a nonconstant result's figures add the
+    block length (1 500, 32 400 and 720) and the two collar blocks
+    W[I, E].  Row sums come from prefix sums of omega, made afresh for
+    each new block and not kept.
     """
 
     grid: Grid | LineGrid

@@ -29,16 +29,16 @@ changes by linearity and gives the direction in compact form
 interior values only: the Neumann extension is stationary in the
 exterior values, so J_d reduces to the interior with A = d c R, R the
 reduced operator of ``energy``; ``_reduced_operator`` builds A and
-P^-1 and chooses, by the interior's size, between A's dense, FFT and
-low-rank forms, the last with the collar as the factor of
+P^-1 and chooses, by the interior's size, between A's two forms, the
+dense matrix and the low-rank one with the collar as the factor of
 ``lowrank``.  Each solver builds its own weight table from its grid
 and parameters.  A nonconstant Neumann result's figures are taken
-afresh on the Toeplitz path, three products at the full block length
-on every form, so they check the descent's A independently; the
-constant branch u = 1 has exact figures in closed form, so a
-constant-branch solve on the dense form makes no Toeplitz product at
-all.  Results keep the interior values only; ``extend`` rebuilds the
-collar where an output needs it.
+afresh on the extension's Toeplitz path, three products at the full
+block length on either form, so they check the descent's A
+independently; the constant branch u = 1 has exact figures in closed
+form, so a constant-branch solve on the dense form makes no Toeplitz
+product at all.  Results keep the interior values only; ``extend``
+rebuilds the collar where an output needs it.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .kernel import (
     kernel_weights,
 )
 from .lowrank import _collar_factors
-from .neumann import _extension, extend
+from .neumann import extend
 
 __all__ = [
     "SolverConfig",
@@ -544,30 +544,16 @@ def solve_ground_state(
 # ---------------------------------------------------------------------------
 # Neumann least-energy solution
 
-# Interior size up to which ``_reduced_operator`` takes the dense forms.
-# Assembly grows as n_I^3: at 128 interior nodes it costs what 8
-# iterations save (0.52 to 0.54 ms against 72 to 75 us per iteration on
-# the FFT path, a product pair and a transform pair, and 6 us per dense
-# iteration, two matvecs; one BLAS thread), at 249 what 33 to 41 save.
-# P^-1's matrix is one inverse transform and a gather.  The
-# default-ladder solves below the threshold take 7 to 25 iterations,
-# above the break-even at their size (2 to 3 at 50 interior nodes, 6 to
-# 7 at 117).  Above it A takes the FFT form, and above
-# _LOWRANK_INTERIOR the low-rank one.
-_DENSE_INTERIOR = 128
-
-# Interior size above which A takes the low-rank form: W_II at
-# _fast_len(2 n_I - 1) and the collar factor, in place of the FFT form's
-# W[:, I] and W[I, :] at about 6 n_I.  The factor's build pays for
-# itself within 20 to 21 applications of A at 250 interior nodes, 12 to
-# 14 at 539, 8 to 10 at 1 162 and 3 to 4 at 5 384 and 25 000 (build 3.2
-# to 3.3 ms at 5 384 and 12.2 ms at 25 000; A v 0.32 to 0.36 against
-# 1.18 to 1.56 ms and 2.0 to 2.4 against 6.6 to 6.9 ms; one BLAS
-# thread).  The default ladder's solves apply A 20 to 25 times, so the
-# form would pay from about 500 nodes; the threshold stays above that
-# because the benchmark's peak RSS rises with its pass count (README,
-# Performance notes).
-_LOWRANK_INTERIOR = 3000
+# Interior size up to which ``_reduced_operator`` takes the dense forms,
+# above it the low-rank one.  Assembly grows as n_I^3, an application as
+# n_I^2: with a fresh table, the dense A and P^-1 cost 1.4 ms to build at
+# 200 interior nodes and 11 us an iteration (two matvecs), the factor
+# 1.0 ms and 45 us (W_II, the thin products and a transform pair; one
+# BLAS thread).  Whole solves of 21 to 23 iterations, as the default
+# ladder's are, take 3.2 to 3.3 ms dense against 3.7 ms low-rank at 200
+# nodes, 1.9 against 3.4 ms at 117, tie at 223 (3.8 ms) and take 4.3
+# against 3.8 ms at 250.
+_DENSE_INTERIOR = 200
 
 
 def _reduced_operator(table: KernelTable, dc: float):
@@ -576,22 +562,21 @@ def _reduced_operator(table: KernelTable, dc: float):
     R is the reduced operator of the interior values and P the
     circulant with the symbol of 1 + dc (pair sums) at length
     ``_fast_len(2 n_I)`` (``kernel._symbol``).  This is the one place
-    that chooses their form.  On at most ``_DENSE_INTERIOR`` interior
-    nodes A is the dense matrix dc ``_neumann_matrix`` and P^-1 the
-    dense ``_symbol_inverse_matrix``, each assembled here once, and
-    each application is one matrix-vector product, with no Toeplitz
+    that chooses their form, of two.  On at most ``_DENSE_INTERIOR``
+    interior nodes A is the dense matrix dc ``_neumann_matrix`` and
+    P^-1 the dense ``_symbol_inverse_matrix``, each assembled here once,
+    and each application is one matrix-vector product, with no Toeplitz
     product.  Above it P^-1 is ``_symbol_inverse``, one transform pair
-    of that length.  Up to ``_LOWRANK_INTERIOR`` nodes A v is dc
-    ``_neumann_operator`` of the extension of v, two Toeplitz products
-    at about 6 n_I points.  Above it the collar terms S = W_IE D_E^-1
-    W_EI are ``lowrank._collar_factors`` U_L U_L^T and J U_R U_R^T J,
-    built here once (U_R = U_L on equal collars), and
+    of that length, and the collar terms S = W_IE D_E^-1 W_EI are
+    ``lowrank._collar_factors`` U_L U_L^T and J U_R U_R^T J, built here
+    once (U_R = U_L on equal collars), so that
 
         A v = dc (rs_I v - W_II v - U_L U_L^T v - J U_R U_R^T J v + C T C v),
 
     one Toeplitz product at ``_fast_len(2 n_I - 1)`` and thin products
-    with n_I x r blocks, r about 20.  The low-rank and FFT forms agree
-    to 7.3e-15 of dc max rs_I |v| on the default grids.
+    with n_I x r blocks, r about 20.  It agrees with dc
+    ``_neumann_operator`` of the extension of v to 1e-14 of
+    dc max rs_I |v| from 129 interior nodes up.
     """
     n = table.grid.n_interior
     if n <= _DENSE_INTERIOR:
@@ -599,32 +584,24 @@ def _reduced_operator(table: KernelTable, dc: float):
         inverse = _symbol_inverse_matrix(table, n, dc)
         return (lambda v: dense @ v), (lambda v: inverse @ v)
 
-    if n <= _LOWRANK_INTERIOR:
+    lo, hi = table.grid.interior_range
+    rs = table.row_sums(lo, hi, 0, table.n_nodes)
+    tail = table.tail[lo:hi]
+    left, right = _collar_factors(table)
 
-        def apply(v: np.ndarray) -> np.ndarray:
-            av = _neumann_operator(_extension(v, table), table)
-            av *= dc
-            return av
-
-    else:
-        lo, hi = table.grid.interior_range
-        rs = table.row_sums(lo, hi, 0, table.n_nodes)
-        tail = table.tail[lo:hi]
-        left, right = _collar_factors(table)
-
-        def apply(v: np.ndarray) -> np.ndarray:
-            av = rs * v
-            av -= table.matvec(v, lo, hi, lo, hi)
-            if left is right:
-                both = left @ (left.T @ np.column_stack((v, v[::-1])))
-                av -= both[:, 0]
-                av -= both[::-1, 1]
-            else:
-                av -= left @ (left.T @ v)
-                av -= (right @ (right.T @ v[::-1]))[::-1]
-            av += _tail_term(v, tail)
-            av *= dc
-            return av
+    def apply(v: np.ndarray) -> np.ndarray:
+        av = rs * v
+        av -= table.matvec(v, lo, hi, lo, hi)
+        if left is right:
+            both = left @ (left.T @ np.column_stack((v, v[::-1])))
+            av -= both[:, 0]
+            av -= both[::-1, 1]
+        else:
+            av -= left @ (left.T @ v)
+            av -= (right @ (right.T @ v[::-1]))[::-1]
+        av += _tail_term(v, tail)
+        av *= dc
+        return av
 
     return apply, _symbol_inverse(table, n, dc)
 
@@ -653,11 +630,11 @@ def solve_least_energy(
     table is built here from ``grid`` and ``params``.
 
     The descent's A = d c R and its L-BFGS preconditioner P^-1 come
-    from ``_reduced_operator``, which states their dense, FFT and
-    low-rank forms.  Each iteration applies A once, to its direction
-    q, however often the step halves, A once more per trial that the
-    absolute value clips, and P^-1 once.  A nonconstant result's
-    figures are those of its interior values, taken on the Toeplitz
+    from ``_reduced_operator``, which states their dense and low-rank
+    forms.  Each iteration applies A once, to its direction q, however
+    often the step halves, A once more per trial that the absolute
+    value clips, and P^-1 once.  A nonconstant result's figures are
+    those of its interior values, taken on the extension's Toeplitz
     path on every grid, so they check the descent's A independently:
     c_d and the Nehari pair come from ``_neumann`` of their fresh
     extension, and ``el_residual`` from ``_residual`` with A u of that

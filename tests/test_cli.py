@@ -563,6 +563,25 @@ def test_a_non_finite_domain_bound_is_an_error_line(capsys, flag, value):
     assert (code, out, err) == (1, "", message)
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (("--d-max", "inf"), "", "--d-max must be finite, got inf"),
+        ((), "sweep.d_max = inf\n", "--d-max must be finite, got inf"),
+        (("--d-min", "nan"), "", "--d-min must be finite, got nan"),
+        ((), "sweep.d_min = nan\n", "--d-min must be finite, got nan"),
+    ],
+    ids=["d-max-flag", "d-max-config", "d-min-flag", "d-min-config"],
+)
+def test_a_non_finite_sweep_bound_is_an_error_line(capsys, tmp_path, argv, config, message):
+    # d_max = inf passed 0 < d_min < d_max: geomspace warned "invalid
+    # value encountered in add" and the error blamed parameter d
+    path = tmp_path / "d.cfg"
+    path.write_text(config)
+    code, out, err = run(capsys, "--config", str(path), "sweep", *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_a_sweep_over_an_infinite_domain_is_an_error_line(capsys, tmp_path):
     path = tmp_path / "inf.cfg"
     path.write_text("domain.a = inf\n")

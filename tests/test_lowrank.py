@@ -7,11 +7,12 @@ import pytest
 
 from fracneumann import Grid, Params, build_grid, kernel_weights
 from fracneumann import lowrank, solvers
-from fracneumann.energy import _neumann_matrix
+from fracneumann.energy import _neumann_matrix, _neumann_operator
+from fracneumann.neumann import _extension
 
 
-def _table(n_interior, s=0.25):
-    grid = build_grid(0.0, 1.0, 1.0 / n_interior)
+def _table(n_interior, s=0.25, r_ext=None, a=0.0):
+    grid = build_grid(a, a + 1.0, 1.0 / n_interior, r_ext)
     assert grid.n_interior == n_interior
     return kernel_weights(grid, Params(s=s))
 
@@ -55,58 +56,90 @@ def test_the_lumped_nodes_reproduce_their_moments(s, extent):
         assert abs(float(w @ x**k) - want) <= 1e-14 * mass, k
 
 
-def _form(monkeypatch, table, low_rank):
-    """A = dc R of ``table`` in the low-rank or the FFT form, and dc max rs."""
-    n = table.grid.n_interior
-    monkeypatch.setattr(solvers, "_LOWRANK_INTERIOR", 0 if low_rank else n)
-    dc = 0.05 * table.c_ns
-    apply, _ = solvers._reduced_operator(table, dc)
-    lo, hi = table.grid.interior_range
-    return apply, dc * float(np.max(table.row_sums(lo, hi, 0, table.n_nodes)))
-
-
 def _fields(n):
     rng = np.random.default_rng(n)
     x = (np.arange(n) + 0.5) / n
     return rng.standard_normal(n), rng.uniform(0.0, 1.0, n), np.exp(-((x / 0.05) ** 2))
 
 
-@pytest.mark.parametrize("n_interior", [250, 1000, 2500])
-def test_the_low_rank_operator_is_the_reduced_matrix(monkeypatch, n_interior):
-    # within 1e-14 of dc max rs |v| from dc R, R the dense reduced matrix
-    table = _table(n_interior)
-    low, scale = _form(monkeypatch, table, True)
-    dense = 0.05 * table.c_ns * _neumann_matrix(table)
-    for v in _fields(n_interior):
-        err = np.max(np.abs(low(v) - dense @ v))
-        assert err <= 1e-14 * scale * np.max(np.abs(v))
+def _check(monkeypatch, table, dense=True):
+    """The low-rank A = dc R against the extension route and, if ``dense``, dc R.
+
+    The low-rank form is the solve's own, with the dense threshold at 0
+    so that every interior takes it; the extension route is dc
+    ``_neumann_operator`` of ``_extension``.  Each must agree within
+    1e-14 of dc max rs_I |v|.
+    """
+    monkeypatch.setattr(solvers, "_DENSE_INTERIOR", 0)
+    dc = 0.05 * table.c_ns
+    low, _ = solvers._reduced_operator(table, dc)
+    refs = [lambda v: dc * _neumann_operator(_extension(v, table), table)]
+    if dense:
+        matrix = dc * _neumann_matrix(table)
+        refs.append(lambda v: matrix @ v)
+    lo, hi = table.grid.interior_range
+    scale = dc * float(np.max(table.row_sums(lo, hi, 0, table.n_nodes)))
+    for v in _fields(hi - lo):
+        got = low(v)
+        for ref in refs:
+            assert np.max(np.abs(got - ref(v))) <= 1e-14 * scale * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize(
+    "n_interior, s, r_ext, a",
+    [
+        pytest.param(129, 0.25, None, 0.0, id="129"),
+        pytest.param(250, 0.25, None, 0.0, id="250"),
+        pytest.param(539, 0.25, None, 0.0, id="539"),
+        pytest.param(1000, 0.25, None, 0.0, id="1000"),
+        pytest.param(2500, 0.25, None, 0.0, id="2500"),
+        pytest.param(129, 0.05, None, 0.0, id="129-s0.05"),
+        pytest.param(250, 0.05, None, 0.0, id="250-s0.05"),
+        pytest.param(129, 0.45, None, 0.0, id="129-s0.45"),
+        pytest.param(539, 0.45, None, 0.0, id="539-s0.45"),
+        pytest.param(250, 0.25, 8.0, 0.0, id="250-collar8"),
+        pytest.param(129, 0.05, 8.0, 0.0, id="129-s0.05-collar8"),
+        pytest.param(250, 0.25, None, 3.0 / 64.0, id="250-shifted"),
+        pytest.param(539, 0.45, 8.0, 3.0 / 64.0, id="539-s0.45-collar8-shifted"),
+    ],
+)
+def test_the_low_rank_operator_is_the_reduced_matrix(monkeypatch, n_interior, s, r_ext, a):
+    # within 1e-14 of dc max rs_I |v| from dc R, R the dense reduced
+    # matrix, and from A of the extension, from 129 interior nodes up, for
+    # s from 0.05 to 0.45, collars of 2 (the default) and 8 times b - a,
+    # and a domain translated by 3/64
+    table = _table(n_interior, s, r_ext, a)
+    _check(monkeypatch, table)
 
 
 @pytest.mark.parametrize("n_interior", [5384, 25_000])
-def test_the_low_rank_operator_is_the_fft_form(monkeypatch, n_interior):
+def test_the_low_rank_operator_is_the_extension_route(monkeypatch, n_interior):
     # on the grids of d = 0.0431 and 0.02: 26 920 and 125 000 nodes
-    table = _table(n_interior)
-    low, scale = _form(monkeypatch, table, True)
-    fft, _ = _form(monkeypatch, table, False)
-    for v in _fields(n_interior):
-        err = np.max(np.abs(low(v) - fft(v)))
-        assert err <= 1e-14 * scale * np.max(np.abs(v))
+    _check(monkeypatch, _table(n_interior), dense=False)
 
 
-@pytest.mark.parametrize("lo", [300, 0])
-def test_unequal_collars_get_a_factor_each(monkeypatch, lo):
-    # hand-built grids with collars of 300 or none and 900 nodes: S_R has
-    # its own factor, a side without a collar one of no columns, and the
-    # operator is still the dense reduced matrix
-    n, hi = 1800, 900
+@pytest.mark.parametrize(
+    "n, lo, hi",
+    [
+        pytest.param(1800, 300, 900, id="300"),
+        pytest.param(1800, 0, 900, id="0"),
+        pytest.param(1000, 400, 529, id="129-unequal"),
+        pytest.param(700, 1, 301, id="300-one-node-left"),
+        pytest.param(600, 250, 599, id="349-one-node-right"),
+        pytest.param(600, 0, 200, id="200-none-left"),
+        pytest.param(450, 150, 450, id="300-none-right"),
+    ],
+)
+def test_unequal_collars_get_a_factor_each(monkeypatch, n, lo, hi):
+    # hand-built grids with collars of unequal widths, of one node or of
+    # none: S_R has its own factor, a side without a collar one of no
+    # columns, and the operator is still dc R and A of the extension
     h = 1.0 / n
     grid = Grid(a=lo * h, b=hi * h, h=h, r_ext=1.0, nodes=(np.arange(n) + 0.5) * h)
-    assert grid.interior_range == (lo, hi)
+    assert grid.interior_range == (lo, hi) and lo != n - hi
     table = kernel_weights(grid, Params())
     left, right = lowrank._collar_factors(table)
     assert left is not right and left.shape[0] == right.shape[0] == hi - lo
-    assert (left.shape[1] == 0) == (lo == 0) and right.shape[1] > 0
-    low, scale = _form(monkeypatch, table, True)
-    dense = 0.05 * table.c_ns * _neumann_matrix(table)
-    for v in _fields(hi - lo):
-        assert np.max(np.abs(low(v) - dense @ v)) <= 1e-14 * scale * np.max(np.abs(v))
+    assert (left.shape[1] == 0) == (lo == 0)
+    assert (right.shape[1] == 0) == (hi == n)
+    _check(monkeypatch, table)

@@ -454,14 +454,14 @@ def test_unclipped_trials_match_the_full_projection(monkeypatch, d):
     # quadratic part from A u and A r and makes no product; it lands on
     # the full projection's t0 and peak to round-off, and the A u it
     # carries is that of the trial iterate.  Each run's products are two
-    # applications, the start's A u and the iteration's A r: two products
-    # each on the FFT form (d = 0.2), one on the low-rank form (0.0431).
+    # applications, the start's A u and the iteration's A r, each one
+    # W_II product on the low-rank form (d = 0.2 and 0.0431).
     params = Params(d=d)
     grid = default_grid_policy(params)
     table = kernel_weights(grid, params)
     warm = 0.5 + np.random.default_rng(3).uniform(0.0, 1.0, grid.n_interior)
     parts = _neumann_parts(params, table)
-    per_apply = 1 if grid.n_interior > solvers._LOWRANK_INTERIOR else 2
+    assert grid.n_interior > solvers._DENSE_INTERIOR
     u, au, _ = _projection(parts, warm)
     r = solvers._residual(u, au, params.p)[0]
     reach = float(np.min(u[r > 0.0] / r[r > 0.0]))
@@ -471,7 +471,7 @@ def test_unclipped_trials_match_the_full_projection(monkeypatch, d):
         (trial, trial_au, peak), trials, products = _one_step(
             monkeypatch, parts, u, scaled_r
         )
-        assert products == 2 * per_apply
+        assert products == 2
         assert all(np.min(v) >= 0.0 for v in trials)
         want, _, want_peak = _projection(parts, trials[-1])
         # both are t0 v for one v, so their ratio is the ratio of the t0s
@@ -494,7 +494,7 @@ def test_a_clipped_trial_takes_the_full_projection(monkeypatch, domain_02):
     r *= 1e-3 / solvers._FIRST_STEP
     (trial, trial_au, peak), trials, products = _one_step(monkeypatch, parts, u, r)
     assert all(v[10] < 0.0 for v in trials)
-    assert products == 4 + 2 * len(trials)
+    assert products == 2 + len(trials)
     want, want_au, want_peak = _projection(parts, trials[-1])
     assert np.array_equal(trial, want) and peak == want_peak
     assert np.array_equal(trial_au, want_au)
@@ -542,11 +542,11 @@ def test_an_iteration_without_pairs_steps_along_r_unpreconditioned(domain_02):
         assert _bitwise(a, b)
 
 
-def test_each_descent_iteration_makes_two_products(monkeypatch, domain_02):
-    # two products for A r of the residual direction, however often the
-    # step halves, and none for the residual A u + u - u^p; two more per
-    # trial that the absolute value clips, two for the first projection,
-    # and three for the figures: extend, its seminorm and the residual
+def test_each_descent_iteration_makes_one_product(monkeypatch, domain_02):
+    # one W_II product for A q of the direction, however often the step
+    # halves, and none for the residual A u + u - u^p; one more per trial
+    # that the absolute value clips, one for the first projection, and
+    # three for the figures: extend, its seminorm and the residual
     params, grid, _ = domain_02
     clipped = _counting_folds(monkeypatch)
     calls = _counting_products(monkeypatch)
@@ -556,7 +556,10 @@ def test_each_descent_iteration_makes_two_products(monkeypatch, domain_02):
     assert not clipped[0]  # the start is the nonnegative bump
     assert len(clipped) - 1 > result.iterations  # some steps halved
     it = result.iterations
-    assert len(calls) == 2 * it + 2 + 2 * sum(clipped) + 3
+    lo, hi = grid.interior_range
+    descent = [call for call in calls if call == (lo, hi, lo, hi)]
+    assert len(descent) == it + 1 + sum(clipped)
+    assert len(calls) == len(descent) + 3
     # and one P^-1, of the residual, per iteration
     assert len(transforms) == it
 
@@ -565,7 +568,7 @@ def test_small_interiors_descend_on_the_dense_matrix(monkeypatch):
     # the descent applies d c R and makes no product, and the constant
     # branch's figures are exact without one.  The floor on the
     # iterations describes the workload, not a tolerance: the solve
-    # takes 23, each of which would cost two products on the FFT path
+    # takes 23, each of which would cost a product on the low-rank form
     params = Params(d=0.2936)
     grid = default_grid_policy(params)
     assert grid.n_interior == 117 <= solvers._DENSE_INTERIOR
@@ -576,25 +579,26 @@ def test_small_interiors_descend_on_the_dense_matrix(monkeypatch):
     assert calls == []
 
 
-def test_domain_02_keeps_the_fft_path():
-    # so the product counts and the reference loop above pin that path
+def test_domain_02_keeps_the_low_rank_form():
+    # so the product counts and the reference loop above pin that form
     assert solvers._DENSE_INTERIOR < default_grid_policy(Params(d=0.2)).n_interior
 
 
 @pytest.mark.parametrize(
     "threshold, extra, products",
     [
-        pytest.param("_DENSE_INTERIOR", 0, [], id="0-0"),
-        pytest.param("_DENSE_INTERIOR", 1, ["W[:, I]", "W[I, :]"], id="1-2"),
-        pytest.param("_LOWRANK_INTERIOR", 0, ["W[:, I]", "W[I, :]"], id="lowrank-0-2"),
-        pytest.param("_LOWRANK_INTERIOR", 1, ["W_II"], id="lowrank-1-1"),
+        pytest.param(None, 0, [], id="0-0"),
+        pytest.param(None, 1, ["W_II"], id="1-1"),
+        pytest.param(128, 1, ["W_II"], id="128-1"),
     ],
 )
 def test_the_threshold_picks_the_operator_form(monkeypatch, threshold, extra, products):
-    # an interior of _DENSE_INTERIOR nodes applies the dense matrix, one
-    # node more the extension and W[I, :] of it, up to _LOWRANK_INTERIOR
-    # nodes; one node more applies W_II and the collar's low-rank factor
-    n_interior = getattr(solvers, threshold) + extra
+    # an interior of _DENSE_INTERIOR nodes applies the dense matrix, and
+    # one node more W_II and the collar's low-rank factor, down to 129
+    # nodes when the threshold is lowered to 128
+    if threshold is not None:
+        monkeypatch.setattr(solvers, "_DENSE_INTERIOR", threshold)
+    n_interior = solvers._DENSE_INTERIOR + extra
     grid = build_grid(0.0, 1.0, 1.0 / n_interior)
     assert grid.n_interior == n_interior
     params = Params(d=0.2)
@@ -609,24 +613,21 @@ def test_the_threshold_picks_the_operator_form(monkeypatch, threshold, extra, pr
 
 
 @pytest.mark.parametrize(
-    "d, lengths, low_rank",
+    "d, lengths",
     [
-        pytest.param(0.2, [500, 1500], False, id="0.2-lengths0"),
-        pytest.param(0.2936, [240], False, id="0.2936-lengths1"),
-        pytest.param(0.0632, [5120, 15360], True, id="0.0632-lowrank"),
+        pytest.param(0.2, [500, 1500], id="0.2-lengths0"),
+        pytest.param(0.2936, [240], id="0.2936-lengths1"),
+        pytest.param(0.0632, [5120, 15360], id="0.0632-lowrank"),
     ],
 )
-def test_a_solve_table_holds_two_lengths_and_four_blocks(monkeypatch, d, lengths, low_rank):
-    # on the FFT path P^-1's spectrum at _fast_len(2 n_I) and the
-    # products' one, and row sums of W[:, I], W[I, :] and the two collar
-    # blocks W[I, E]; a dense constant-branch solve makes no product, so
-    # its table holds P^-1's length and the two blocks the assembly reads.
-    # On the low-rank form (d = 0.0632, n_I = 2 504, above the threshold
-    # lowered to 0) the descent's W_II runs at _fast_len(2 n_I - 1) =
-    # 5 120, P^-1's length, and only the three figure products reach the
-    # block length 15 360
-    if low_rank:
-        monkeypatch.setattr(solvers, "_LOWRANK_INTERIOR", 0)
+def test_a_solve_table_holds_two_lengths_and_four_blocks(monkeypatch, d, lengths):
+    # on the low-rank form (d = 0.2, n_I = 250, and 0.0632, n_I = 2 504)
+    # the descent's W_II runs at _fast_len(2 n_I - 1), P^-1's length
+    # _fast_len(2 n_I) (500 and 5 120), and only the three figure
+    # products reach the block length (1 500 and 15 360) and the two
+    # collar blocks W[I, E] beside the row sums of W[:, I] and W[I, :]; a
+    # dense constant-branch solve makes no product, so its table holds
+    # P^-1's length and the two blocks the assembly reads
     tables = []
     build = solvers.kernel_weights
 
@@ -646,37 +647,56 @@ def test_a_solve_table_holds_two_lengths_and_four_blocks(monkeypatch, d, lengths
     blocks = {(0, n, lo, hi), (lo, hi, 0, n)}
     if grid.n_interior > solvers._DENSE_INTERIOR:
         blocks |= {(lo, hi, 0, lo), (lo, hi, hi, n)}
-    assert set(table.block_sums) == blocks
-    if low_rank:
         assert _fast_len(2 * grid.n_interior - 1) == lengths[0]
         figures = [call for call in calls if call != (lo, hi, lo, hi)]
         assert figures == [(0, n, lo, hi), (0, n, lo, hi), (lo, hi, 0, n)]
+    else:
+        assert calls == []
+    assert set(table.block_sums) == blocks
+
+
+def _extension_route(monkeypatch):
+    """Solves apply A v = d c ``_neumann_operator`` of the extension of v.
+
+    The preconditioner stays the one ``_reduced_operator`` picks.
+    """
+    build = solvers._reduced_operator
+
+    def reduced(table, dc):
+        _, precondition = build(table, dc)
+
+        def apply(v):
+            return dc * _neumann_operator(_extension(v, table), table)
+
+        return apply, precondition
+
+    monkeypatch.setattr(solvers, "_reduced_operator", reduced)
 
 
 @pytest.mark.parametrize(
-    "params, constant, threshold",
+    "params, constant, dense",
     [
-        pytest.param(Params(d=0.2936), True, "_DENSE_INTERIOR", id="params0-True"),
-        pytest.param(Params(s=0.4, p=2.0, d=0.2), False, "_DENSE_INTERIOR", id="params1-False"),
-        pytest.param(Params(d=0.0928), False, "_LOWRANK_INTERIOR", id="lowrank-0.0928"),
-        pytest.param(Params(d=0.0632), False, "_LOWRANK_INTERIOR", id="lowrank-0.0632"),
+        pytest.param(Params(d=0.2936), True, True, id="params0-True"),
+        pytest.param(Params(s=0.4, p=2.0, d=0.2), False, True, id="params1-False"),
+        pytest.param(Params(d=0.0928), False, False, id="lowrank-0.0928"),
+        pytest.param(Params(d=0.0632), False, False, id="lowrank-0.0632"),
     ],
 )
-def test_dense_and_fft_descents_agree(monkeypatch, params, constant, threshold):
-    # the dense matrix (_DENSE_INTERIOR at the interior's size), or the
-    # low-rank factor (_LOWRANK_INTERIOR at 0), against the FFT path,
-    # where the same threshold at 0, or at the interior's size, sends
-    # the same grid
+def test_the_descent_forms_agree(monkeypatch, params, constant, dense):
+    # the dense matrix against the low-rank form, where _DENSE_INTERIOR
+    # at 0 sends the same grid, and the low-rank form against A of the
+    # extension, d c _neumann_operator, with the same P^-1
     grid = default_grid_policy(params)
-    dense = threshold == "_DENSE_INTERIOR"
     n = grid.n_interior
-    assert n <= solvers._DENSE_INTERIOR if dense else n > solvers._DENSE_INTERIOR
-    monkeypatch.setattr(solvers, threshold, n if dense else 0)
+    assert (n <= solvers._DENSE_INTERIOR) == dense
     first = solve_least_energy(params, grid)
-    monkeypatch.setattr(solvers, threshold, 0 if dense else n)
-    fft = solve_least_energy(params, grid)
-    assert first.constant_branch == fft.constant_branch == constant
-    a, b = record_from_result(first, params), record_from_result(fft, params)
+    if dense:
+        monkeypatch.setattr(solvers, "_DENSE_INTERIOR", 0)
+    else:
+        _extension_route(monkeypatch)
+    other = solve_least_energy(params, grid)
+    assert first.constant_branch == other.constant_branch == constant
+    a, b = record_from_result(first, params), record_from_result(other, params)
     if constant:
         assert a == b
     elif dense:
@@ -685,26 +705,26 @@ def test_dense_and_fft_descents_agree(monkeypatch, params, constant, threshold):
         assert a.argmax_x == b.argmax_x
     else:
         # the same descent to round-off: c_d is stationary at the solution
-        assert first.iterations == fft.iterations
+        assert first.iterations == other.iterations
         assert a.argmax_x == b.argmax_x
         assert abs(a.c_d - b.c_d) <= 1e-13 * b.c_d
         assert abs(a.sup_u - b.sup_u) <= SolverConfig().tol_residual
 
 
-@pytest.mark.parametrize("fft", [False, True])
+@pytest.mark.parametrize("low_rank", [False, True])
 @pytest.mark.parametrize(
     "s, d",
     [(0.25, 0.2936), (0.3, 2.0), (0.4, 0.2), (0.45, 2.0), (0.3, 0.2), (0.3, 0.632456)],
 )
-def test_neumann_solves_near_p_one_converge(monkeypatch, fft, s, d):
+def test_neumann_solves_near_p_one_converge(monkeypatch, low_rank, s, d):
     # at p = 1.02 each of the first four cases rejected a step on one
     # path or both while the round-off band stayed at 1e-14, below the
     # ray's amplified noise; the first and the last two reject a step
     # along the L-BFGS direction unless the search falls back to r
     params = Params(s=s, p=1.02, d=d)
     grid = default_grid_policy(params)
-    # (0.3, 0.2) has 147 interior nodes, past the dense threshold
-    monkeypatch.setattr(solvers, "_DENSE_INTERIOR", 0 if fft else grid.n_interior)
+    # each grid on both forms: (0.3, 0.2) has the most interior nodes, 147
+    monkeypatch.setattr(solvers, "_DENSE_INTERIOR", 0 if low_rank else grid.n_interior)
     result = solve_least_energy(params, grid)
     assert result.el_residual <= 1e-8
     assert history_non_increasing(result.peak_history)
@@ -1052,10 +1072,13 @@ def _reference_operator(u_int, full, table):
 
 @pytest.mark.parametrize("case", ["bump", "clipping warm start", "line"])
 def test_descent_keeps_the_bits_of_the_reference_loop(monkeypatch, case):
-    # every descent of the solve also runs through the oracle, on the
-    # reference operator and quadrature, the same fold and the solve's
-    # residual; (u, A u, iterations, size, peaks) must agree bit for
-    # bit, clipped trials included
+    # every descent of the solve also runs through the oracle, the same
+    # fold and the solve's residual, on the reference operator on the
+    # line and on the solve's own A for the Neumann problem; (u, A u,
+    # iterations, size, peaks) must agree bit for bit, clipped trials
+    # included.  That A, the low-rank form at d = 0.2, is d c times the
+    # reference operator of the extension to 1e-14 of d c max rs_I |v|
+    # at the start and at the solution
     if case == "line":
         params, grid = Params(d=1.0), build_line_grid(40.0, 0.1)
         table = kernel_weights(grid, params)
@@ -1068,9 +1091,9 @@ def test_descent_keeps_the_bits_of_the_reference_loop(monkeypatch, case):
         grid = default_grid_policy(params)
         table = kernel_weights(grid, params)
         dc = params.d * table.c_ns
-
-        def reference_apply(v):
-            return dc * _reference_operator(v, _extension(v, table), table)
+        lo, hi = grid.interior_range
+        scale = dc * float(np.max(table.row_sums(lo, hi, 0, grid.n_nodes)))
+        reference_apply = None
 
     runs = []
     descent = solvers._nehari_descent
@@ -1084,12 +1107,17 @@ def test_descent_keeps_the_bits_of_the_reference_loop(monkeypatch, case):
             return w
 
         want = _reference_descent(
-            u0, reference_apply, precondition, counting_fold, h, p, residual,
-            config, [],
+            u0, reference_apply or apply, precondition, counting_fold, h, p,
+            residual, config, [],
         )
         got = descent(
             u0, apply, precondition, fold, h, p, residual, config, history
         )
+        if reference_apply is None:
+            for v in (fold(u0), got[0]):
+                ref = dc * _reference_operator(v, _extension(v, table), table)
+                err = np.max(np.abs(apply(v) - ref))
+                assert err <= 1e-14 * scale * np.max(np.abs(v))
         runs.append((got, want, sum(clipped)))
         return got
 
