@@ -752,16 +752,18 @@ def test_symbol_inverse_is_symmetric_positive_definite(case):
         assert grid.integrate(x * solve(x)) > 0.0
 
 
-@pytest.mark.parametrize("d, h", [(2.0, None), (0.2936, None), (0.2, 1.0 / 200)])
+@pytest.mark.parametrize(
+    "d, h", [(2.0, None), (0.2936, None), (0.2, 1.0 / 128), (0.2, 1.0 / 200)]
+)
 def test_dense_symbol_inverse_matches_the_transforms(d, h):
     # the dense Neumann path's P^-1 is the matrix of the transforms': at
     # 50 and 117 interior nodes (the default grids at d = 2.0 and
-    # 0.2936) and at the dense threshold of 200
+    # 0.2936), at 128 and at the dense threshold of 200
     params = Params(d=d)
     grid = default_grid_policy(params) if h is None else build_grid(0.0, 1.0, h)
     t = kernel_weights(grid, params)
     n, scale = grid.n_interior, params.d * t.c_ns
-    assert n == {2.0: 50, 0.2936: 117, 0.2: 200}[d]
+    assert n == ({2.0: 50, 0.2936: 117}[d] if h is None else round(1.0 / h))
     dense = _symbol_inverse_matrix(t, n, scale)
     assert np.array_equal(dense, dense.T)
     solve = _symbol_inverse(t, n, scale)

@@ -113,8 +113,10 @@ def test_the_low_rank_operator_is_the_reduced_matrix(monkeypatch, n_interior, s,
 
 
 @pytest.mark.parametrize("n_interior", [5384, 25_000])
-def test_the_low_rank_operator_is_the_extension_route(monkeypatch, n_interior):
-    # on the grids of d = 0.0431 and 0.02: 26 920 and 125 000 nodes
+def test_the_low_rank_operator_is_the_fft_form(monkeypatch, n_interior):
+    # against the FFT form of the extension route, the Toeplitz products
+    # of _neumann_operator, on the grids of d = 0.0431 and 0.02: 26 920
+    # and 125 000 nodes
     _check(monkeypatch, _table(n_interior), dense=False)
 
 

@@ -542,11 +542,13 @@ def test_an_iteration_without_pairs_steps_along_r_unpreconditioned(domain_02):
         assert _bitwise(a, b)
 
 
-def test_each_descent_iteration_makes_one_product(monkeypatch, domain_02):
-    # one W_II product for A q of the direction, however often the step
-    # halves, and none for the residual A u + u - u^p; one more per trial
-    # that the absolute value clips, one for the first projection, and
-    # three for the figures: extend, its seminorm and the residual
+def test_each_descent_iteration_makes_two_products(monkeypatch, domain_02):
+    # two FFT products per iteration: one W_II Toeplitz product for A q
+    # of the direction, however often the step halves, and one P^-1
+    # circulant product of the residual, which itself makes none for
+    # A u + u - u^p; one W_II product more per trial that the absolute
+    # value clips, one for the first projection, and three block
+    # products for the figures: extend, its seminorm and the residual
     params, grid, _ = domain_02
     clipped = _counting_folds(monkeypatch)
     calls = _counting_products(monkeypatch)
@@ -562,6 +564,7 @@ def test_each_descent_iteration_makes_one_product(monkeypatch, domain_02):
     assert len(calls) == len(descent) + 3
     # and one P^-1, of the residual, per iteration
     assert len(transforms) == it
+    assert len(descent) + len(transforms) == 2 * it + 1 + sum(clipped)
 
 
 def test_small_interiors_descend_on_the_dense_matrix(monkeypatch):
@@ -579,8 +582,9 @@ def test_small_interiors_descend_on_the_dense_matrix(monkeypatch):
     assert calls == []
 
 
-def test_domain_02_keeps_the_low_rank_form():
-    # so the product counts and the reference loop above pin that form
+def test_domain_02_keeps_the_fft_path():
+    # the low-rank form, whose W_II and P^-1 are FFT products, so the
+    # product counts and the reference loop above pin that path
     assert solvers._DENSE_INTERIOR < default_grid_policy(Params(d=0.2)).n_interior
 
 
@@ -589,13 +593,13 @@ def test_domain_02_keeps_the_low_rank_form():
     [
         pytest.param(None, 0, [], id="0-0"),
         pytest.param(None, 1, ["W_II"], id="1-1"),
-        pytest.param(128, 1, ["W_II"], id="128-1"),
+        pytest.param(128, 1, ["W_II"], id="lowrank-1-1"),
     ],
 )
 def test_the_threshold_picks_the_operator_form(monkeypatch, threshold, extra, products):
     # an interior of _DENSE_INTERIOR nodes applies the dense matrix, and
-    # one node more W_II and the collar's low-rank factor, down to 129
-    # nodes when the threshold is lowered to 128
+    # one node more W_II and the collar's low-rank factor, and so does
+    # the low-rank form at 129 nodes, with the threshold lowered to 128
     if threshold is not None:
         monkeypatch.setattr(solvers, "_DENSE_INTERIOR", threshold)
     n_interior = solvers._DENSE_INTERIOR + extra
@@ -682,10 +686,11 @@ def _extension_route(monkeypatch):
         pytest.param(Params(d=0.0632), False, False, id="lowrank-0.0632"),
     ],
 )
-def test_the_descent_forms_agree(monkeypatch, params, constant, dense):
-    # the dense matrix against the low-rank form, where _DENSE_INTERIOR
-    # at 0 sends the same grid, and the low-rank form against A of the
-    # extension, d c _neumann_operator, with the same P^-1
+def test_dense_and_fft_descents_agree(monkeypatch, params, constant, dense):
+    # the dense matrix against the low-rank form, whose W_II is an FFT
+    # product, where _DENSE_INTERIOR at 0 sends the same grid; and the
+    # low-rank form against the FFT form of the extension route, A v =
+    # d c _neumann_operator of the extension, with the same P^-1
     grid = default_grid_policy(params)
     n = grid.n_interior
     assert (n <= solvers._DENSE_INTERIOR) == dense
